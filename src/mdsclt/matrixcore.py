@@ -113,7 +113,9 @@ def top_eigs(m: SymmetricMatrix, k: int) -> SpectralPair:
     """Return the k algebraically largest eigenpairs of ``m``.
 
     Uses a full dense decomposition for small matrices and an iterative
-    solver (iteration cap 10n) for large ones requesting few pairs.
+    solver (iteration cap 10n) for large ones requesting few pairs. The
+    iterative solver starts from a vector fixed by n, so its output does not
+    depend on earlier calls or on the calling thread.
     """
     n = m.n
     if not 1 <= k <= n:
@@ -124,7 +126,8 @@ def top_eigs(m: SymmetricMatrix, k: int) -> SpectralPair:
         values, vectors = w[order], v[:, order]
     else:
         try:
-            w, v = spla.eigsh(m.data, k=k, which="LA", maxiter=10 * n)
+            v0 = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+            w, v = spla.eigsh(m.data, k=k, which="LA", maxiter=10 * n, v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"eigensolver did not converge within {10 * n} iterations"

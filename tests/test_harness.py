@@ -52,6 +52,17 @@ class TestRun:
         r1, r4 = run(cfg1), run(cfg4)
         assert r1.to_json() == r4.to_json()
 
+    def test_deterministic_on_iterative_eigen_path(self, triangle, uniform4):
+        """n=300 is above the dense-solver cutoff: repeats in one process and
+        a second thread count give bit-identical reports."""
+        cfg1 = small_config(triangle, uniform4, n_list=(300,), replicates=4,
+                            threads=1)
+        cfg2 = small_config(triangle, uniform4, n_list=(300,), replicates=4,
+                            threads=2)
+        first = run(cfg1).to_json()
+        assert run(cfg1).to_json() == first
+        assert run(cfg2).to_json() == first
+
     def test_per_class_structure(self, triangle, uniform4):
         report = run(small_config(triangle, uniform4))
         classes = report.per_n[0]["per_class"]

@@ -160,6 +160,18 @@ class TestTopEigs:
         assert np.array_equal(p1.values, p2.values)
         assert np.array_equal(p1.vectors, p2.vectors)
 
+    def test_iterative_path_bit_identical_after_other_calls(self, rng):
+        """The iterative solver's start vector is fixed by n, so the answer
+        does not depend on which solves ran before it."""
+        z = rng.standard_normal((300, 4))
+        m = SymmetricMatrix.from_array(centered_gram(z), rtol=1e-6)
+        p1 = top_eigs(m, 3)
+        a = rng.standard_normal((300, 300))
+        top_eigs(SymmetricMatrix(a + a.T), 5)
+        p2 = top_eigs(m, 3)
+        assert np.array_equal(p1.values, p2.values)
+        assert np.array_equal(p1.vectors, p2.vectors)
+
     def test_sign_convention(self, rng):
         a = rng.standard_normal((15, 15))
         pair = top_eigs(SymmetricMatrix(a + a.T), 3)
