@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per output of a fixed set of small mdsclt runs.
+
+    python3 scripts/report_digests.py
+
+Imports mdsclt from the ``src`` directory of the checkout that holds this
+script, runs every case through the CLI entry ``mdsclt.cli.dispatch`` in a
+temporary directory, and prints ``<case>/<output> <sha256>`` per line. Two
+checkouts that print the same lines write the same bytes, so a refactor
+meant to keep reports unchanged can be checked by diffing the output.
+
+Cases: ``mc-run`` for each noise variant a JSON config can name, at n=60
+(dense eigensolver) and n=300 (iterative eigensolver, above the dense
+cutoff); ``mc-run`` with the raw-stress estimator and with the
+decomposition check; ``diagnose``; and ``perturb`` for each of those
+variants. ``model1_hetero`` takes a Python callable and has no JSON form,
+so its ``perturb`` outputs are hashed through the library call instead.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+from mdsclt import noise, pointmodel  # noqa: E402
+from mdsclt.cli import dispatch  # noqa: E402
+from mdsclt.matrixcore import SymmetricMatrix  # noqa: E402
+
+TRIANGLE = {"point_mass_mixture": {
+    "locations": [[-0.9, -2.0], [2.1, -2.0], [-0.9, 2.0]],
+    "weights": [0.2, 0.3, 0.5]}}
+NOISES = {
+    "model1": {"model": "model1", "law": {"gaussian": {"sigma": 2.0}}},
+    "model2": {"model": "model2", "law": {"uniform": {"a": 4.0}}},
+    "model3": {"model": "model3", "q": 0.7},
+    "model2_hetero": {"model": "model2_hetero"},
+}
+
+
+def sha256_file(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def write_json(path, obj) -> str:
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    return path
+
+
+def config(noise_json, n_list, replicates=3, estimator="cmds", checks=None):
+    return {"distribution": TRIANGLE, "noise": noise_json, "n_list": n_list,
+            "d": 2, "replicates": replicates, "seed": 2018,
+            "estimator": estimator, "checks": checks or {"clt": True}}
+
+
+def run(tmp, name, argv, outputs) -> list:
+    code = dispatch(argv)
+    if code != 0:
+        raise SystemExit(f"{name}: exit {code}")
+    return [f"{name}/{label} {sha256_file(os.path.join(tmp, f'{name}.{label}'))}"
+            for label in outputs]
+
+
+def cases(tmp) -> list:
+    lines = []
+
+    def path(name, suffix):
+        return os.path.join(tmp, f"{name}.{suffix}")
+
+    for model, noise_json in NOISES.items():
+        for n in (60, 300):
+            name = f"mc-run_{model}_n{n}"
+            cfg = write_json(path(name, "config"), config(noise_json, [n]))
+            lines += run(tmp, name, ["mc-run", "--config", cfg, "--threads", "1",
+                                     "--out", path(name, "report")], ["report"])
+    for name, cfg_json in (
+            ("mc-run_rawstress", config(NOISES["model2"], [60], replicates=2,
+                                        estimator="rawstress")),
+            ("mc-run_decomposition", config(NOISES["model3"], [60, 300],
+                                            checks={"clt": False,
+                                                    "decomposition": True}))):
+        cfg = write_json(path(name, "config"), cfg_json)
+        lines += run(tmp, name, ["mc-run", "--config", cfg, "--threads", "1",
+                                 "--out", path(name, "report")], ["report"])
+
+    name = "diagnose"
+    cfg = write_json(path(name, "config"), config(NOISES["model2"], [100]))
+    lines += run(tmp, name, ["diagnose", "--config", cfg, "--n-grid", "100,200,300",
+                             "--replicates", "2", "--out", path(name, "report")],
+                 ["report"])
+
+    points, dist = path("points", "csv"), path("dist", "csv")
+    if dispatch(["gen-points", "--dist", "triangle345", "--n", "80", "--seed", "5",
+                 "--out", points]) or dispatch(["distmat", "--in", points,
+                                                "--out", dist]):
+        raise SystemExit("gen-points/distmat failed")
+    for model, noise_json in NOISES.items():
+        name = f"perturb_{model}"
+        spec = write_json(path(name, "noise"), noise_json)
+        argv = ["perturb", "--in", dist, "--noise", spec, "--seed", "9",
+                "--out-delta-sq", path(name, "delta_sq"), "--out-e", path(name, "e")]
+        outputs = ["delta_sq", "e"]
+        if model != "model1":
+            argv += ["--out-delta", path(name, "delta")]
+            outputs.append("delta")
+        lines += run(tmp, name, argv, outputs)
+
+    cloud = pointmodel.sample(pointmodel.triangle_345(), 80, 5)
+    D = SymmetricMatrix(cloud.distance_matrix(), hollow=True)
+    spec = noise.NoiseSpec("model1_hetero",
+                           sigma_fn=lambda i, j: 1.0 + 0.5 * ((i + j) % 2))
+    out = noise.perturb(D, spec, 9)
+    for label in ("delta_sq", "E"):
+        digest = hashlib.sha256(np.ascontiguousarray(out[label].data).tobytes())
+        lines.append(f"perturb_model1_hetero/{label} {digest.hexdigest()}")
+    return lines
+
+
+def main():
+    with tempfile.TemporaryDirectory(prefix="mdsclt-digests-") as tmp:
+        print("\n".join(cases(tmp)))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,7 @@
-"""Limiting covariances for the three noise mechanisms, orthogonal alignment
-between configurations, the exact six-term perturbation decomposition, and
-empirical scaling diagnostics for the perturbation bounds."""
+"""The simulation pipeline (generate, distances, perturb), limiting
+covariances for the three noise mechanisms, orthogonal alignment between
+configurations, the exact six-term perturbation decomposition, and empirical
+scaling diagnostics for the perturbation bounds."""
 
 from __future__ import annotations
 
@@ -11,7 +12,31 @@ import numpy as np
 
 from . import noise as noisemod
 from . import pointmodel
-from .matrixcore import SymmetricMatrix, double_center, norms, svd_small, top_eigs
+from .matrixcore import (MAX_SUPPORTED_N, SymmetricMatrix, double_center, norms,
+                         svd_small, top_eigs)
+
+
+def check_sizes(spec: pointmodel.DistributionSpec, n_values) -> None:
+    """Reject sample sizes a simulation cannot run: below the dimension + 2
+    or above ``MAX_SUPPORTED_N``."""
+    for n in n_values:
+        if not spec.d + 2 <= n <= MAX_SUPPORTED_N:
+            raise ValueError(f"n={n} is outside the supported range [{spec.d + 2}, "
+                             f"{MAX_SUPPORTED_N}] for dimension {spec.d}")
+
+
+def _replicate_seed(seed: int, n: int, r: int) -> int:
+    return int(np.random.SeedSequence([seed, n, r]).generate_state(1)[0])
+
+
+def simulate(distribution: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
+             n: int, seed: int, r: int):
+    """Replicate r of an experiment keyed by (seed, n, r): sample n points,
+    form their distance matrix D, perturb it. Returns (cloud, D, perturbed)."""
+    seed_r = _replicate_seed(seed, n, r)
+    cloud = pointmodel.sample(distribution, n, seed_r)
+    D = SymmetricMatrix._unchecked(cloud.distance_matrix(), hollow=True)
+    return cloud, D, noisemod.perturb(D, noise, seed_r)
 
 
 @dataclass(frozen=True)
@@ -54,7 +79,7 @@ def theory_cov(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
     """
     mom = pointmodel.moments(spec)
     xi_inv = np.linalg.inv(mom.xi)
-    if noise.variant in ("model1_sq_additive", "model1_hetero"):
+    if noise.squared_scale:
         sigma = noise.moments.sigma2 / 4.0 * xi_inv
         zs = spec.locations if spec.variant == "point_mass_mixture" else [None]
         per_class = [{"z": z, "sigma": sigma} for z in zs]
@@ -223,6 +248,7 @@ def bound_checks(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
     n_grid = list(n_grid)
     if sorted(n_grid) != n_grid or len(n_grid) < 3:
         raise ValueError("n_grid must be ascending with at least 3 points")
+    check_sizes(spec, n_grid)
     if d is None:
         d = spec.d
     scale = noise.center_scale
@@ -230,11 +256,8 @@ def bound_checks(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
     for n in n_grid:
         cells = {name: [] for name in RATIO_NAMES}
         for r in range(replicates):
-            cell_seed = int(np.random.SeedSequence([seed, n, r]).generate_state(1)[0])
-            cloud = pointmodel.sample(spec, n, cell_seed)
-            D = SymmetricMatrix(cloud.distance_matrix(), hollow=True)
-            out = noisemod.perturb(D, noise, cell_seed)
-            B = double_center(SymmetricMatrix(D.data**2, hollow=True))
+            cloud, D, out = simulate(spec, noise, n, seed, r)
+            B = double_center(SymmetricMatrix._unchecked(D.data**2, hollow=True))
             B_hat = double_center(out["delta_sq"])
             logn = np.log(n)
 

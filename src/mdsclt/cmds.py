@@ -3,8 +3,7 @@ decomposition, dimension selection, and sub-embedding."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,16 +39,6 @@ class Embedding:
     @property
     def d(self) -> int:
         return self.config.shape[1]
-
-    def save(self, csv_path, sidecar_path=None) -> None:
-        np.savetxt(csv_path, self.config, delimiter=",", fmt="%.17g")
-        if sidecar_path is not None:
-            meta = {"eigenvalues": self.eigenvalues.tolist(),
-                    "all_top_eigenvalues": self.all_top_eigenvalues.tolist(),
-                    "flags": {"deficient": self.deficient,
-                              "degenerate": self.degenerate}}
-            with open(sidecar_path, "w") as fh:
-                json.dump(meta, fh, indent=2)
 
 
 def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False) -> Embedding:

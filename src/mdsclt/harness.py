@@ -18,6 +18,9 @@ import scipy.stats
 from . import clt, cmds, noise as noisemod, pointmodel, rawstress
 from .matrixcore import SymmetricMatrix, double_center
 
+# The replicate-seed rule of clt.simulate, for code that keys its own runs alike.
+_replicate_seed = clt._replicate_seed
+
 # Asymptotic Kolmogorov critical value at the 1% level.
 KS_CRIT_1PCT = float(scipy.stats.kstwobign.isf(0.01))
 
@@ -44,6 +47,13 @@ class ExperimentConfig:
         object.__setattr__(self, "n_list", n_list)
         if self.estimator not in ("cmds", "rawstress"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        clt.check_sizes(self.distribution, n_list)
+        if n_list and not 1 <= self.d <= n_list[0] - 1:
+            raise ValueError(f"embedding dimension d={self.d} must satisfy "
+                             f"1 <= d <= n-1 for n={n_list[0]}")
+        if self.estimator == "rawstress" and self.noise.squared_scale:
+            raise ValueError("raw-stress estimation needs a dissimilarity matrix; "
+                             f"{self.noise.variant} yields squared ones only")
 
     def to_json(self) -> dict:
         return {"distribution": self.distribution.to_json(),
@@ -108,25 +118,13 @@ class McReport:
         return out
 
 
-def _replicate_seed(seed: int, n: int, r: int) -> int:
-    return int(np.random.SeedSequence([seed, n, r]).generate_state(1)[0])
-
-
 def _one_replicate(cfg: ExperimentConfig, n: int, r: int):
     """One generate-perturb-embed-align pass; returns per-class statistics."""
-    seed_r = _replicate_seed(cfg.seed, n, r)
-    cloud = pointmodel.sample(cfg.distribution, n, seed_r)
-    D = SymmetricMatrix(cloud.distance_matrix(), hollow=True)
-    out = noisemod.perturb(D, cfg.noise, seed_r)
+    cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r)
     if cfg.estimator == "cmds":
-        emb = cmds.embed(out["delta_sq"], cfg.d)
-        config = emb.config
+        config = cmds.embed(out["delta_sq"], cfg.d).config
     else:
-        if out["delta"] is None:
-            raise ValueError("raw-stress estimation needs a dissimilarity matrix, "
-                             "not squared dissimilarities")
-        state = rawstress.minimize_stress(out["delta"], cfg.d, init="cmds")
-        config = state.config
+        config = rawstress.minimize_stress(out["delta"], cfg.d, init="cmds").config
     scale = cfg.noise.center_scale
     centered = scale * (cloud.points - cloud.points.mean(axis=0))
     w_n = clt.align(config, centered)
@@ -241,11 +239,8 @@ def _sample_dump(ok, labels):
 
 
 def _decomposition_summary(cfg: ExperimentConfig, n: int) -> dict:
-    seed_r = _replicate_seed(cfg.seed, n, 0)
-    cloud = pointmodel.sample(cfg.distribution, n, seed_r)
-    D = SymmetricMatrix(cloud.distance_matrix(), hollow=True)
-    out = noisemod.perturb(D, cfg.noise, seed_r)
-    B = double_center(SymmetricMatrix(D.data**2, hollow=True))
+    _, D, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, 0)
+    B = double_center(SymmetricMatrix._unchecked(D.data**2, hollow=True))
     B_hat = double_center(out["delta_sq"])
     rep = clt.decompose(B, B_hat, cfg.d)
     return {"identity_residual": rep.identity_residual,

@@ -2,18 +2,20 @@
 small SVD, and the matrix norms used throughout the library.
 
 All operations are pure and deterministic; eigenvector signs are fixed so
-repeated calls on the same matrix return bit-identical output.
+repeated calls on the same matrix return bit-identical output. Matrices are
+checked where outside data enters, not where the library builds them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 # Dense full decomposition below this size; iterative solver above.
 DENSE_EIG_CUTOFF = 256
+# Largest n a simulation (experiment config or diagnostics grid) may request.
 MAX_SUPPORTED_N = 5000
 DEGENERATE_GAP_RTOL = 1e-10
 
@@ -38,8 +40,6 @@ class SymmetricMatrix:
         a = np.asarray(self.data, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] > MAX_SUPPORTED_N:
-            raise ValueError(f"n={a.shape[0]} exceeds supported envelope {MAX_SUPPORTED_N}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
         a = np.triu(a) + np.triu(a, 1).T  # mirror upper triangle, bit-exact symmetry
@@ -48,6 +48,15 @@ class SymmetricMatrix:
                 raise ValueError("hollow matrix must have an exactly zero diagonal")
         object.__setattr__(self, "data", a)
         self.data.setflags(write=False)
+
+    @classmethod
+    def _unchecked(cls, a: np.ndarray, hollow: bool = False) -> "SymmetricMatrix":
+        """Wrap a float array the library built exactly symmetric (and hollow,
+        if so flagged) without the construction checks."""
+        m = object.__new__(cls)
+        m.__dict__.update(data=a, hollow=hollow)
+        a.setflags(write=False)
+        return m
 
     @property
     def n(self) -> int:
@@ -106,7 +115,7 @@ def double_center(sq: SymmetricMatrix) -> SymmetricMatrix:
     col = row.T  # symmetric input
     grand = a.mean()
     b = -0.5 * (a - row - col + grand)
-    return SymmetricMatrix.from_array(b, rtol=1e-9)
+    return SymmetricMatrix._unchecked((b + b.T) / 2.0)
 
 
 def top_eigs(m: SymmetricMatrix, k: int) -> SpectralPair:
@@ -166,8 +175,3 @@ def read_matrix_csv(path, hollow: bool = False) -> SymmetricMatrix:
     """Read a full square matrix from headerless comma-separated rows."""
     a = np.loadtxt(path, delimiter=",", ndmin=2)
     return SymmetricMatrix.from_array(a, hollow=hollow)
-
-
-def write_matrix_csv(path, m) -> None:
-    a = m.data if isinstance(m, SymmetricMatrix) else np.asarray(m, dtype=float)
-    np.savetxt(path, np.atleast_2d(a), delimiter=",", fmt="%.17g")

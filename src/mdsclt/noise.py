@@ -2,9 +2,9 @@
 
 Model 1 adds noise to the squared distances, model 2 to the distances,
 model 3 masks entries Bernoulli(q). Two heteroscedastic variants support
-the bias experiments. Every variant produces an exactly hollow, exactly
-symmetric noise matrix with independent upper-triangle entries mirrored
-below, and is deterministic given its seed.
+the bias experiments. ``perturb`` applies all five: every variant produces an
+exactly hollow, exactly symmetric noise matrix with independent
+upper-triangle entries mirrored below, and is deterministic given its seed.
 """
 
 from __future__ import annotations
@@ -118,6 +118,11 @@ class NoiseSpec:
         return self.law.moments()
 
     @property
+    def squared_scale(self) -> bool:
+        """Model 1 variants perturb D^2 directly: there is no Delta."""
+        return self.variant.startswith("model1")
+
+    @property
     def center_scale(self) -> float:
         """Shrinkage of the limiting centered positions: sqrt(q) under masking."""
         return float(np.sqrt(self.q)) if self.variant == "model3_mask" else 1.0
@@ -137,13 +142,6 @@ class NoiseSpec:
         return cls(variant=obj["model"], law=law, q=obj.get("q", 1.0))
 
 
-def _check_hollow_nonneg(D: SymmetricMatrix) -> None:
-    if np.any(np.diag(D.data) != 0.0):
-        raise ValueError("distance matrix must be hollow")
-    if np.any(D.data < 0):
-        raise ValueError("distance matrix must be non-negative")
-
-
 def _sym_from_upper(n: int, upper: np.ndarray) -> np.ndarray:
     m = np.zeros((n, n))
     m[np.triu_indices(n, 1)] = upper
@@ -161,64 +159,36 @@ def perturb(D: SymmetricMatrix, spec: NoiseSpec, seed: int) -> dict:
     noise lives on the squared scale (a square root need not exist).
     Negative entries of delta or delta_sq are passed through unchanged.
     """
-    _check_hollow_nonneg(D)
+    if np.any(np.diag(D.data) != 0.0):
+        raise ValueError("distance matrix must be hollow")
+    if np.any(D.data < 0):
+        raise ValueError("distance matrix must be non-negative")
     n = D.n
     nupper = n * (n - 1) // 2
     rng = _rng(seed, n)
 
-    if spec.variant == "model1_sq_additive":
+    if spec.variant in ("model1_sq_additive", "model2_additive"):
         e = _sym_from_upper(n, spec.law.draw(rng, nupper))
-        delta_sq = D.data**2 + e
-        return {"delta_sq": SymmetricMatrix(delta_sq, hollow=True), "delta": None,
-                "E": SymmetricMatrix(e, hollow=True)}
-    if spec.variant == "model1_hetero":
-        return _perturb_hetero_model1(D, spec.sigma_fn, rng)
-    if spec.variant == "model2_additive":
-        e = _sym_from_upper(n, spec.law.draw(rng, nupper))
-        delta = D.data + e
-        return {"delta_sq": SymmetricMatrix(delta**2, hollow=True),
-                "delta": SymmetricMatrix(delta, hollow=True),
-                "E": SymmetricMatrix(e, hollow=True)}
-    if spec.variant == "model2_hetero_uniform_scaled":
-        delta = hetero_uniform_scaled(D, seed, rng=rng)
-        e = delta.data - D.data
-        return {"delta_sq": SymmetricMatrix(delta.data**2, hollow=True),
-                "delta": delta, "E": SymmetricMatrix(e, hollow=True)}
-    # model3_mask
-    keep = (rng.random(nupper) < spec.q).astype(float)
-    mask = _sym_from_upper(n, keep)
-    delta = D.data * mask
-    e = delta - D.data
-    return {"delta_sq": SymmetricMatrix(delta**2, hollow=True),
-            "delta": SymmetricMatrix(delta, hollow=True),
-            "E": SymmetricMatrix(e, hollow=True)}
+    elif spec.variant == "model1_hetero":
+        iu, ju = np.triu_indices(n, 1)
+        sig = np.array([spec.sigma_fn(int(i), int(j)) for i, j in zip(iu, ju)], float)
+        sig_t = np.array([spec.sigma_fn(int(j), int(i)) for i, j in zip(iu, ju)], float)
+        if np.any(sig != sig_t):
+            raise ValueError("sigma_fn must be symmetric in (i, j)")
+        e = _sym_from_upper(n, sig * rng.standard_normal(nupper))
+    elif spec.variant == "model2_hetero_uniform_scaled":
+        # E~_ij ~ Uniform(-D_ij, D_ij). As |E~| <= D, (D + E~) - D is exact, so
+        # Delta = D + E below is the rounded D + E~ bit for bit, and >= 0.
+        u = rng.uniform(-1.0, 1.0, nupper)
+        e = (D.data + _sym_from_upper(n, u * D.data[np.triu_indices(n, 1)])) - D.data
+    else:  # model3_mask
+        keep = (rng.random(nupper) < spec.q).astype(float)
+        e = D.data * _sym_from_upper(n, keep) - D.data
 
-
-def hetero_uniform_scaled(D: SymmetricMatrix, seed: int, rng=None) -> SymmetricMatrix:
-    """Delta = D + E~ with E~_ij ~ Uniform(-D_ij, D_ij); entries stay >= 0."""
-    _check_hollow_nonneg(D)
-    n = D.n
-    if rng is None:
-        rng = _rng(seed, n)
-    u = rng.uniform(-1.0, 1.0, n * (n - 1) // 2)
-    iu = np.triu_indices(n, 1)
-    e = _sym_from_upper(n, u * D.data[iu])
-    return SymmetricMatrix(D.data + e, hollow=True)
-
-
-def _perturb_hetero_model1(D: SymmetricMatrix, sigma_fn, rng) -> dict:
-    n = D.n
-    iu, ju = np.triu_indices(n, 1)
-    sig = np.array([sigma_fn(int(i), int(j)) for i, j in zip(iu, ju)], dtype=float)
-    sig_t = np.array([sigma_fn(int(j), int(i)) for i, j in zip(iu, ju)], dtype=float)
-    if np.any(sig != sig_t):
-        raise ValueError("sigma_fn must be symmetric in (i, j)")
-    e = _sym_from_upper(n, sig * rng.standard_normal(len(sig)))
-    return {"delta_sq": SymmetricMatrix(D.data**2 + e, hollow=True), "delta": None,
-            "E": SymmetricMatrix(e, hollow=True)}
-
-
-def hetero_model1(D: SymmetricMatrix, sigma_fn, seed: int) -> SymmetricMatrix:
-    """Delta^2 = D^2 + E with per-pair gaussian noise of std sigma_fn(i, j)."""
-    _check_hollow_nonneg(D)
-    return _perturb_hetero_model1(D, sigma_fn, _rng(seed, D.n))["delta_sq"]
+    E = SymmetricMatrix._unchecked(e, hollow=True)
+    if spec.squared_scale:
+        return {"delta_sq": SymmetricMatrix._unchecked(D.data**2 + e, hollow=True),
+                "delta": None, "E": E}
+    delta = D.data + e
+    return {"delta_sq": SymmetricMatrix._unchecked(delta**2, hollow=True),
+            "delta": SymmetricMatrix._unchecked(delta, hollow=True), "E": E}

@@ -3,17 +3,19 @@ import json
 import numpy as np
 import pytest
 
+from mdsclt import cmds
 from mdsclt.cli import dispatch
+from mdsclt.matrixcore import read_matrix_csv
 
 
 def write_config(path, n_list=(60,), replicates=3, noise=None, seed=5,
-                 estimator="cmds", checks=None):
+                 estimator="cmds", checks=None, d=2):
     cfg = {
         "distribution": {"point_mass_mixture": {
             "locations": [[-0.9, -2.0], [2.1, -2.0], [-0.9, 2.0]],
             "weights": [0.2, 0.3, 0.5]}},
         "noise": noise or {"model": "model2", "law": {"uniform": {"a": 4.0}}},
-        "n_list": list(n_list), "d": 2, "replicates": replicates,
+        "n_list": list(n_list), "d": d, "replicates": replicates,
         "seed": seed, "estimator": estimator,
         "checks": checks if checks is not None else {"clt": False},
     }
@@ -44,6 +46,26 @@ class TestPipelineRoundTrip:
         config = np.loadtxt(x, delimiter=",")
         got = np.linalg.norm(config[:, None] - config[None, :], axis=2)
         assert np.abs(got - d).max() <= 1e-9
+
+    def test_embed_sidecar_roundtrip(self, tmp_path):
+        pts = tmp_path / "pts.csv"
+        dm = tmp_path / "d.csv"
+        dsq = tmp_path / "dsq.csv"
+        x = tmp_path / "x.csv"
+        side = tmp_path / "x.json"
+        dispatch(["gen-points", "--dist", "triangle345", "--n", "30",
+                  "--seed", "2", "--out", str(pts)])
+        dispatch(["distmat", "--in", str(pts), "--out", str(dm)])
+        np.savetxt(dsq, np.loadtxt(dm, delimiter=",") ** 2, delimiter=",",
+                   fmt="%.17g")
+        assert dispatch(["embed", "--in", str(dsq), "--d", "2", "--out", str(x),
+                         "--sidecar", str(side)]) == 0
+        emb = cmds.embed(read_matrix_csv(dsq), 2)
+        assert np.array_equal(np.loadtxt(x, delimiter=","), emb.config)
+        assert json.loads(side.read_text()) == {
+            "eigenvalues": emb.eigenvalues.tolist(),
+            "all_top_eigenvalues": emb.all_top_eigenvalues.tolist(),
+            "flags": {"deficient": emb.deficient, "degenerate": emb.degenerate}}
 
     def test_gen_points_labels(self, tmp_path):
         pts = tmp_path / "p.csv"
@@ -242,3 +264,26 @@ class TestErrorHandling:
         bad.write_text("0,1\n2,0\n")
         assert dispatch(["embed", "--in", str(bad), "--d", "1",
                          "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("kw, reason", [
+        ({"n_list": (5001,)}, "n=5001 is outside the supported range"),
+        ({"n_list": (3,)}, "n=3 is outside the supported range"),
+        ({"n_list": (4,), "d": 4}, "d=4 must satisfy"),
+        ({"estimator": "rawstress",
+          "noise": {"model": "model1", "law": {"gaussian": {"sigma": 1.0}}}},
+         "raw-stress estimation needs a dissimilarity matrix"),
+    ])
+    def test_impossible_config_exit_1(self, tmp_path, capsys, kw, reason):
+        cfg = write_config(tmp_path / "cfg.json", **kw)
+        out = tmp_path / "o.json"
+        assert dispatch(["mc-run", "--config", str(cfg), "--threads", "1",
+                         "--out", str(out)]) == 1
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diagnose_grid_out_of_range_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        assert dispatch(["diagnose", "--config", str(cfg),
+                         "--n-grid", "50,100,5001", "--replicates", "2",
+                         "--out", str(tmp_path / "diag.json")]) == 1
+        assert "n=5001 is outside the supported range" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from mdsclt import clt, pointmodel
 from mdsclt.matrixcore import SymmetricMatrix, double_center
-from mdsclt.noise import NoiseLaw, NoiseSpec
+from mdsclt.noise import NoiseLaw, NoiseSpec, perturb
 from mdsclt.pointmodel import DistributionSpec
 
 
@@ -241,6 +241,10 @@ class TestBoundChecks:
             clt.bound_checks(triangle, uniform4, [100, 50, 200], 2, 0)
         with pytest.raises(ValueError):
             clt.bound_checks(triangle, uniform4, [100, 200], 2, 0)
+        with pytest.raises(ValueError, match="n=3 is outside"):
+            clt.bound_checks(triangle, uniform4, [3, 50, 100], 2, 0)
+        with pytest.raises(ValueError, match="n=5001 is outside"):
+            clt.bound_checks(triangle, uniform4, [50, 100, 5001], 2, 0)
 
     def test_reports_all_ratios(self, triangle, uniform4):
         out = clt.bound_checks(triangle, uniform4, [50, 100, 200],
@@ -248,3 +252,41 @@ class TestBoundChecks:
         assert set(out["ratios"]) == set(clt.RATIO_NAMES)
         for entry in out["ratios"].values():
             assert len(entry["median_per_n"]) == 3
+
+
+SIMULATE_NOISES = [
+    NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=2.0)),
+    NoiseSpec("model1_hetero", sigma_fn=lambda i, j: 1.0 + 0.5 * ((i + j) % 2)),
+    NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0)),
+    NoiseSpec("model2_hetero"),
+    NoiseSpec("model3", q=0.49),
+]
+
+
+@pytest.mark.parametrize("noise", SIMULATE_NOISES, ids=lambda s: s.variant)
+@pytest.mark.parametrize("dist", [pointmodel.triangle_345(), GAUSS_I2],
+                         ids=["mixture", "gaussian"])
+def test_simulate_matches_checked_pipeline(dist, noise):
+    """simulate equals sample -> checked distance matrix -> perturb, bit for
+    bit, with the replicate seed derived from (seed, n, r)."""
+    n, seed, r = 300, 11, 2
+    cloud, D, out = clt.simulate(dist, noise, n, seed, r)
+    seed_r = int(np.random.SeedSequence([seed, n, r]).generate_state(1)[0])
+    ref_cloud = pointmodel.sample(dist, n, seed_r)
+    ref_D = SymmetricMatrix(ref_cloud.distance_matrix(), hollow=True)
+    ref = perturb(ref_D, noise, seed_r)
+
+    def same_bits(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    assert same_bits(cloud.points, ref_cloud.points)
+    assert (cloud.labels is None) == (ref_cloud.labels is None)
+    if cloud.labels is not None:
+        assert same_bits(cloud.labels, ref_cloud.labels)
+    assert same_bits(D.data, ref_D.data)
+    assert set(out) == set(ref) == {"delta_sq", "delta", "E"}
+    for key in ("delta_sq", "delta", "E"):
+        if ref[key] is None:
+            assert out[key] is None and noise.squared_scale
+        else:
+            assert same_bits(out[key].data, ref[key].data)

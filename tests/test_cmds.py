@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -87,17 +85,6 @@ class TestEmbed:
             embed(dsq, 0)
         with pytest.raises(ValueError):
             embed(dsq, 3)
-
-    def test_save_roundtrip(self, tmp_path):
-        e = embed(delta_sq_of(TRIANGLE), 2)
-        csv = tmp_path / "x.csv"
-        side = tmp_path / "x.json"
-        e.save(csv, side)
-        back = np.loadtxt(csv, delimiter=",")
-        assert np.allclose(back, e.config, rtol=1e-15)
-        meta = json.loads(side.read_text())
-        assert meta["flags"] == {"deficient": False, "degenerate": False}
-        assert np.allclose(meta["eigenvalues"], e.eigenvalues)
 
 
 def configuration_with_eigenvalues(n, values, rng):

@@ -23,6 +23,24 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(triangle, uniform4, estimator="isomap")
 
+    @pytest.mark.parametrize("kw", [
+        {"n_list": (3,)},                     # below dimension + 2
+        {"n_list": (100, 5001)},              # above MAX_SUPPORTED_N
+        {"n_list": (4, 100), "d": 4},         # d > n - 1
+        {"d": 0},
+    ])
+    def test_rejects_impossible_sizes(self, triangle, uniform4, kw):
+        with pytest.raises(ValueError, match="n="):
+            small_config(triangle, uniform4, **kw)
+
+    @pytest.mark.parametrize("noise", [
+        NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.0)),
+        NoiseSpec("model1_hetero", sigma_fn=lambda i, j: 1.0),
+    ])
+    def test_rejects_rawstress_without_delta(self, triangle, noise):
+        with pytest.raises(ValueError, match="raw-stress"):
+            small_config(triangle, noise, estimator="rawstress")
+
     def test_json_roundtrip(self, triangle, uniform4):
         cfg = small_config(triangle, uniform4)
         back = ExperimentConfig.from_json(cfg.to_json())
@@ -83,10 +101,9 @@ class TestRun:
             assert np.allclose(c.true_center, 0.7 * centered[k], atol=1e-12)
 
     def test_all_replicates_failing_marks_invalid(self, triangle):
-        # raw-stress needs a dissimilarity matrix; the squared-scale noise
-        # model cannot provide one, so every replicate fails
-        noise = NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.0))
-        cfg = small_config(triangle, noise, estimator="rawstress")
+        # masking with q=0 observes no entry: every centered matrix is zero,
+        # so every replicate's embedding is deficient
+        cfg = small_config(triangle, NoiseSpec("model3", q=0.0))
         report = run(cfg)
         assert report.invalid
         assert report.per_n[0]["per_class"] == []

@@ -3,8 +3,7 @@ import pytest
 
 from mdsclt import pointmodel
 from mdsclt.matrixcore import SymmetricMatrix
-from mdsclt.noise import (NoiseLaw, NoiseSpec, hetero_model1,
-                          hetero_uniform_scaled, perturb)
+from mdsclt.noise import NoiseLaw, NoiseSpec, perturb
 
 
 def triangle_distance_matrix(n, seed=0):
@@ -186,12 +185,12 @@ class TestPerturb:
 class TestHeteroUniformScaled:
     def test_zero_distances(self):
         D = SymmetricMatrix(np.zeros((5, 5)), hollow=True)
-        out = hetero_uniform_scaled(D, seed=0)
+        out = perturb(D, NoiseSpec("model2_hetero"), seed=0)["delta"]
         assert np.all(out.data == 0.0)
 
     def test_support_bound(self):
         D = triangle_distance_matrix(100)
-        out = hetero_uniform_scaled(D, seed=3)
+        out = perturb(D, NoiseSpec("model2_hetero"), seed=3)["delta"]
         assert np.all(out.data >= 0.0)
         assert np.all(out.data <= 2.0 * D.data + 1e-12)
 
@@ -203,7 +202,7 @@ class TestHeteroUniformScaled:
         i.i.d. Uniform(-D, D) draws per group.
         """
         D = triangle_distance_matrix(500)
-        out = hetero_uniform_scaled(D, seed=8)
+        out = perturb(D, NoiseSpec("model2_hetero"), seed=8)["delta"]
         e = out.data - D.data
         iu = np.triu_indices(500, 1)
         dv, ev = D.data[iu], e[iu]
@@ -216,12 +215,14 @@ class TestHeteroUniformScaled:
 class TestHeteroModel1:
     def test_zero_sigma_identity(self):
         D = triangle_distance_matrix(30)
-        out = hetero_model1(D, lambda i, j: 0.0, seed=0)
+        out = perturb(D, NoiseSpec("model1_hetero", sigma_fn=lambda i, j: 0.0),
+                      seed=0)["delta_sq"]
         assert np.array_equal(out.data, D.data**2)
 
     def test_constant_sigma_reduces_to_model1(self):
         D = triangle_distance_matrix(30)
-        out = hetero_model1(D, lambda i, j: 1.7, seed=5)
+        out = perturb(D, NoiseSpec("model1_hetero", sigma_fn=lambda i, j: 1.7),
+                      seed=5)["delta_sq"]
         base = perturb(D, NoiseSpec("model1",
                                     law=NoiseLaw("gaussian", sigma=1.7)),
                        seed=5)["delta_sq"]
@@ -230,16 +231,18 @@ class TestHeteroModel1:
     def test_asymmetric_sigma_fn_rejected(self):
         D = triangle_distance_matrix(10)
         with pytest.raises(ValueError):
-            hetero_model1(D, lambda i, j: float(i), seed=0)
+            perturb(D, NoiseSpec("model1_hetero", sigma_fn=lambda i, j: float(i)),
+                    seed=0)
 
     def test_per_entry_variance(self):
         """Variance of one entry over many replicates tracks sigma_fn."""
         n = 12
         D = triangle_distance_matrix(n)
         fn = lambda i, j: 1.0 + abs(i - j) / n
+        spec = NoiseSpec("model1_hetero", sigma_fn=fn)
         vals = []
         for r in range(4000):
-            out = hetero_model1(D, fn, seed=r)
+            out = perturb(D, spec, seed=r)["delta_sq"]
             vals.append(out.data[0, 5] - D.data[0, 5] ** 2)
         want = fn(0, 5) ** 2
         assert abs(np.var(vals) - want) <= 0.15 * want
