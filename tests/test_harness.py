@@ -22,24 +22,16 @@ class TestExperimentConfig:
             small_config(triangle, uniform4, n_list=(200, 100))
         with pytest.raises(ValueError):
             small_config(triangle, uniform4, estimator="isomap")
-
-    @pytest.mark.parametrize("kw", [
-        {"n_list": (3,)},                     # below dimension + 2
-        {"n_list": (100, 5001)},              # above MAX_SUPPORTED_N
-        {"n_list": (4, 100), "d": 4},         # d > n - 1
-        {"d": 0},
-    ])
-    def test_rejects_impossible_sizes(self, triangle, uniform4, kw):
-        with pytest.raises(ValueError, match="n="):
-            small_config(triangle, uniform4, **kw)
-
-    @pytest.mark.parametrize("noise", [
-        NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.0)),
-        NoiseSpec("model1_hetero", sigma_fn=lambda i, j: 1.0),
-    ])
-    def test_rejects_rawstress_without_delta(self, triangle, noise):
-        with pytest.raises(ValueError, match="raw-stress"):
-            small_config(triangle, noise, estimator="rawstress")
+        # n below dimension + 2 or above MAX_SUPPORTED_N, d outside [1, n-1]
+        for kw in ({"n_list": (3,)}, {"n_list": (100, 5001)},
+                   {"n_list": (4, 100), "d": 4}, {"d": 0}):
+            with pytest.raises(ValueError, match="n="):
+                small_config(triangle, uniform4, **kw)
+        # model-1 noise has no dissimilarities for raw stress to fit
+        for noise in (NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.0)),
+                      NoiseSpec("model1_hetero", sigma_fn=lambda i, j: 1.0)):
+            with pytest.raises(ValueError, match="raw-stress"):
+                small_config(triangle, noise, estimator="rawstress")
 
     def test_json_roundtrip(self, triangle, uniform4):
         cfg = small_config(triangle, uniform4)
