@@ -12,9 +12,11 @@ meant to keep reports unchanged can be checked by diffing the output.
 Cases: ``mc-run`` for each noise variant a JSON config can name, at n=60
 (dense eigensolver) and n=300 (iterative eigensolver, above the dense
 cutoff); ``mc-run`` with the raw-stress estimator and with the
-decomposition check; ``diagnose``; and ``perturb`` for each of those
-variants. ``model1_hetero`` takes a Python callable and has no JSON form,
-so its ``perturb`` outputs are hashed through the library call instead.
+decomposition check; ``diagnose``; ``perturb`` for each of those variants;
+and ``embed --sidecar`` of a noisy n=300 matrix, whose sidecar scree comes
+from its own eigensolve. ``model1_hetero`` takes a Python callable and has no
+JSON form, so its ``perturb`` outputs are hashed through the library call
+instead.
 """
 
 import hashlib
@@ -111,6 +113,20 @@ def cases(tmp) -> list:
             argv += ["--out-delta", path(name, "delta")]
             outputs.append("delta")
         lines += run(tmp, name, argv, outputs)
+
+    name = "embed_n300"
+    points, dist, dsq = path(name, "points"), path(name, "dist"), path(name, "dsq")
+    spec = write_json(path(name, "noise"), NOISES["model2"])
+    if dispatch(["gen-points", "--dist", "triangle345", "--n", "300", "--seed", "5",
+                 "--out", points]) or dispatch(["distmat", "--in", points,
+                                                "--out", dist]) or dispatch(
+            ["perturb", "--in", dist, "--noise", spec, "--seed", "9",
+             "--out-delta-sq", dsq]):
+        raise SystemExit("embed_n300 input failed")
+    lines += run(tmp, name, ["embed", "--in", dsq, "--d", "2",
+                             "--out", path(name, "config"),
+                             "--sidecar", path(name, "sidecar")],
+                 ["config", "sidecar"])
 
     cloud = pointmodel.sample(pointmodel.triangle_345(), 80, 5)
     D = SymmetricMatrix(cloud.distance_matrix(), hollow=True)

@@ -16,7 +16,9 @@ import tempfile
 import numpy as np
 
 from . import clt, cmds, harness, noise as noisemod, pointmodel, rawstress, svgplot
-from .matrixcore import ConvergenceError, SymmetricMatrix, read_matrix_csv
+from .matrixcore import ConvergenceError, double_center, read_matrix_csv, top_eigs
+
+SCREE_EXTRA = 4  # eigenvalues beyond d that the embed sidecar reports
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,10 +184,12 @@ def _cmd_embed(args) -> int:
     emb = cmds.embed(m, args.d, allow_deficient=args.allow_deficient)
     _write_csv(args.out, emb.config)
     if args.sidecar:
+        # the embedding solves for d pairs only; the scree needs its own solve
+        scree = top_eigs(double_center(m), min(args.d + SCREE_EXTRA, m.n))
         _write_json(args.sidecar, {
             "eigenvalues": emb.eigenvalues.tolist(),
-            "all_top_eigenvalues": emb.all_top_eigenvalues.tolist(),
-            "flags": {"deficient": emb.deficient, "degenerate": emb.degenerate}})
+            "all_top_eigenvalues": scree.values.tolist(),
+            "flags": {"deficient": emb.deficient, "degenerate": scree.degenerate}})
     return 0
 
 

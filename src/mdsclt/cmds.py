@@ -10,8 +10,6 @@ import numpy as np
 from .matrixcore import (DEGENERATE_GAP_RTOL, SpectralPair, SymmetricMatrix,
                          double_center, top_eigs)
 
-SCREE_EXTRA = 4  # eigenvalues retained beyond d for scree inspection
-
 
 class DeficientEmbeddingError(ValueError):
     """Requested dimension reaches a non-positive eigenvalue of the centered
@@ -28,7 +26,6 @@ class Embedding:
 
     config: np.ndarray
     eigenvalues: np.ndarray
-    all_top_eigenvalues: np.ndarray
     deficient: bool = False
     degenerate: bool = False
 
@@ -52,18 +49,15 @@ def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False) -> E
     n = delta_sq.n
     if not 1 <= d <= n - 1:
         raise ValueError(f"embedding dimension d={d} must satisfy 1 <= d <= n-1")
-    b = double_center(delta_sq)
-    k = min(d + SCREE_EXTRA, n)
-    pair = top_eigs(b, k)
-    vals = pair.values[:d]
+    pair = top_eigs(double_center(delta_sq), d)
+    vals = pair.values
     deficient = bool(vals[-1] <= 0)
     if deficient and not allow_deficient:
         raise DeficientEmbeddingError(
             f"eigenvalue {d} of the centered matrix is {vals[-1]:.3e} <= 0"
         )
-    config = pair.vectors[:, :d] * np.sqrt(np.maximum(vals, 0.0))
+    config = pair.vectors * np.sqrt(np.maximum(vals, 0.0))
     return Embedding(config=config, eigenvalues=vals,
-                     all_top_eigenvalues=pair.values,
                      deficient=deficient, degenerate=pair.degenerate)
 
 
@@ -89,12 +83,11 @@ def sub_embed(e: Embedding, d_prime: int) -> Embedding:
     if not 1 <= d_prime <= e.d:
         raise ValueError(f"d_prime={d_prime} must satisfy 1 <= d_prime <= d={e.d}")
     degenerate = e.degenerate
-    if d_prime < len(e.all_top_eigenvalues):
-        gap = e.all_top_eigenvalues[d_prime - 1] - e.all_top_eigenvalues[d_prime]
-        scale = max(float(np.abs(e.all_top_eigenvalues).max()), 1e-300)
+    if d_prime < e.d:
+        gap = e.eigenvalues[d_prime - 1] - e.eigenvalues[d_prime]
+        scale = max(float(np.abs(e.eigenvalues).max()), 1e-300)
         degenerate = degenerate or bool(gap < DEGENERATE_GAP_RTOL * scale)
     return Embedding(config=e.config[:, :d_prime],
                      eigenvalues=e.eigenvalues[:d_prime],
-                     all_top_eigenvalues=e.all_top_eigenvalues,
                      deficient=bool(e.eigenvalues[:d_prime][-1] <= 0),
                      degenerate=degenerate)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.stats
 
 from . import clt, cmds, noise as noisemod, pointmodel, rawstress
-from .matrixcore import SymmetricMatrix, double_center
+from .matrixcore import ConvergenceError, SymmetricMatrix, blas_threads, double_center
 
 # The replicate-seed rule of clt.simulate, for code that keys its own runs alike.
 _replicate_seed = clt._replicate_seed
@@ -154,6 +154,8 @@ def run(cfg: ExperimentConfig) -> McReport:
 
     Deterministic for a given config regardless of thread count: replicate
     seeds are derived independently and aggregation is replicate-ordered.
+    The replicates run on ``cfg.threads`` workers with one BLAS thread each.
+    A replicate that fails numerically is counted in its n's ``failed``.
     """
     theory = _theory_for(cfg)
     scale = cfg.noise.center_scale
@@ -169,17 +171,19 @@ def run(cfg: ExperimentConfig) -> McReport:
         errors = [None] * cfg.replicates
 
         def work(r):
+            # ValueError covers DeficientEmbeddingError and np.linalg.LinAlgError
             try:
                 results[r] = _one_replicate(cfg, n, r)
-            except (cmds.DeficientEmbeddingError, ValueError) as exc:
+            except (ValueError, ConvergenceError) as exc:
                 errors[r] = str(exc)
 
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                list(pool.map(work, range(cfg.replicates)))
-        else:
-            for r in range(cfg.replicates):
-                work(r)
+        with blas_threads(1):
+            if cfg.threads > 1:
+                with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+                    list(pool.map(work, range(cfg.replicates)))
+            else:
+                for r in range(cfg.replicates):
+                    work(r)
 
         ok = [res for res in results if res is not None]
         failed = cfg.replicates - len(ok)

@@ -1,5 +1,6 @@
 """Dense symmetric matrix algebra: double centering, spectral decomposition,
-small SVD, and the matrix norms used throughout the library.
+small SVD, and the matrix norms used throughout the library; also the BLAS
+thread count the decompositions run with.
 
 All operations are pure and deterministic; eigenvector signs are fixed so
 repeated calls on the same matrix return bit-identical output. Matrices are
@@ -8,9 +9,14 @@ checked where outside data enters, not where the library builds them.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.sparse.linalg as spla
 
 # Dense full decomposition below this size; iterative solver above.
@@ -148,6 +154,51 @@ def top_eigs(m: SymmetricMatrix, k: int) -> SpectralPair:
     gaps = -np.diff(values)
     degenerate = bool(k > 1 and np.any(gaps < DEGENERATE_GAP_RTOL * max(scale, 1e-300)))
     return SpectralPair(values=values, vectors=vectors, degenerate=degenerate)
+
+
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS that numpy and scipy
+    have loaded from their wheels' bundled libraries (``numpy.libs``,
+    ``scipy.libs``); empty when there is none."""
+    controls = []
+    if not hasattr(os, "RTLD_NOLOAD"):  # no dlopen, as on Windows
+        return controls
+    for pkg in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)),
+                            f"{pkg.__name__}.libs")
+        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+            try:  # RTLD_NOLOAD: a handle to an already loaded copy, never a new one
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+                    break
+    return controls
+
+
+@contextlib.contextmanager
+def blas_threads(count: int):
+    """Run the block with ``count`` threads in every loaded OpenBLAS, restoring
+    the previous counts on exit. Does nothing where no OpenBLAS is found.
+
+    The counts are process-wide: enter this around a worker pool, not inside
+    one of its workers.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, put in controls:
+        put(count)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(controls, previous):
+            put(n)
 
 
 def svd_small(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,7 +5,7 @@ import pytest
 
 from mdsclt import cmds
 from mdsclt.cli import dispatch
-from mdsclt.matrixcore import read_matrix_csv
+from mdsclt.matrixcore import double_center, read_matrix_csv, top_eigs
 
 
 def write_config(path, n_list=(60,), replicates=3, noise=None, seed=5,
@@ -60,12 +60,32 @@ class TestPipelineRoundTrip:
                    fmt="%.17g")
         assert dispatch(["embed", "--in", str(dsq), "--d", "2", "--out", str(x),
                          "--sidecar", str(side)]) == 0
-        emb = cmds.embed(read_matrix_csv(dsq), 2)
+        m = read_matrix_csv(dsq)
+        emb = cmds.embed(m, 2)
+        scree = top_eigs(double_center(m), 6)
         assert np.array_equal(np.loadtxt(x, delimiter=","), emb.config)
         assert json.loads(side.read_text()) == {
             "eigenvalues": emb.eigenvalues.tolist(),
-            "all_top_eigenvalues": emb.all_top_eigenvalues.tolist(),
-            "flags": {"deficient": emb.deficient, "degenerate": emb.degenerate}}
+            "all_top_eigenvalues": scree.values.tolist(),
+            "flags": {"deficient": emb.deficient, "degenerate": scree.degenerate}}
+
+    @pytest.mark.parametrize("n, want", [(40, 6), (5, 5)])
+    def test_embed_sidecar_scree_flags_tie_at_cut(self, tmp_path, n, want):
+        """The sidecar reports min(d + 4, n) eigenvalues from its own solve,
+        and a tie between eigenvalues d and d + 1 marks it degenerate."""
+        g = np.random.default_rng(3).standard_normal((n, 3))
+        q, _ = np.linalg.qr(g - g.mean(axis=0))
+        x = q * np.sqrt([10.0, 7.0, 7.0])
+        dsq, out, side = tmp_path / "dsq.csv", tmp_path / "x.csv", tmp_path / "x.json"
+        np.savetxt(dsq, ((x[:, None] - x[None, :]) ** 2).sum(axis=2),
+                   delimiter=",", fmt="%.17g")
+        assert dispatch(["embed", "--in", str(dsq), "--d", "2", "--out", str(out),
+                         "--sidecar", str(side)]) == 0
+        got = json.loads(side.read_text())
+        assert len(got["eigenvalues"]) == 2
+        assert len(got["all_top_eigenvalues"]) == want
+        assert got["all_top_eigenvalues"][:3] == pytest.approx([10.0, 7.0, 7.0])
+        assert got["flags"] == {"deficient": False, "degenerate": True}
 
     def test_gen_points_labels(self, tmp_path):
         pts = tmp_path / "p.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdsclt import pointmodel
+from mdsclt import cmds, pointmodel
 from mdsclt.cmds import (DeficientEmbeddingError, embed, select_dim,
                          sub_embed)
 from mdsclt.matrixcore import SymmetricMatrix, double_center
@@ -64,8 +64,23 @@ class TestEmbed:
 
     def test_trailing_eigenvalue_negligible(self, rng):
         pts = rng.standard_normal((30, 2))
-        e = embed(delta_sq_of(pts), 2)
-        assert abs(e.all_top_eigenvalues[2]) <= 1e-6 * e.eigenvalues[1]
+        e = embed(delta_sq_of(pts), 3, allow_deficient=True)
+        assert abs(e.eigenvalues[2]) <= 1e-6 * e.eigenvalues[1]
+
+    def test_solves_for_d_pairs_only(self, rng, monkeypatch):
+        """Above the dense cutoff the eigensolver is asked for the top d
+        eigenpairs and nothing more."""
+        ks = []
+        top_eigs = cmds.top_eigs
+
+        def spy(m, k):
+            ks.append(k)
+            return top_eigs(m, k)
+
+        monkeypatch.setattr(cmds, "top_eigs", spy)
+        e = embed(delta_sq_of(rng.standard_normal((300, 2))), 2)
+        assert ks == [2]
+        assert e.config.shape == (300, 2)
 
     def test_deficient_rejected_then_allowed(self):
         # rank-1 configuration embedded in d=2: second eigenvalue ~ 0

@@ -1,7 +1,11 @@
+import contextlib
+import json
+import threading
+
 import numpy as np
 import pytest
 
-from mdsclt import harness, pointmodel
+from mdsclt import cmds, harness, matrixcore, pointmodel
 from mdsclt.harness import (ExperimentConfig, ellipse_points,
                             hetero_bias_experiment, normality_check, run)
 from mdsclt.noise import NoiseLaw, NoiseSpec
@@ -62,16 +66,50 @@ class TestRun:
         r1, r4 = run(cfg1), run(cfg4)
         assert r1.to_json() == r4.to_json()
 
-    def test_deterministic_on_iterative_eigen_path(self, triangle, uniform4):
-        """n=300 is above the dense-solver cutoff: repeats in one process and
-        a second thread count give bit-identical reports."""
+    def test_deterministic_on_iterative_eigen_path(self, triangle, uniform4,
+                                                  monkeypatch):
+        """n=300 is above the dense-solver cutoff: repeats in one process, a
+        second thread count and the default BLAS thread count give
+        byte-identical reports."""
         cfg1 = small_config(triangle, uniform4, n_list=(300,), replicates=4,
                             threads=1)
         cfg2 = small_config(triangle, uniform4, n_list=(300,), replicates=4,
                             threads=2)
-        first = run(cfg1).to_json()
-        assert run(cfg1).to_json() == first
-        assert run(cfg2).to_json() == first
+
+        def report_bytes(cfg):
+            return json.dumps(run(cfg).to_json(), sort_keys=True)
+
+        first = report_bytes(cfg1)
+        assert report_bytes(cfg1) == first
+        assert report_bytes(cfg2) == first
+        monkeypatch.setattr(harness, "blas_threads",
+                            lambda count: contextlib.nullcontext())
+        assert report_bytes(cfg2) == first
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("error", [matrixcore.ConvergenceError("no convergence"),
+                                       np.linalg.LinAlgError("eigh failed")])
+    def test_numerical_failure_counted_not_raised(self, triangle, uniform4,
+                                                  monkeypatch, threads, error):
+        current = threading.local()
+        one_replicate, top_eigs = harness._one_replicate, cmds.top_eigs
+
+        def replicate(cfg, n, r):
+            current.r = r
+            return one_replicate(cfg, n, r)
+
+        def failing_top_eigs(m, k):
+            if current.r == 1:
+                raise error
+            return top_eigs(m, k)
+
+        monkeypatch.setattr(harness, "_one_replicate", replicate)
+        monkeypatch.setattr(cmds, "top_eigs", failing_top_eigs)
+        report = run(small_config(triangle, uniform4, threads=threads))
+        block = report.per_n[0]
+        assert block["failed"] == 1
+        assert not report.invalid
+        assert [c.count for c in block["per_class"]] == [5 * 20, 5 * 30, 5 * 50]
 
     def test_per_class_structure(self, triangle, uniform4):
         report = run(small_config(triangle, uniform4))
@@ -129,6 +167,60 @@ class TestRun:
                 rel = (np.linalg.norm(covs[i] - covs[j], "fro")
                        / np.linalg.norm(covs[j], "fro"))
                 assert rel < 0.15
+
+
+def blas_counts():
+    return [get() for get, _ in matrixcore._openblas_thread_controls()]
+
+
+@pytest.mark.skipif(not matrixcore._openblas_thread_controls(),
+                    reason="no bundled OpenBLAS loaded")
+class TestBlasThreads:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_blas_thread_per_worker_then_restored(self, triangle, uniform4,
+                                                      monkeypatch, threads):
+        """Replicates see one BLAS thread; the decomposition check after them
+        sees the caller's count, which is also the count after the run."""
+        seen = {cmds: [], harness.clt: []}
+
+        def spy(module):
+            top_eigs = module.top_eigs
+
+            def counted(m, k):
+                seen[module].append(blas_counts())
+                return top_eigs(m, k)
+            monkeypatch.setattr(module, "top_eigs", counted)
+
+        spy(cmds)
+        spy(harness.clt)
+        with matrixcore.blas_threads(2):
+            run(small_config(triangle, uniform4, threads=threads,
+                             checks={"clt": False, "decomposition": True}))
+            assert blas_counts() == [2] * len(blas_counts())
+        assert len(seen[cmds]) == 6
+        assert all(c == [1] * len(c) for c in seen[cmds])
+        assert seen[harness.clt]
+        assert all(c == [2] * len(c) for c in seen[harness.clt])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_restored_when_a_replicate_raises(self, triangle, uniform4,
+                                              monkeypatch, threads):
+        def broken(m, k):
+            raise RuntimeError("replicate bug")
+
+        monkeypatch.setattr(cmds, "top_eigs", broken)
+        with matrixcore.blas_threads(2):
+            with pytest.raises(RuntimeError, match="replicate bug"):
+                run(small_config(triangle, uniform4, threads=threads))
+            assert blas_counts() == [2] * len(blas_counts())
+
+
+def test_blas_threads_without_openblas_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(matrixcore.glob, "glob", lambda pattern: [])
+    assert matrixcore._openblas_thread_controls() == []
+    with pytest.raises(KeyError):
+        with matrixcore.blas_threads(1):
+            raise KeyError("body still runs")
 
 
 class TestNormalityCheck:
