@@ -12,11 +12,12 @@ meant to keep reports unchanged can be checked by diffing the output.
 Cases: ``mc-run`` for each noise variant a JSON config can name, at n=60
 (dense eigensolver) and n=300 (iterative eigensolver, above the dense
 cutoff); ``mc-run`` with the raw-stress estimator and with the
-decomposition check; ``diagnose``; ``perturb`` for each of those variants;
-and ``embed --sidecar`` of a noisy n=300 matrix, whose sidecar scree comes
-from its own eigensolve. ``model1_hetero`` takes a Python callable and has no
-JSON form, so its ``perturb`` outputs are hashed through the library call
-instead.
+decomposition check; ``diagnose`` with Uniform(-4, 4) noise and with zero
+noise, at n=100, 200 (dense) and 300 (iterative); ``perturb`` for each of
+the ``mc-run`` noise variants; and ``embed --sidecar`` of a noisy n=300
+matrix, whose sidecar scree comes from its own eigensolve.
+``model1_hetero`` takes a Python callable and has no JSON form, so its
+``perturb`` outputs are hashed through the library call instead.
 """
 
 import hashlib
@@ -43,6 +44,9 @@ NOISES = {
     "model3": {"model": "model3", "q": 0.7},
     "model2_hetero": {"model": "model2_hetero"},
 }
+# B_hat = B exactly: the spectral norm of an all-zero difference, on both
+# sides of the dense-eigensolver cutoff.
+ZERO_NOISE = {"model": "model2", "law": {"uniform": {"a": 0.0}}}
 
 
 def sha256_file(path) -> str:
@@ -92,11 +96,12 @@ def cases(tmp) -> list:
         lines += run(tmp, name, ["mc-run", "--config", cfg, "--threads", "1",
                                  "--out", path(name, "report")], ["report"])
 
-    name = "diagnose"
-    cfg = write_json(path(name, "config"), config(NOISES["model2"], [100]))
-    lines += run(tmp, name, ["diagnose", "--config", cfg, "--n-grid", "100,200,300",
-                             "--replicates", "2", "--out", path(name, "report")],
-                 ["report"])
+    for name, noise_json in (("diagnose", NOISES["model2"]),
+                             ("diagnose_zero_noise", ZERO_NOISE)):
+        cfg = write_json(path(name, "config"), config(noise_json, [100]))
+        lines += run(tmp, name, ["diagnose", "--config", cfg,
+                                 "--n-grid", "100,200,300", "--replicates", "2",
+                                 "--out", path(name, "report")], ["report"])
 
     points, dist = path("points", "csv"), path("dist", "csv")
     if dispatch(["gen-points", "--dist", "triangle345", "--n", "80", "--seed", "5",

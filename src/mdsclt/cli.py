@@ -236,6 +236,9 @@ def _cmd_mc_run(args) -> int:
         cfg = harness.ExperimentConfig.from_json(cfg.to_json(), threads=threads,
                                                  keep_samples=True)
     report = harness.run(cfg)
+    for block in report.per_n:
+        for r, reason in block["errors"]:
+            print(f"n={block['n']} replicate {r} failed: {reason}", file=sys.stderr)
     _write_json(args.out, report.to_json())
     if args.samples_dir:
         os.makedirs(args.samples_dir, exist_ok=True)

@@ -91,7 +91,9 @@ class ClassSummary:
 @dataclass
 class McReport:
     config: dict
-    per_n: list                       # [{"n", "per_class", "failed", "diagnostics"}]
+    # [{"n", "per_class", "failed", "errors", "diagnostics"}]; "errors" lists
+    # (replicate, reason) per failed replicate and stays out of the JSON
+    per_n: list
     center_scale: float
     invalid: bool = False
 
@@ -155,7 +157,8 @@ def run(cfg: ExperimentConfig) -> McReport:
     Deterministic for a given config regardless of thread count: replicate
     seeds are derived independently and aggregation is replicate-ordered.
     The replicates run on ``cfg.threads`` workers with one BLAS thread each.
-    A replicate that fails numerically is counted in its n's ``failed``.
+    A replicate that fails numerically is counted in its n's ``failed`` and
+    listed with its reason in ``errors``.
     """
     theory = _theory_for(cfg)
     scale = cfg.noise.center_scale
@@ -175,7 +178,7 @@ def run(cfg: ExperimentConfig) -> McReport:
             try:
                 results[r] = _one_replicate(cfg, n, r)
             except (ValueError, ConvergenceError) as exc:
-                errors[r] = str(exc)
+                errors[r] = f"{type(exc).__name__}: {exc}"
 
         with blas_threads(1):
             if cfg.threads > 1:
@@ -187,10 +190,12 @@ def run(cfg: ExperimentConfig) -> McReport:
 
         ok = [res for res in results if res is not None]
         failed = cfg.replicates - len(ok)
+        reasons = [(r, e) for r, e in enumerate(errors) if e is not None]
         if failed > max(1, cfg.replicates // 100):
             invalid = True
         if not ok:
-            per_n.append({"n": n, "per_class": [], "failed": failed})
+            per_n.append({"n": n, "per_class": [], "failed": failed,
+                          "errors": reasons})
             continue
 
         labels = sorted({c["label"] for c in ok[0]})
@@ -223,7 +228,7 @@ def run(cfg: ExperimentConfig) -> McReport:
                 pooled_cov=np.cov(pooled, rowvar=False, ddof=1),
                 designated_cov=des_cov, cov_entry_variances=cov_var,
                 theoretical_cov=theo, normality=normality, count=len(pooled)))
-        block = {"n": n, "per_class": classes, "failed": failed}
+        block = {"n": n, "per_class": classes, "failed": failed, "errors": reasons}
         if cfg.checks.get("decomposition"):
             block["diagnostics"] = {"decomposition": _decomposition_summary(cfg, n)}
         if cfg.keep_samples:

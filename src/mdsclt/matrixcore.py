@@ -124,31 +124,44 @@ def double_center(sq: SymmetricMatrix) -> SymmetricMatrix:
     return SymmetricMatrix._unchecked((b + b.T) / 2.0)
 
 
+def _lanczos(a: np.ndarray, k: int, which: str, vectors: bool = True):
+    """ARPACK's k eigenvalues of the symmetric array ``a`` selected by
+    ``which`` (with eigenvectors if ``vectors``), in ``spla.eigsh``'s form.
+
+    The start vector is fixed by n, so the output does not depend on earlier
+    calls or on the calling thread; the iteration cap is 10n. ARPACK cannot
+    start on an all-zero matrix, which gets the full dense decomposition.
+    """
+    n = a.shape[0]
+    v0 = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    try:
+        return spla.eigsh(a, k=k, which=which, maxiter=10 * n, v0=v0,
+                          return_eigenvectors=vectors)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"eigensolver did not converge within {10 * n} iterations"
+        ) from exc
+    except spla.ArpackError:
+        if a.any():
+            raise
+        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+
+
 def top_eigs(m: SymmetricMatrix, k: int) -> SpectralPair:
     """Return the k algebraically largest eigenpairs of ``m``.
 
-    Uses a full dense decomposition for small matrices and an iterative
-    solver (iteration cap 10n) for large ones requesting few pairs. The
-    iterative solver starts from a vector fixed by n, so its output does not
-    depend on earlier calls or on the calling thread.
+    Uses a full dense decomposition for small matrices and ARPACK (start
+    vector fixed by n, iteration cap 10n) for large ones requesting few pairs.
     """
     n = m.n
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     if n <= DENSE_EIG_CUTOFF or k >= n - 1:
         w, v = np.linalg.eigh(m.data)
-        order = np.argsort(w)[::-1][:k]
-        values, vectors = w[order], v[:, order]
     else:
-        try:
-            v0 = np.random.default_rng(n).uniform(-1.0, 1.0, n)
-            w, v = spla.eigsh(m.data, k=k, which="LA", maxiter=10 * n, v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"eigensolver did not converge within {10 * n} iterations"
-            ) from exc
-        order = np.argsort(w)[::-1]
-        values, vectors = w[order], v[:, order]
+        w, v = _lanczos(m.data, k, "LA")
+    order = np.argsort(w)[::-1][:k]
+    values, vectors = w[order], v[:, order]
     vectors = _fix_signs(np.ascontiguousarray(vectors))
     scale = float(np.abs(values).max(initial=0.0))
     gaps = -np.diff(values)
@@ -212,13 +225,19 @@ def svd_small(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w1, s, w2t.T
 
 
-def norms(m) -> dict[str, float]:
-    """Spectral, Frobenius and 2->infinity (max row) norms of ``m``."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
+def norms(m: SymmetricMatrix) -> dict[str, float]:
+    """Spectral (largest |eigenvalue|), Frobenius and 2->infinity (max row)
+    norms of ``m``; the spectral norm comes from one extremal eigenvalue
+    above ``DENSE_EIG_CUTOFF``."""
+    a = m.data
+    if m.n <= DENSE_EIG_CUTOFF:
+        w = np.linalg.eigvalsh(a)
+    else:
+        w = _lanczos(a, 1, "LM", vectors=False)
     return {
-        "spectral": float(np.linalg.norm(m, 2)),
-        "frobenius": float(np.linalg.norm(m, "fro")),
-        "two_to_inf": float(np.sqrt((m**2).sum(axis=1).max())),
+        "spectral": float(np.abs(w).max()),
+        "frobenius": float(np.linalg.norm(a, "fro")),
+        "two_to_inf": float(np.sqrt((a**2).sum(axis=1).max())),
     }
 
 

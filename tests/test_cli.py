@@ -5,7 +5,8 @@ import pytest
 
 from mdsclt import cmds
 from mdsclt.cli import dispatch
-from mdsclt.matrixcore import double_center, read_matrix_csv, top_eigs
+from mdsclt.matrixcore import (blas_threads, double_center, read_matrix_csv,
+                               top_eigs)
 
 
 def write_config(path, n_list=(60,), replicates=3, noise=None, seed=5,
@@ -238,6 +239,23 @@ class TestTheoryCovAndDiagnose:
                          "bound-ratios", "--out", str(svg)]) == 0
         assert 'class="ratio-b_perturbation"' in svg.read_text()
 
+    def test_diagnose_bit_identical_above_dense_cutoff(self, tmp_path):
+        """n=300 takes the iterative solver for the spectral norm: a repeat in
+        the same process and a run with one BLAS thread write the same bytes."""
+        cfg = write_config(tmp_path / "cfg.json")
+
+        def report_bytes(name):
+            out = tmp_path / name
+            assert dispatch(["diagnose", "--config", str(cfg),
+                             "--n-grid", "100,200,300", "--replicates", "2",
+                             "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        first = report_bytes("a.json")
+        assert report_bytes("b.json") == first
+        with blas_threads(1):
+            assert report_bytes("c.json") == first
+
     def test_bias_trend_plot(self, tmp_path):
         report = tmp_path / "bias.json"
         report.write_text(json.dumps(
@@ -278,6 +296,16 @@ class TestErrorHandling:
         assert dispatch(["embed", "--in", str(dsq), "--d", "3",
                          "--allow-deficient",
                          "--out", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_zero_matrix_embed_exit_1(self, tmp_path, capsys, n):
+        """All-zero input is deficient on both sides of the dense cutoff."""
+        dsq = tmp_path / "zeros.csv"
+        np.savetxt(dsq, np.zeros((n, n)), delimiter=",")
+        assert dispatch(["embed", "--in", str(dsq), "--d", "2",
+                         "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: eigenvalue 2 of the centered matrix is 0.000e+00 <= 0\n")
 
     def test_asymmetric_matrix_exit_1(self, tmp_path):
         bad = tmp_path / "bad.csv"

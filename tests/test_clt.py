@@ -152,6 +152,34 @@ def test_rotation_match_recovers_conjugation(rng):
     assert out["max_rel_entry_error"] < 0.01
 
 
+def rotation_match_loop(emp, target, steps=7200):
+    """Reference: the scan rotation_match vectorizes, one rotation at a time,
+    keeping the first strict improvement."""
+    denom = np.maximum(np.abs(target), 1e-12)
+    best_err, best_r = np.inf, np.eye(2)
+    for refl in (1.0, -1.0):
+        for th in np.linspace(0.0, 2.0 * np.pi, steps, endpoint=False):
+            c, s = np.cos(th), np.sin(th)
+            r = np.array([[c, -s], [s, c]]) @ np.diag([1.0, refl])
+            err = float(np.max(np.abs(r @ emp @ r.T - target) / denom))
+            if err < best_err:
+                best_err, best_r = err, r
+    return {"R": best_r, "max_rel_entry_error": best_err}
+
+
+def test_rotation_match_equals_loop(rng):
+    """Same R and error bits as the one-at-a-time scan, also for an exact
+    match, where the best R is the identity."""
+    for i in range(12):
+        a, b = rng.standard_normal((2, 2, 2))
+        emp = a @ a.T + np.eye(2)
+        target = emp if i % 4 == 0 else b @ b.T + 0.5 * np.eye(2)
+        got = clt.rotation_match(emp, target)
+        want = rotation_match_loop(emp, target)
+        assert got["R"].tobytes() == want["R"].tobytes()
+        assert got["max_rel_entry_error"] == want["max_rel_entry_error"]
+
+
 def random_rank_d_pair(rng, n=40, d=2, noise_scale=1.0):
     """B = centered Gram of a random configuration (exact rank d) and a
     symmetric perturbation of it."""
@@ -227,7 +255,7 @@ class TestGrowthCheck:
 class TestBoundChecks:
     def test_zero_noise_ratios(self, triangle):
         noise = NoiseSpec("model2", law=NoiseLaw("uniform", a=0.0))
-        out = clt.bound_checks(triangle, noise, [50, 100, 200],
+        out = clt.bound_checks(triangle, noise, [50, 100, 200, 300],
                                replicates=2, seed=0)
         for name in ("b_perturbation", "procrustes_residual",
                      "sup_row_error", "mean_row_error"):

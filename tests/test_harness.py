@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from mdsclt import cmds, harness, matrixcore, pointmodel
+from mdsclt import cli, cmds, harness, matrixcore, pointmodel
 from mdsclt.harness import (ExperimentConfig, ellipse_points,
                             hetero_bias_experiment, normality_check, run)
 from mdsclt.noise import NoiseLaw, NoiseSpec
@@ -90,7 +90,10 @@ class TestRun:
     @pytest.mark.parametrize("error", [matrixcore.ConvergenceError("no convergence"),
                                        np.linalg.LinAlgError("eigh failed")])
     def test_numerical_failure_counted_not_raised(self, triangle, uniform4,
-                                                  monkeypatch, threads, error):
+                                                  monkeypatch, capsys, tmp_path,
+                                                  threads, error):
+        """mc-run counts the failed replicate, names it and its reason on
+        stderr, and writes a valid report that leaves the reason out."""
         current = threading.local()
         one_replicate, top_eigs = harness._one_replicate, cmds.top_eigs
 
@@ -105,11 +108,18 @@ class TestRun:
 
         monkeypatch.setattr(harness, "_one_replicate", replicate)
         monkeypatch.setattr(cmds, "top_eigs", failing_top_eigs)
-        report = run(small_config(triangle, uniform4, threads=threads))
-        block = report.per_n[0]
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg_path.write_text(json.dumps(small_config(triangle, uniform4).to_json()))
+        assert cli.dispatch(["mc-run", "--config", str(cfg_path), "--threads",
+                             str(threads), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            f"n=100 replicate 1 failed: {type(error).__name__}: {error}\n")
+        report = json.loads(out.read_text())
+        block = report["per_n"][0]
+        assert set(block) == {"n", "per_class", "failed", "diagnostics"}
         assert block["failed"] == 1
-        assert not report.invalid
-        assert [c.count for c in block["per_class"]] == [5 * 20, 5 * 30, 5 * 50]
+        assert not report["invalid"]
+        assert [c["count"] for c in block["per_class"]] == [5 * 20, 5 * 30, 5 * 50]
 
     def test_per_class_structure(self, triangle, uniform4):
         report = run(small_config(triangle, uniform4))

@@ -171,6 +171,14 @@ class TestTopEigs:
         assert np.array_equal(p1.values, p2.values)
         assert np.array_equal(p1.vectors, p2.vectors)
 
+    def test_zero_matrix_above_cutoff_gets_dense_answer(self):
+        """The iterative solver cannot start on an all-zero matrix; it gives
+        the answer of the dense path (taken here through k = n - 1)."""
+        m = SymmetricMatrix(np.zeros((300, 300)))
+        pair, dense = top_eigs(m, 2), top_eigs(m, 299)
+        assert np.array_equal(pair.values, np.zeros(2))
+        assert np.array_equal(pair.vectors, dense.vectors[:, :2])
+
     def test_sign_convention(self, rng):
         a = rng.standard_normal((15, 15))
         pair = top_eigs(SymmetricMatrix(a + a.T), 3)
@@ -212,23 +220,24 @@ class TestSvdSmall:
 
 class TestNorms:
     def test_identity(self):
-        out = norms(np.eye(3))
+        out = norms(SymmetricMatrix(np.eye(3)))
         assert out["spectral"] == pytest.approx(1.0)
         assert out["frobenius"] == pytest.approx(np.sqrt(3.0))
         assert out["two_to_inf"] == pytest.approx(1.0)
 
     def test_single_row(self):
-        out = norms(np.array([[3.0, 4.0]]))
+        out = norms(SymmetricMatrix(np.array([[-5.0]])))
         assert out == {"spectral": pytest.approx(5.0),
                        "frobenius": pytest.approx(5.0),
                        "two_to_inf": pytest.approx(5.0)}
 
     def test_spectral_vs_power_iteration(self, rng):
-        m = rng.standard_normal((10, 4))
-        # power iteration on m^T m to 1e-12
+        a = rng.standard_normal((4, 4))
+        m = a + a.T
+        # power iteration on m^2 to 1e-12
         v = rng.standard_normal(4)
         v /= np.linalg.norm(v)
-        mtm = m.T @ m
+        mtm = m @ m
         prev = 0.0
         for _ in range(10000):
             w = mtm @ v
@@ -237,7 +246,24 @@ class TestNorms:
             if abs(lam - prev) < 1e-12 * max(lam, 1.0):
                 break
             prev = lam
-        assert norms(m)["spectral"] == pytest.approx(np.sqrt(lam), rel=1e-10)
+        norm = norms(SymmetricMatrix(m))["spectral"]
+        assert norm == pytest.approx(np.sqrt(lam), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_negative_eigenvalue_dominates(self, rng, n):
+        """The spectral norm is the largest |eigenvalue|, here -2 ahead of a
+        positive 1.9, on both sides of the dense cutoff."""
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = rng.uniform(-1.0, 1.0, n)
+        w[:2] = -2.0, 1.9
+        m = SymmetricMatrix.from_array((q * w) @ q.T)
+        want = np.linalg.norm(m.data, 2)
+        assert want == pytest.approx(2.0, rel=1e-12)
+        assert norms(m)["spectral"] == pytest.approx(want, rel=1e-12)
+
+    def test_zero_matrix_above_cutoff(self):
+        out = norms(SymmetricMatrix(np.zeros((300, 300))))
+        assert out == {"spectral": 0.0, "frobenius": 0.0, "two_to_inf": 0.0}
 
 
 finite_mats = arrays(np.float64, (4, 4),
@@ -249,9 +275,8 @@ finite_mats = arrays(np.float64, (4, 4),
 def test_product_norm_bound(a, b):
     """||AB||_F <= min(||A|| ||B||_F, ||B|| ||A||_F) on random instances."""
     lhs = np.linalg.norm(a @ b, "fro")
-    na, nb = norms(a), norms(b)
-    bound = min(na["spectral"] * nb["frobenius"],
-                nb["spectral"] * na["frobenius"])
+    bound = min(np.linalg.norm(a, 2) * np.linalg.norm(b, "fro"),
+                np.linalg.norm(b, 2) * np.linalg.norm(a, "fro"))
     assert lhs <= bound * (1 + 1e-9) + 1e-9
 
 
