@@ -11,8 +11,9 @@ meant to keep reports unchanged can be checked by diffing the output.
 
 Cases: ``mc-run`` for each noise variant a JSON config can name, at n=60
 (dense eigensolver) and n=300 (iterative eigensolver, above the dense
-cutoff); ``mc-run`` with the raw-stress estimator and with the
-decomposition check; ``diagnose`` with Uniform(-4, 4) noise and with zero
+cutoff); ``mc-run`` with the raw-stress estimator, with the
+decomposition check, and with ``--samples-dir`` over n=60 and n=300 (one
+digest per samples CSV); ``diagnose`` with Uniform(-4, 4) noise and with zero
 noise, at n=100, 200 (dense) and 300 (iterative); ``perturb`` for each of
 the ``mc-run`` noise variants; and ``embed --sidecar`` of a noisy n=300
 matrix, whose sidecar scree comes from its own eigensolve.
@@ -95,6 +96,14 @@ def cases(tmp) -> list:
         cfg = write_json(path(name, "config"), cfg_json)
         lines += run(tmp, name, ["mc-run", "--config", cfg, "--threads", "1",
                                  "--out", path(name, "report")], ["report"])
+    name = "mc-run_samples"
+    cfg = write_json(path(name, "config"), config(NOISES["model2"], [60, 300]))
+    samples = path(name, "samples")
+    run(tmp, name, ["mc-run", "--config", cfg, "--threads", "1",
+                    "--out", path(name, "report"), "--samples-dir", samples], [])
+    for n in (60, 300):
+        digest = sha256_file(os.path.join(samples, f"samples_n{n}.csv"))
+        lines.append(f"{name}/samples_n{n} {digest}")
 
     for name, noise_json in (("diagnose", NOISES["model2"]),
                              ("diagnose_zero_noise", ZERO_NOISE)):

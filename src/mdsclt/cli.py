@@ -41,9 +41,9 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(path: str, array) -> None:
+def _write_csv(path: str, array, header: str | None = None) -> None:
     rows = ["," .join(f"{v:.17g}" for v in row) for row in np.atleast_2d(array)]
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _atomic_write(path, "\n".join(([header] if header else []) + rows) + "\n")
 
 
 def _write_json(path: str, obj) -> None:
@@ -229,12 +229,20 @@ def _cmd_theory_cov(args) -> int:
     return 0
 
 
+def _sample_rows(block) -> np.ndarray:
+    """Rows of the samples CSV for one n: the replicate index, the row within
+    its class, the class and the deviation. ``pointmodel.sample`` emits the
+    rows grouped by ascending class, so they keep their order."""
+    labels, dev = block["labels"], block["deviations"]
+    reps = len(block["replicates"])
+    row = np.arange(len(labels)) - np.searchsorted(labels, labels)
+    return np.column_stack([np.repeat(block["replicates"], len(labels)),
+                            np.tile(row, reps), np.tile(labels, reps),
+                            dev.reshape(-1, dev.shape[2])])
+
+
 def _cmd_mc_run(args) -> int:
-    threads = _default_threads(args.threads)
-    cfg = _load_config(args.config, threads=threads)
-    if args.samples_dir:
-        cfg = harness.ExperimentConfig.from_json(cfg.to_json(), threads=threads,
-                                                 keep_samples=True)
+    cfg = _load_config(args.config, threads=_default_threads(args.threads))
     report = harness.run(cfg)
     for block in report.per_n:
         for r, reason in block["errors"]:
@@ -242,15 +250,10 @@ def _cmd_mc_run(args) -> int:
     _write_json(args.out, report.to_json())
     if args.samples_dir:
         os.makedirs(args.samples_dir, exist_ok=True)
+        header = "replicate,row,class," + ",".join(f"x{j}" for j in range(cfg.d))
         for block in report.per_n:
-            rows = block.get("samples", [])
-            lines = ["replicate,row,class," + ",".join(
-                f"x{j}" for j in range(cfg.d))]
-            lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                               for v in row) for row in rows]
-            _atomic_write(os.path.join(args.samples_dir,
-                                       f"samples_n{block['n']}.csv"),
-                          "\n".join(lines) + "\n")
+            _write_csv(os.path.join(args.samples_dir, f"samples_n{block['n']}.csv"),
+                       _sample_rows(block), header)
     return 0
 
 

@@ -102,7 +102,8 @@ def theory_cov(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
 
 def hetero_theory_cov(spec: pointmodel.DistributionSpec, sigma_fn, i: int,
                       n: int) -> dict:
-    """Per-row covariance under entry-wise variance sigma_fn(i, j)^2.
+    """Per-row covariance under entry-wise variance sigma_fn(i, j)^2, with
+    ``sigma_fn`` called on the index arrays as for ``NoiseSpec``.
 
     Returns the averaged-variance covariance sigma_i = (1/n) sum_{j != i}
     sigma_ij^2 Cov(Z), its inverse square root (whitening matrix), and the
@@ -110,7 +111,8 @@ def hetero_theory_cov(spec: pointmodel.DistributionSpec, sigma_fn, i: int,
     matches the model-1 covariance after a further factor 1/4.
     """
     mom = pointmodel.moments(spec)
-    var_sum = sum(sigma_fn(i, j) ** 2 for j in range(n) if j != i)
+    j = np.delete(np.arange(n), i)
+    var_sum = float(np.sum(np.broadcast_to(sigma_fn(i, j), j.shape) ** 2))
     sigma_i = var_sum / n * mom.xi
     xi_inv = np.linalg.inv(mom.xi)
     if var_sum == 0.0:
@@ -262,7 +264,7 @@ def bound_checks(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
             logn = np.log(n)
 
             # a temporary: the n x n difference is freed before the eigensolves
-            diff_norm = norms(SymmetricMatrix._unchecked(B_hat.data - B.data))["spectral"]
+            diff_norm = norms(SymmetricMatrix._unchecked(B_hat.data - B.data))
             cells["b_perturbation"].append(diff_norm / np.sqrt(n * logn))
 
             pb = top_eigs(B, d)

@@ -35,7 +35,6 @@ class ExperimentConfig:
     seed: int
     estimator: str = "cmds"
     checks: dict = field(default_factory=dict)
-    keep_samples: bool = False
     threads: int = 1
 
     def __post_init__(self):
@@ -91,8 +90,12 @@ class ClassSummary:
 @dataclass
 class McReport:
     config: dict
-    # [{"n", "per_class", "failed", "errors", "diagnostics"}]; "errors" lists
-    # (replicate, reason) per failed replicate and stays out of the JSON
+    # [{"n", "per_class", "failed", "errors", "replicates", "labels",
+    # "deviations", "diagnostics"}]. "errors" lists (replicate, reason) per
+    # failed replicate; "replicates" holds the indices of the successful ones,
+    # "labels" the class of each of the n rows and "deviations" their
+    # sqrt(n)-scaled deviations as one (len(replicates), n, d) array. These four
+    # stay out of the JSON.
     per_n: list
     center_scale: float
     invalid: bool = False
@@ -121,7 +124,8 @@ class McReport:
 
 
 def _one_replicate(cfg: ExperimentConfig, n: int, r: int):
-    """One generate-perturb-embed-align pass; returns per-class statistics."""
+    """One generate-perturb-embed-align pass: returns the class labels, the
+    aligned n x d configuration and its sqrt(n)-scaled deviation rows."""
     cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r)
     if cfg.estimator == "cmds":
         config = cmds.embed(out["delta_sq"], cfg.d).config
@@ -129,19 +133,9 @@ def _one_replicate(cfg: ExperimentConfig, n: int, r: int):
         config = rawstress.minimize_stress(out["delta"], cfg.d, init="cmds").config
     scale = cfg.noise.center_scale
     centered = scale * (cloud.points - cloud.points.mean(axis=0))
-    w_n = clt.align(config, centered)
-    aligned = config @ w_n
-    dev = math.sqrt(n) * (aligned - centered)
-
+    aligned = config @ clt.align(config, centered)
     labels = cloud.labels if cloud.labels is not None else np.zeros(n, dtype=int)
-    stats = []
-    for k in np.unique(labels):
-        rows = dev[labels == k]
-        pos = aligned[labels == k].mean(axis=0)
-        cov = np.cov(rows, rowvar=False, ddof=1) if len(rows) > 1 else None
-        stats.append({"label": int(k), "rows": rows, "mean_position": pos,
-                      "cov": cov, "designated": rows[0]})
-    return stats
+    return labels, aligned, math.sqrt(n) * (aligned - centered)
 
 
 def _theory_for(cfg: ExperimentConfig):
@@ -188,25 +182,29 @@ def run(cfg: ExperimentConfig) -> McReport:
                 for r in range(cfg.replicates):
                     work(r)
 
-        ok = [res for res in results if res is not None]
+        ok = [r for r, res in enumerate(results) if res is not None]
         failed = cfg.replicates - len(ok)
         reasons = [(r, e) for r, e in enumerate(errors) if e is not None]
         if failed > max(1, cfg.replicates // 100):
             invalid = True
+        # the labels depend on n alone: mixture class counts follow the weights
+        labels = results[ok[0]][0] if ok else np.zeros(0, dtype=int)
+        dev = np.array([results[r][2] for r in ok]).reshape(len(ok), len(labels), cfg.d)
+        block = {"n": n, "per_class": [], "failed": failed, "errors": reasons,
+                 "replicates": ok, "labels": labels, "deviations": dev}
+        per_n.append(block)
         if not ok:
-            per_n.append({"n": n, "per_class": [], "failed": failed,
-                          "errors": reasons})
             continue
 
-        labels = sorted({c["label"] for c in ok[0]})
-        classes = []
-        for idx, k in enumerate(labels):
-            reps = [next(c for c in res if c["label"] == k) for res in ok]
-            pooled = np.vstack([c["rows"] for c in reps])
-            covs = np.array([c["cov"] for c in reps if c["cov"] is not None])
+        for idx, k in enumerate(np.unique(labels)):
+            mask = labels == k
+            rows = dev[:, mask]
+            pooled = rows.reshape(-1, cfg.d)
+            covs = np.array([np.cov(x, rowvar=False, ddof=1) for x in rows
+                             if len(x) > 1])
             mean_cov = covs.mean(axis=0) if len(covs) else np.full((cfg.d,) * 2, np.nan)
             cov_var = covs.var(axis=0, ddof=1) if len(covs) > 1 else np.zeros((cfg.d,) * 2)
-            designated = np.array([c["designated"] for c in reps])
+            designated = rows[:, 0]
             des_cov = np.cov(designated, rowvar=False, ddof=1) if len(designated) > 1 else None
             theo = None
             z = None
@@ -221,30 +219,18 @@ def run(cfg: ExperimentConfig) -> McReport:
                     normality = None
             true_center = (scale * centered_locs[idx]
                            if centered_locs is not None else None)
-            classes.append(ClassSummary(
+            block["per_class"].append(ClassSummary(
                 z=z, true_center=true_center,
-                empirical_mean=np.mean([c["mean_position"] for c in reps], axis=0),
+                empirical_mean=np.mean([results[r][1][mask].mean(axis=0)
+                                        for r in ok], axis=0),
                 empirical_cov=mean_cov,
                 pooled_cov=np.cov(pooled, rowvar=False, ddof=1),
                 designated_cov=des_cov, cov_entry_variances=cov_var,
                 theoretical_cov=theo, normality=normality, count=len(pooled)))
-        block = {"n": n, "per_class": classes, "failed": failed, "errors": reasons}
         if cfg.checks.get("decomposition"):
             block["diagnostics"] = {"decomposition": _decomposition_summary(cfg, n)}
-        if cfg.keep_samples:
-            block["samples"] = _sample_dump(ok, labels)
-        per_n.append(block)
     return McReport(config=cfg.to_json(), per_n=per_n,
                     center_scale=cfg.noise.center_scale, invalid=invalid)
-
-
-def _sample_dump(ok, labels):
-    rows = []
-    for r, res in enumerate(ok):
-        for c in res:
-            for i, row in enumerate(c["rows"]):
-                rows.append((r, i, c["label"], *row))
-    return rows
 
 
 def _decomposition_summary(cfg: ExperimentConfig, n: int) -> dict:

@@ -1,6 +1,6 @@
 """Dense symmetric matrix algebra: double centering, spectral decomposition,
-small SVD, and the matrix norms used throughout the library; also the BLAS
-thread count the decompositions run with.
+small SVD and the spectral norm; also the BLAS thread count the
+decompositions run with.
 
 All operations are pure and deterministic; eigenvector signs are fixed so
 repeated calls on the same matrix return bit-identical output. Matrices are
@@ -225,20 +225,14 @@ def svd_small(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w1, s, w2t.T
 
 
-def norms(m: SymmetricMatrix) -> dict[str, float]:
-    """Spectral (largest |eigenvalue|), Frobenius and 2->infinity (max row)
-    norms of ``m``; the spectral norm comes from one extremal eigenvalue
-    above ``DENSE_EIG_CUTOFF``."""
-    a = m.data
+def norms(m: SymmetricMatrix) -> float:
+    """Spectral norm of ``m``: its largest |eigenvalue|, from one extremal
+    eigenvalue above ``DENSE_EIG_CUTOFF``."""
     if m.n <= DENSE_EIG_CUTOFF:
-        w = np.linalg.eigvalsh(a)
+        w = np.linalg.eigvalsh(m.data)
     else:
-        w = _lanczos(a, 1, "LM", vectors=False)
-    return {
-        "spectral": float(np.abs(w).max()),
-        "frobenius": float(np.linalg.norm(a, "fro")),
-        "two_to_inf": float(np.sqrt((a**2).sum(axis=1).max())),
-    }
+        w = _lanczos(m.data, 1, "LM", vectors=False)
+    return float(np.abs(w).max())
 
 
 def read_matrix_csv(path, hollow: bool = False) -> SymmetricMatrix:

@@ -92,12 +92,19 @@ class NoiseLaw:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Tagged noise mechanism with the moment parameters it exposes."""
+    """Tagged noise mechanism with the moment parameters it exposes.
+
+    ``sigma_fn`` gives model1_hetero's per-pair standard deviation. It is
+    called on integer index arrays ``(i, j)`` and returns an array of their
+    shape or a scalar that broadcasts to it, e.g.
+    ``lambda i, j: 1.0 + 0.5 * ((i + j) % 2)``; it must be symmetric in
+    ``(i, j)``.
+    """
 
     variant: str
     law: Optional[NoiseLaw] = None
     q: float = 1.0
-    sigma_fn: Optional[Callable] = None  # per-pair std-dev rule, model1_hetero
+    sigma_fn: Optional[Callable] = None
 
     def __post_init__(self):
         variant = MODEL_ALIASES.get(self.variant, self.variant)
@@ -171,9 +178,8 @@ def perturb(D: SymmetricMatrix, spec: NoiseSpec, seed: int) -> dict:
         e = _sym_from_upper(n, spec.law.draw(rng, nupper))
     elif spec.variant == "model1_hetero":
         iu, ju = np.triu_indices(n, 1)
-        sig = np.array([spec.sigma_fn(int(i), int(j)) for i, j in zip(iu, ju)], float)
-        sig_t = np.array([spec.sigma_fn(int(j), int(i)) for i, j in zip(iu, ju)], float)
-        if np.any(sig != sig_t):
+        sig = np.broadcast_to(np.asarray(spec.sigma_fn(iu, ju), float), iu.shape)
+        if np.any(sig != spec.sigma_fn(ju, iu)):
             raise ValueError("sigma_fn must be symmetric in (i, j)")
         e = _sym_from_upper(n, sig * rng.standard_normal(nupper))
     elif spec.variant == "model2_hetero_uniform_scaled":

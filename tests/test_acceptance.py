@@ -44,14 +44,13 @@ def model3_report():
 
 
 def class_rows(report, n, max_rows=10_000, seed=0):
-    """Per-class pooled deviation rows from a keep_samples run, each class
-    deterministically subsampled to at most max_rows."""
+    """Per-class pooled deviation rows of one n, each class deterministically
+    subsampled to at most max_rows."""
     block = next(b for b in report.per_n if b["n"] == n)
-    rows = np.array([r[3:] for r in block["samples"]])
-    labels = np.array([r[2] for r in block["samples"]])
+    labels, dev = block["labels"], block["deviations"]
     out = {}
     for k in np.unique(labels):
-        grp = rows[labels == k]
+        grp = dev[:, labels == k].reshape(-1, dev.shape[2])
         if len(grp) > max_rows:
             idx = np.random.default_rng(seed).choice(len(grp), size=max_rows,
                                                      replace=False)
@@ -190,7 +189,7 @@ def test_criterion_4_normality():
         cfg = ExperimentConfig(distribution=TRIANGLE, noise=noise,
                                n_list=(1000,), d=2, replicates=50,
                                seed=404, checks={"clt": False},
-                               keep_samples=True, threads=THREADS)
+                               threads=THREADS)
         report = harness.run(cfg)
         stats = []
         for k, rows in class_rows(report, 1000).items():

@@ -72,7 +72,7 @@ class TestHeteroTheoryCov:
 
     def test_even_index_rule_vs_direct_sum(self, triangle):
         c, n, i = 2.0, 101, 1
-        fn = lambda a, b: c * (1.0 if b % 2 == 0 else 0.0)
+        fn = lambda a, b: c * np.where(b % 2 == 0, 1.0, 0.0)
         out = clt.hetero_theory_cov(triangle, fn, i=i, n=n)
         count = sum(1 for j in range(n) if j != i and j % 2 == 0)
         mom = pointmodel.moments(triangle)

@@ -109,9 +109,11 @@ class TestRun:
         monkeypatch.setattr(harness, "_one_replicate", replicate)
         monkeypatch.setattr(cmds, "top_eigs", failing_top_eigs)
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        samples = tmp_path / "samples"
         cfg_path.write_text(json.dumps(small_config(triangle, uniform4).to_json()))
         assert cli.dispatch(["mc-run", "--config", str(cfg_path), "--threads",
-                             str(threads), "--out", str(out)]) == 0
+                             str(threads), "--out", str(out),
+                             "--samples-dir", str(samples)]) == 0
         assert capsys.readouterr().err == (
             f"n=100 replicate 1 failed: {type(error).__name__}: {error}\n")
         report = json.loads(out.read_text())
@@ -120,6 +122,9 @@ class TestRun:
         assert block["failed"] == 1
         assert not report["invalid"]
         assert [c["count"] for c in block["per_class"]] == [5 * 20, 5 * 30, 5 * 50]
+        # the samples CSV names replicates by the index stderr uses
+        dump = np.loadtxt(samples / "samples_n100.csv", delimiter=",", skiprows=1)
+        assert sorted(set(dump[:, 0])) == [0, 2, 3, 4, 5]
 
     def test_per_class_structure(self, triangle, uniform4):
         report = run(small_config(triangle, uniform4))
@@ -157,13 +162,16 @@ class TestRun:
         assert diag["identity_residual"] <= 1e-7
         assert len(diag["median_row_norms"]) == 6
 
-    def test_sample_dump(self, triangle, uniform4):
-        cfg = small_config(triangle, uniform4, keep_samples=True,
-                           replicates=2)
-        report = run(cfg)
-        rows = report.per_n[0]["samples"]
-        assert len(rows) == 2 * 100
-        assert len(rows[0]) == 3 + 2  # replicate, row, class, coordinates
+    def test_deviation_stack(self, triangle, uniform4):
+        """Each n's block keeps the deviation rows of its successful
+        replicates as one (replicates, n, d) array, with the row labels."""
+        block = run(small_config(triangle, uniform4, replicates=2)).per_n[0]
+        assert block["replicates"] == [0, 1]
+        assert block["deviations"].shape == (2, 100, 2)
+        assert np.bincount(block["labels"]).tolist() == [20, 30, 50]
+        rows = block["deviations"][:, block["labels"] == 0].reshape(-1, 2)
+        assert np.array_equal(block["per_class"][0].pooled_cov,
+                              np.cov(rows, rowvar=False, ddof=1))
 
     def test_model1_covariance_class_independent(self, triangle):
         """The squared-scale model's limit law has no location dependence, so

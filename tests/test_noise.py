@@ -228,10 +228,24 @@ class TestHeteroModel1:
                        seed=5)["delta_sq"]
         assert np.array_equal(out.data, base.data)
 
+    def test_array_sigma_matches_scalar_loop(self):
+        """sigma_fn is called on index arrays; the noise is the per-pair rule
+        evaluated one scalar pair at a time times the unit-variance model-1
+        draw, bit for bit."""
+        n = 30
+        D = triangle_distance_matrix(n)
+        fn = lambda i, j: 1.0 + np.minimum(i, j) / n
+        out = perturb(D, NoiseSpec("model1_hetero", sigma_fn=fn), seed=3)["E"]
+        unit = perturb(D, NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.0)),
+                       seed=3)["E"]
+        loop = np.array([[fn(i, j) if i != j else 0.0 for j in range(n)]
+                         for i in range(n)])
+        assert np.array_equal(out.data, loop * unit.data)
+
     def test_asymmetric_sigma_fn_rejected(self):
         D = triangle_distance_matrix(10)
         with pytest.raises(ValueError):
-            perturb(D, NoiseSpec("model1_hetero", sigma_fn=lambda i, j: float(i)),
+            perturb(D, NoiseSpec("model1_hetero", sigma_fn=lambda i, j: i * 1.0),
                     seed=0)
 
     def test_per_entry_variance(self):
