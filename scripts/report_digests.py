@@ -11,7 +11,9 @@ meant to keep reports unchanged can be checked by diffing the output.
 
 Cases: ``mc-run`` for each noise variant a JSON config can name, at n=60
 (dense eigensolver) and n=300 (iterative eigensolver, above the dense
-cutoff); ``mc-run`` with the raw-stress estimator, with the
+cutoff); ``mc-run`` on a Gaussian cloud at n=300 with model-2 noise, whose
+distance matrix, unlike a mixture's, has n distinct rows; ``mc-run`` with
+the raw-stress estimator, with the
 decomposition check, and with ``--samples-dir`` over n=60 and n=300 (one
 digest per samples CSV); ``diagnose`` with Uniform(-4, 4) noise and with zero
 noise, at n=100, 200 (dense) and 300 (iterative); ``perturb`` for each of
@@ -45,6 +47,8 @@ NOISES = {
     "model3": {"model": "model3", "q": 0.7},
     "model2_hetero": {"model": "model2_hetero"},
 }
+GAUSSIAN = {"gaussian": {"mean": [0.5, -1.0],
+                         "covariance": [[2.0, 0.3], [0.3, 1.0]]}}
 # B_hat = B exactly: the spectral norm of an all-zero difference, on both
 # sides of the dense-eigensolver cutoff.
 ZERO_NOISE = {"model": "model2", "law": {"uniform": {"a": 0.0}}}
@@ -61,8 +65,9 @@ def write_json(path, obj) -> str:
     return path
 
 
-def config(noise_json, n_list, replicates=3, estimator="cmds", checks=None):
-    return {"distribution": TRIANGLE, "noise": noise_json, "n_list": n_list,
+def config(noise_json, n_list, replicates=3, estimator="cmds", checks=None,
+           distribution=TRIANGLE):
+    return {"distribution": distribution, "noise": noise_json, "n_list": n_list,
             "d": 2, "replicates": replicates, "seed": 2018,
             "estimator": estimator, "checks": checks or {"clt": True}}
 
@@ -88,6 +93,8 @@ def cases(tmp) -> list:
             lines += run(tmp, name, ["mc-run", "--config", cfg, "--threads", "1",
                                      "--out", path(name, "report")], ["report"])
     for name, cfg_json in (
+            ("mc-run_gaussian_model2_n300", config(NOISES["model2"], [300],
+                                                   distribution=GAUSSIAN)),
             ("mc-run_rawstress", config(NOISES["model2"], [60], replicates=2,
                                         estimator="rawstress")),
             ("mc-run_decomposition", config(NOISES["model3"], [60, 300],

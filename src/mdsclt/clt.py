@@ -30,13 +30,29 @@ def _replicate_seed(seed: int, n: int, r: int) -> int:
 
 
 def simulate(distribution: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
-             n: int, seed: int, r: int):
+             n: int, seed: int, r: int, keep=("D",) + noisemod.OUTPUTS):
     """Replicate r of an experiment keyed by (seed, n, r): sample n points,
-    form their distance matrix D, perturb it. Returns (cloud, D, perturbed)."""
+    form their distance matrix D, perturb it. Returns (cloud, D, perturbed).
+
+    Only the matrices named in ``keep`` are built; the others are None. Unless
+    D is kept, the perturbed matrix is built in D's array, so a replicate
+    holds about one n x n matrix.
+    """
     seed_r = _replicate_seed(seed, n, r)
     cloud = pointmodel.sample(distribution, n, seed_r)
     D = SymmetricMatrix._unchecked(cloud.distance_matrix(), hollow=True)
-    return cloud, D, noisemod.perturb(D, noise, seed_r)
+    out = noisemod.perturb(D, noise, seed_r, keep, overwrite="D" not in keep)
+    return cloud, (D if "D" in keep else None), out
+
+
+def centered_pair(distribution: pointmodel.DistributionSpec,
+                  noise: noisemod.NoiseSpec, n: int, seed: int, r: int):
+    """Replicate r as in ``simulate``, double-centered: returns (cloud, B,
+    B_hat) with B from D^2, built in its own array, and B_hat from Delta^2."""
+    cloud, D, out = simulate(distribution, noise, n, seed, r, keep=("D", "delta_sq"))
+    B = double_center(SymmetricMatrix._unchecked(D.data**2, hollow=True),
+                      overwrite=True)
+    return cloud, B, double_center(out["delta_sq"], overwrite=True)
 
 
 @dataclass(frozen=True)
@@ -258,9 +274,7 @@ def bound_checks(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
     for n in n_grid:
         cells = {name: [] for name in RATIO_NAMES}
         for r in range(replicates):
-            cloud, D, out = simulate(spec, noise, n, seed, r)
-            B = double_center(SymmetricMatrix._unchecked(D.data**2, hollow=True))
-            B_hat = double_center(out["delta_sq"])
+            cloud, B, B_hat = centered_pair(spec, noise, n, seed, r)
             logn = np.log(n)
 
             # a temporary: the n x n difference is freed before the eigensolves

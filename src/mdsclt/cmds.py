@@ -38,18 +38,20 @@ class Embedding:
         return self.config.shape[1]
 
 
-def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False) -> Embedding:
+def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False,
+          overwrite: bool = False) -> Embedding:
     """Embed a squared-dissimilarity matrix into R^d.
 
     The configuration is U S^{1/2} from the top-d eigenpairs of the double
-    centering of ``delta_sq``. Non-positive eigenvalues among the top d are
-    an error unless ``allow_deficient``, in which case those columns are
-    zero-filled and the embedding flagged.
+    centering of ``delta_sq`` (in ``delta_sq``'s own array with
+    ``overwrite``). Non-positive eigenvalues among the top d are an error
+    unless ``allow_deficient``, in which case those columns are zero-filled
+    and the embedding flagged.
     """
     n = delta_sq.n
     if not 1 <= d <= n - 1:
         raise ValueError(f"embedding dimension d={d} must satisfy 1 <= d <= n-1")
-    pair = top_eigs(double_center(delta_sq), d)
+    pair = top_eigs(double_center(delta_sq, overwrite=overwrite), d)
     vals = pair.values
     deficient = bool(vals[-1] <= 0)
     if deficient and not allow_deficient:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.stats
 
 from . import clt, cmds, noise as noisemod, pointmodel, rawstress
-from .matrixcore import ConvergenceError, SymmetricMatrix, blas_threads, double_center
+from .matrixcore import ConvergenceError, blas_threads
 
 # The replicate-seed rule of clt.simulate, for code that keys its own runs alike.
 _replicate_seed = clt._replicate_seed
@@ -50,6 +50,10 @@ class ExperimentConfig:
         if n_list and not 1 <= self.d <= n_list[0] - 1:
             raise ValueError(f"embedding dimension d={self.d} must satisfy "
                              f"1 <= d <= n-1 for n={n_list[0]}")
+        if self.d != self.distribution.d:
+            raise ValueError(f"embedding dimension d={self.d} must equal the "
+                             f"dimension {self.distribution.d} of the points, "
+                             "which every replicate is aligned to")
         if self.estimator == "rawstress" and self.noise.squared_scale:
             raise ValueError("raw-stress estimation needs a dissimilarity matrix; "
                              f"{self.noise.variant} yields squared ones only")
@@ -126,10 +130,13 @@ class McReport:
 def _one_replicate(cfg: ExperimentConfig, n: int, r: int):
     """One generate-perturb-embed-align pass: returns the class labels, the
     aligned n x d configuration and its sqrt(n)-scaled deviation rows."""
-    cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r)
     if cfg.estimator == "cmds":
-        config = cmds.embed(out["delta_sq"], cfg.d).config
+        cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r,
+                                     keep=("delta_sq",))
+        config = cmds.embed(out["delta_sq"], cfg.d, overwrite=True).config
     else:
+        cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r,
+                                     keep=("delta",))
         config = rawstress.minimize_stress(out["delta"], cfg.d, init="cmds").config
     scale = cfg.noise.center_scale
     centered = scale * (cloud.points - cloud.points.mean(axis=0))
@@ -234,9 +241,7 @@ def run(cfg: ExperimentConfig) -> McReport:
 
 
 def _decomposition_summary(cfg: ExperimentConfig, n: int) -> dict:
-    _, D, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, 0)
-    B = double_center(SymmetricMatrix._unchecked(D.data**2, hollow=True))
-    B_hat = double_center(out["delta_sq"])
+    _, B, B_hat = clt.centered_pair(cfg.distribution, cfg.noise, n, cfg.seed, 0)
     rep = clt.decompose(B, B_hat, cfg.d)
     return {"identity_residual": rep.identity_residual,
             "median_row_norms": [float(np.median(t)) for t in rep.term_row_norms]}

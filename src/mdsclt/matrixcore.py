@@ -22,8 +22,10 @@ import scipy.sparse.linalg as spla
 # Dense full decomposition below this size; iterative solver above.
 DENSE_EIG_CUTOFF = 256
 # Largest n a simulation (experiment config or diagnostics grid) may request.
-MAX_SUPPORTED_N = 5000
+MAX_SUPPORTED_N = 10000
 DEGENERATE_GAP_RTOL = 1e-10
+# Side of the square blocks the in-place n x n passes work on.
+_BLOCK = 256
 
 
 class ConvergenceError(RuntimeError):
@@ -108,20 +110,68 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def double_center(sq: SymmetricMatrix) -> SymmetricMatrix:
+def _block_pairs(n: int):
+    """(rows, cols) slices of the square blocks on and above the diagonal of an
+    n x n matrix, row block by row block."""
+    for i in range(0, n, _BLOCK):
+        for j in range(i, n, _BLOCK):
+            yield slice(i, i + _BLOCK), slice(j, j + _BLOCK)
+
+
+def symmetrize_map(a: np.ndarray, f) -> np.ndarray:
+    """Set ``a`` to (F + F^T) / 2 in place, where F = f(a) is computed block by
+    block: ``f(block, rows, cols)`` overwrites ``block``, the view
+    ``a[rows, cols]``, with its values of F. Each pair of mirrored blocks is
+    read and written once, so no n x n temporary is made. Returns ``a``."""
+    for r, c in _block_pairs(a.shape[0]):
+        upper = a[r, c]
+        f(upper, r, c)
+        if r == c:
+            upper += upper.T
+            upper /= 2.0
+        else:
+            lower = a[c, r]
+            f(lower, c, r)
+            upper += lower.T
+            upper /= 2.0
+            lower[...] = upper.T
+    return a
+
+
+def mirror_upper(a: np.ndarray) -> np.ndarray:
+    """Copy the strict upper triangle of ``a`` onto the lower one, in place."""
+    for r, c in _block_pairs(a.shape[0]):
+        if r == c:
+            b = a[r, c]
+            low = np.tril_indices(b.shape[0], -1)
+            b[low] = b.T[low]
+        else:
+            a[c, r] = a[r, c].T
+    return a
+
+
+def double_center(sq: SymmetricMatrix, overwrite: bool = False) -> SymmetricMatrix:
     """Return B = -1/2 P A P with P = I - 11^T/n, for A = ``sq``.
 
-    Every row of B sums to zero; output is exactly symmetric.
+    Every row of B sums to zero; output is exactly symmetric. With
+    ``overwrite`` B is built in ``sq``'s own array, which must not be read
+    through ``sq`` afterwards; otherwise in a copy.
     """
-    a = sq.data
     n = sq.n
     if n < 2:
         raise ValueError("double centering requires n >= 2")
-    row = a.mean(axis=1, keepdims=True)
-    col = row.T  # symmetric input
-    grand = a.mean()
-    b = -0.5 * (a - row - col + grand)
-    return SymmetricMatrix._unchecked((b + b.T) / 2.0)
+    row = sq.data.mean(axis=1)  # = column means: the input is symmetric
+    grand = sq.data.mean()
+    a = sq.data if overwrite else sq.data.copy()
+    a.setflags(write=True)
+
+    def centered(block, r, c):
+        block -= row[r, None]
+        block -= row[c]
+        block += grand
+        block *= -0.5
+
+    return SymmetricMatrix._unchecked(symmetrize_map(a, centered))
 
 
 def _lanczos(a: np.ndarray, k: int, which: str, vectors: bool = True):

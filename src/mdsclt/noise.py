@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .matrixcore import SymmetricMatrix
+from .matrixcore import SymmetricMatrix, mirror_upper
 
 MODEL_ALIASES = {
     "model1": "model1_sq_additive",
@@ -95,8 +95,9 @@ class NoiseSpec:
     """Tagged noise mechanism with the moment parameters it exposes.
 
     ``sigma_fn`` gives model1_hetero's per-pair standard deviation. It is
-    called on integer index arrays ``(i, j)`` and returns an array of their
-    shape or a scalar that broadcasts to it, e.g.
+    called on integer index arrays ``(i, j)`` of upper-triangle pairs, one
+    chunk of rows at a time, and returns an array of their shape or a scalar
+    that broadcasts to it, e.g.
     ``lambda i, j: 1.0 + 0.5 * ((i + j) % 2)``; it must be symmetric in
     ``(i, j)``.
     """
@@ -149,52 +150,95 @@ class NoiseSpec:
         return cls(variant=obj["model"], law=law, q=obj.get("q", 1.0))
 
 
-def _sym_from_upper(n: int, upper: np.ndarray) -> np.ndarray:
-    m = np.zeros((n, n))
-    m[np.triu_indices(n, 1)] = upper
-    return m + m.T
-
-
 def _rng(seed: int, n: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, n]))
 
 
-def perturb(D: SymmetricMatrix, spec: NoiseSpec, seed: int) -> dict:
-    """Apply the noise mechanism to distance matrix D.
+# Entries per chunk of rows in which the noise is drawn and written.
+_CHUNK = 1 << 17
+OUTPUTS = ("delta_sq", "delta", "E")
 
-    Returns {"delta_sq", "delta", "E"}; ``delta`` is None for model 1, whose
-    noise lives on the squared scale (a square root need not exist).
-    Negative entries of delta or delta_sq are passed through unchanged.
-    """
-    if np.any(np.diag(D.data) != 0.0):
-        raise ValueError("distance matrix must be hollow")
-    if np.any(D.data < 0):
-        raise ValueError("distance matrix must be non-negative")
-    n = D.n
-    nupper = n * (n - 1) // 2
-    rng = _rng(seed, n)
 
+def _upper_chunks(n: int):
+    """(rows, mask) per chunk of rows, in row order: ``mask`` selects the
+    strict upper triangle of ``a[rows]``, whose entries a boolean index
+    visits in the row-major order of ``np.triu_indices(n, 1)``."""
+    step = max(1, _CHUNK // max(n, 1))
+    cols = np.arange(n)
+    for i in range(0, n, step):
+        yield slice(i, i + step), cols > np.arange(i, min(i + step, n))[:, None]
+
+
+def _entries(spec: NoiseSpec, rng: np.random.Generator, d: np.ndarray,
+             rows: slice, mask: np.ndarray):
+    """Draw the next ``d.size`` entries of the noise stream for the
+    upper-triangle distances ``d`` of ``rows``, selected by ``mask``. Returns
+    the perturbed entries (squared under model 1) and the entries of E."""
+    size = d.size
     if spec.variant in ("model1_sq_additive", "model2_additive"):
-        e = _sym_from_upper(n, spec.law.draw(rng, nupper))
+        e = spec.law.draw(rng, size)
     elif spec.variant == "model1_hetero":
-        iu, ju = np.triu_indices(n, 1)
+        iu, ju = np.nonzero(mask)
+        iu += rows.start
         sig = np.broadcast_to(np.asarray(spec.sigma_fn(iu, ju), float), iu.shape)
         if np.any(sig != spec.sigma_fn(ju, iu)):
             raise ValueError("sigma_fn must be symmetric in (i, j)")
-        e = _sym_from_upper(n, sig * rng.standard_normal(nupper))
+        e = sig * rng.standard_normal(size)
     elif spec.variant == "model2_hetero_uniform_scaled":
-        # E~_ij ~ Uniform(-D_ij, D_ij). As |E~| <= D, (D + E~) - D is exact, so
-        # Delta = D + E below is the rounded D + E~ bit for bit, and >= 0.
-        u = rng.uniform(-1.0, 1.0, nupper)
-        e = (D.data + _sym_from_upper(n, u * D.data[np.triu_indices(n, 1)])) - D.data
+        # E~_ij ~ Uniform(-D_ij, D_ij). As |E~| <= D, E = Delta - D is exact,
+        # so D + E is Delta = the rounded D + E~ bit for bit, and >= 0.
+        delta = d + rng.uniform(-1.0, 1.0, size) * d
+        return delta, delta - d
     else:  # model3_mask
-        keep = (rng.random(nupper) < spec.q).astype(float)
-        e = D.data * _sym_from_upper(n, keep) - D.data
-
-    E = SymmetricMatrix._unchecked(e, hollow=True)
+        delta = d * (rng.random(size) < spec.q).astype(float)
+        return delta, delta - d
     if spec.squared_scale:
-        return {"delta_sq": SymmetricMatrix._unchecked(D.data**2 + e, hollow=True),
-                "delta": None, "E": E}
-    delta = D.data + e
-    return {"delta_sq": SymmetricMatrix._unchecked(delta**2, hollow=True),
-            "delta": SymmetricMatrix._unchecked(delta, hollow=True), "E": E}
+        return d**2 + e, e
+    return d + e, e
+
+
+def perturb(D: SymmetricMatrix, spec: NoiseSpec, seed: int, keep=OUTPUTS,
+            overwrite: bool = False) -> dict:
+    """Apply the noise mechanism to distance matrix D.
+
+    Returns {"delta_sq", "delta", "E"}; ``delta`` is None for model 1, whose
+    noise lives on the squared scale (a square root need not exist), and so
+    is every output not named in ``keep``. Negative entries of delta or
+    delta_sq are passed through unchanged.
+
+    The upper triangle is drawn row chunk by row chunk, as one stream in
+    row-major order, and written straight into the output array, which is
+    then mirrored. With ``overwrite`` that array is D's own, so no second
+    n x n array is made; D must not be read afterwards.
+    """
+    if np.any(np.diag(D.data) != 0.0):
+        raise ValueError("distance matrix must be hollow")
+    n = D.n
+    rng = _rng(seed, n)
+    d = D.data
+    if overwrite:
+        d.setflags(write=True)
+    m = d if overwrite else np.zeros((n, n))
+    E = np.zeros((n, n)) if "E" in keep else None
+    for rows, mask in _upper_chunks(n):
+        du = d[rows][mask]
+        if np.any(du < 0):
+            raise ValueError("distance matrix must be non-negative")
+        delta, e = _entries(spec, rng, du, rows, mask)
+        m[rows][mask] = delta
+        if E is not None:
+            E[rows][mask] = e + 0.0  # a drawn -0.0 becomes 0.0
+    mirror_upper(m)
+    out = dict.fromkeys(OUTPUTS)
+    if E is not None:
+        out["E"] = SymmetricMatrix._unchecked(mirror_upper(E), hollow=True)
+    if spec.squared_scale:
+        if "delta_sq" in keep:
+            out["delta_sq"] = SymmetricMatrix._unchecked(m, hollow=True)
+        return out
+    if "delta" in keep:
+        out["delta"] = SymmetricMatrix._unchecked(m, hollow=True)
+    if "delta_sq" in keep:
+        sq = m**2 if "delta" in keep else np.square(m, out=m)
+        out["delta_sq"] = SymmetricMatrix._unchecked(sq, hollow=True)
+    return out

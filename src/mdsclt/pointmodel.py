@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .matrixcore import symmetrize_map
 from .noise import NoiseSpec
 
 
@@ -41,12 +42,21 @@ class PointCloud:
         return self.points.shape[1]
 
     def distance_matrix(self) -> np.ndarray:
-        """Hollow symmetric matrix of pairwise Euclidean distances."""
+        """Hollow symmetric matrix of pairwise Euclidean distances, from the
+        Gram matrix: |p_i|^2 + |p_j|^2 - 2 <p_i, p_j>, built in the Gram
+        matrix's own array."""
         g = self.points @ self.points.T
-        sq = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
-        np.fill_diagonal(sq, 0.0)
-        d = np.sqrt(np.maximum(sq, 0.0))
-        return (d + d.T) / 2.0
+        sq_norms = np.diag(g).copy()
+
+        def distances(block, r, c):
+            block *= 2.0
+            np.subtract(sq_norms[r, None] + sq_norms[c], block, out=block)
+            if r == c:
+                np.fill_diagonal(block, 0.0)
+            np.maximum(block, 0.0, out=block)
+            np.sqrt(block, out=block)
+
+        return symmetrize_map(g, distances)
 
 
 @dataclass(frozen=True)

@@ -314,7 +314,7 @@ class TestErrorHandling:
                          "--out", str(tmp_path / "x.csv")]) == 1
 
     @pytest.mark.parametrize("kw, reason", [
-        ({"n_list": (5001,)}, "n=5001 is outside the supported range"),
+        ({"n_list": (10001,)}, "n=10001 is outside the supported range"),
         ({"n_list": (3,)}, "n=3 is outside the supported range"),
         ({"n_list": (4,), "d": 4}, "d=4 must satisfy"),
         ({"estimator": "rawstress",
@@ -332,6 +332,6 @@ class TestErrorHandling:
     def test_diagnose_grid_out_of_range_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         assert dispatch(["diagnose", "--config", str(cfg),
-                         "--n-grid", "50,100,5001", "--replicates", "2",
+                         "--n-grid", "50,100,10001", "--replicates", "2",
                          "--out", str(tmp_path / "diag.json")]) == 1
-        assert "n=5001 is outside the supported range" in capsys.readouterr().err
+        assert "n=10001 is outside the supported range" in capsys.readouterr().err

@@ -271,8 +271,8 @@ class TestBoundChecks:
             clt.bound_checks(triangle, uniform4, [100, 200], 2, 0)
         with pytest.raises(ValueError, match="n=3 is outside"):
             clt.bound_checks(triangle, uniform4, [3, 50, 100], 2, 0)
-        with pytest.raises(ValueError, match="n=5001 is outside"):
-            clt.bound_checks(triangle, uniform4, [50, 100, 5001], 2, 0)
+        with pytest.raises(ValueError, match="n=10001 is outside"):
+            clt.bound_checks(triangle, uniform4, [50, 100, 10001], 2, 0)
 
     def test_reports_all_ratios(self, triangle, uniform4):
         out = clt.bound_checks(triangle, uniform4, [50, 100, 200],

@@ -27,10 +27,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(triangle, uniform4, estimator="isomap")
         # n below dimension + 2 or above MAX_SUPPORTED_N, d outside [1, n-1]
-        for kw in ({"n_list": (3,)}, {"n_list": (100, 5001)},
+        for kw in ({"n_list": (3,)}, {"n_list": (100, 10001)},
                    {"n_list": (4, 100), "d": 4}, {"d": 0}):
             with pytest.raises(ValueError, match="n="):
                 small_config(triangle, uniform4, **kw)
+        # every replicate is aligned to the points, so d must be their dimension
+        for d in (1, 3):
+            with pytest.raises(ValueError, match="must equal the dimension 2"):
+                small_config(triangle, uniform4, d=d)
         # model-1 noise has no dissimilarities for raw stress to fit
         for noise in (NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.0)),
                       NoiseSpec("model1_hetero", sigma_fn=lambda i, j: 1.0)):
