@@ -5,6 +5,7 @@ table over an n grid and render the trend figure."""
 import argparse
 import json
 import os
+import sys
 
 from mdsclt import clt, pointmodel
 from mdsclt.cli import dispatch
@@ -17,6 +18,8 @@ def main():
     ap.add_argument("--n-grid", default="100,200,400,800")
     ap.add_argument("--replicates", type=int, default=10)
     ap.add_argument("--seed", type=int, default=6)
+    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                    help="workers, each with one BLAS thread (default: CPU count)")
     args = ap.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -24,7 +27,9 @@ def main():
     table = clt.bound_checks(
         pointmodel.triangle_345(),
         NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0)),
-        n_grid, args.replicates, args.seed)
+        n_grid, args.replicates, args.seed, threads=args.threads)
+    for n, r, reason in table.pop("errors"):
+        print(f"n={n} replicate {r} failed: {reason}", file=sys.stderr)
 
     path = os.path.join(args.out_dir, "ratios.json")
     with open(path, "w") as fh:

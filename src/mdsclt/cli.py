@@ -137,6 +137,7 @@ def build_parser() -> _Parser:
     g.add_argument("--n-grid", default="100,200,400,800")
     g.add_argument("--replicates", type=int, default=10)
     g.add_argument("--out", required=True)
+    g.add_argument("--threads", type=int, default=None)
 
     g = sub.add_parser("plot", help="render a report section as SVG")
     g.add_argument("--report", required=True)
@@ -258,10 +259,19 @@ def _cmd_mc_run(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    cfg = _load_config(args.config, threads=1)
+    cfg = _load_config(args.config, threads=_default_threads(args.threads))
     n_grid = [int(v) for v in args.n_grid.split(",")]
     table = clt.bound_checks(cfg.distribution, cfg.noise, n_grid,
-                             args.replicates, cfg.seed, d=cfg.d)
+                             args.replicates, cfg.seed, d=cfg.d, threads=cfg.threads)
+    errors = table.pop("errors")
+    for n, r, reason in errors:
+        print(f"n={n} replicate {r} failed: {reason}", file=sys.stderr)
+    failed = [n for n, _, _ in errors]
+    empty = [n for n in n_grid if failed.count(n) == args.replicates]
+    if empty:
+        print(f"error: no replicate succeeded at n={','.join(map(str, empty))}",
+              file=sys.stderr)
+        return 1
     _write_json(args.out, {"seed": cfg.seed, **table})
     return 0
 

@@ -5,6 +5,7 @@ scaling diagnostics for the perturbation bounds."""
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -12,8 +13,8 @@ import numpy as np
 
 from . import noise as noisemod
 from . import pointmodel
-from .matrixcore import (MAX_SUPPORTED_N, SymmetricMatrix, double_center, norms,
-                         svd_small, top_eigs)
+from .matrixcore import (MAX_SUPPORTED_N, ConvergenceError, SymmetricMatrix,
+                         blas_threads, double_center, norms, svd_small, top_eigs)
 
 
 def check_sizes(spec: pointmodel.DistributionSpec, n_values) -> None:
@@ -48,11 +49,42 @@ def simulate(distribution: pointmodel.DistributionSpec, noise: noisemod.NoiseSpe
 def centered_pair(distribution: pointmodel.DistributionSpec,
                   noise: noisemod.NoiseSpec, n: int, seed: int, r: int):
     """Replicate r as in ``simulate``, double-centered: returns (cloud, B,
-    B_hat) with B from D^2, built in its own array, and B_hat from Delta^2."""
+    B_hat) with B from D^2, built in D's array, and B_hat from Delta^2, built
+    in its own, so the pair holds two n x n matrices."""
     cloud, D, out = simulate(distribution, noise, n, seed, r, keep=("D", "delta_sq"))
-    B = double_center(SymmetricMatrix._unchecked(D.data**2, hollow=True),
-                      overwrite=True)
+    sq = D.data
+    sq.setflags(write=True)
+    np.square(sq, out=sq)
+    B = double_center(SymmetricMatrix._unchecked(sq, hollow=True), overwrite=True)
     return cloud, B, double_center(out["delta_sq"], overwrite=True)
+
+
+def run_replicates(fn, replicates: int, threads: int):
+    """Call ``fn(r)`` for r = 0 .. replicates - 1 on ``threads`` workers, each
+    with one BLAS thread; with fewer replicates than threads, one worker per
+    replicate shares the threads out as BLAS threads. Returns (results,
+    errors), both indexed by r: a replicate that fails numerically has result
+    None and its reason in errors; the others have error None.
+    """
+    results = [None] * replicates
+    errors = [None] * replicates
+    workers = max(1, min(threads, replicates))
+
+    def work(r):
+        # ValueError covers DeficientEmbeddingError and np.linalg.LinAlgError
+        try:
+            results[r] = fn(r)
+        except (ValueError, ConvergenceError) as exc:
+            errors[r] = f"{type(exc).__name__}: {exc}"
+
+    with blas_threads(max(1, threads // workers)):
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(work, range(replicates)))
+        else:
+            for r in range(replicates):
+                work(r)
+    return results, errors
 
 
 @dataclass(frozen=True)
@@ -116,33 +148,6 @@ def theory_cov(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
                      center_scale=noise.center_scale)
 
 
-def hetero_theory_cov(spec: pointmodel.DistributionSpec, sigma_fn, i: int,
-                      n: int) -> dict:
-    """Per-row covariance under entry-wise variance sigma_fn(i, j)^2, with
-    ``sigma_fn`` called on the index arrays as for ``NoiseSpec``.
-
-    Returns the averaged-variance covariance sigma_i = (1/n) sum_{j != i}
-    sigma_ij^2 Cov(Z), its inverse square root (whitening matrix), and the
-    Xi^{-1}-conjugated candidate normalization; the homoscedastic reduction
-    matches the model-1 covariance after a further factor 1/4.
-    """
-    mom = pointmodel.moments(spec)
-    j = np.delete(np.arange(n), i)
-    var_sum = float(np.sum(np.broadcast_to(sigma_fn(i, j), j.shape) ** 2))
-    sigma_i = var_sum / n * mom.xi
-    xi_inv = np.linalg.inv(mom.xi)
-    if var_sum == 0.0:
-        d = mom.xi.shape[0]
-        return {"sigma_i": np.zeros((d, d)), "whiten": None,
-                "conjugated": np.zeros((d, d))}
-    w, v = np.linalg.eigh(sigma_i)
-    if w.min() <= 1e-14 * max(w.max(), 1.0):
-        raise ValueError(f"singular per-row covariance (min eigenvalue {w.min():.3e})")
-    whiten = (v / np.sqrt(w)) @ v.T
-    return {"sigma_i": sigma_i, "whiten": whiten,
-            "conjugated": xi_inv @ sigma_i @ xi_inv}
-
-
 def align(source, target, full: bool = False):
     """Orthogonal W minimizing ||source W - target||_F (reflections allowed).
 
@@ -193,11 +198,14 @@ def procrustes_residual(u_b: np.ndarray, u_hat: np.ndarray) -> float:
     return float(np.linalg.norm(m - w1 @ w2.T, 2))
 
 
-def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int) -> DecompositionReport:
+def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int,
+              overwrite: bool = False) -> DecompositionReport:
     """Evaluate the six-term identity for X_hat - U S^{1/2} W*.
 
     Exact (up to roundoff) whenever B has rank at most d and the top-d
-    eigenvalues of B_hat are positive.
+    eigenvalues of B_hat are positive. With ``overwrite`` B_hat - B is built
+    in ``B_hat``'s own array after both eigensolves, and ``B_hat`` must not be
+    read afterwards; otherwise in a copy.
     """
     if B.n != B_hat.n:
         raise ValueError("matrices must have matching dimension")
@@ -211,7 +219,9 @@ def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int) -> Decompositi
     res = align(ub, uh, full=True)
     wstar = res["W"]
 
-    diff = B_hat.data - B.data
+    diff = B_hat.data if overwrite else B_hat.data.copy()
+    diff.setflags(write=True)
+    diff -= B.data
     sb_h = np.sqrt(sb)
     sh_h = np.sqrt(sh)
     x_hat = uh * sh_h
@@ -236,76 +246,74 @@ def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int) -> Decompositi
                                degenerate=res["degenerate"])
 
 
-def growth_check(D: SymmetricMatrix) -> dict:
-    """Advisory check that max_i sum_j D_ij^2 dominates log^4 n.
-
-    The factor 5 is a pragmatic margin for "much greater than"; advisory
-    only, nothing downstream refuses to run on a failing check.
-    """
-    row_sums = (D.data**2).sum(axis=1)
-    log4n = float(np.log(D.n) ** 4)
-    max_row = float(row_sums.max())
-    return {"max_row_sum_sq": max_row, "log4n": log4n,
-            "ok": bool(max_row >= 5.0 * log4n)}
-
-
 RATIO_NAMES = ("b_perturbation", "procrustes_residual", "lambda_d_over_n",
                "eig_juxtaposition", "sqrt_eig_juxtaposition", "sup_row_error",
                "mean_row_error")
 
 
+def _bound_cell(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
+                n: int, seed: int, r: int, d: int) -> tuple:
+    """The ratios of one (n, replicate) cell, in ``RATIO_NAMES`` order. B_hat - B
+    is built in B_hat's array after both eigensolves, so the cell holds two
+    n x n matrices."""
+    cloud, B, B_hat = centered_pair(spec, noise, n, seed, r)
+    logn = np.log(n)
+    pb = top_eigs(B, d)
+    ph = top_eigs(B_hat, d)
+    diff = B_hat.data
+    diff.setflags(write=True)
+    diff -= B.data
+    b_perturbation = norms(SymmetricMatrix._unchecked(diff)) / np.sqrt(n * logn)
+
+    wstar = align(pb.vectors, ph.vectors)
+    sb, sh = np.diag(pb.values), np.diag(ph.values)
+    sb_h = np.diag(np.sqrt(np.maximum(pb.values, 0.0)))
+    sh_h = np.diag(np.sqrt(np.maximum(ph.values, 0.0)))
+    x_hat = ph.vectors @ sh_h
+    centered = noise.center_scale * (cloud.points - cloud.points.mean(axis=0))
+    w_n = align(x_hat, centered)
+    row_err = np.linalg.norm(x_hat @ w_n - centered, axis=1)
+    rate = np.sqrt(logn / n)
+    return (b_perturbation,
+            procrustes_residual(pb.vectors, ph.vectors) / (logn / n),
+            pb.values[-1] / n,
+            np.linalg.norm(wstar @ sh - sb @ wstar, "fro") / logn,
+            np.linalg.norm(wstar @ sh_h - sb_h @ wstar, "fro") / (logn / np.sqrt(n)),
+            row_err.max() / rate,
+            row_err.mean() / rate)
+
+
 def bound_checks(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
-                 n_grid, replicates: int, seed: int, d: Optional[int] = None) -> dict:
+                 n_grid, replicates: int, seed: int, d: Optional[int] = None,
+                 threads: int = 1) -> dict:
     """Empirical scaling ratios for the perturbation bounds.
 
     For each grid size the listed quantities are divided by their claimed
-    rates; per-n medians over replicates are reported, and a ratio sequence
-    is flagged when its median grows by more than a factor 2 across the
-    grid. Constants are not estimated, only trend boundedness.
+    rates; per-n medians over the cells (replicates) that succeeded are
+    reported, and a ratio sequence is flagged when its median grows by more
+    than a factor 2 across the grid. Constants are not estimated, only trend
+    boundedness. The cells of each n run on ``threads`` workers as in
+    ``run_replicates``; ``errors`` lists (n, replicate, reason) per failed
+    cell, and an n without a successful cell gets NaN medians.
     """
     n_grid = list(n_grid)
     if sorted(n_grid) != n_grid or len(n_grid) < 3:
         raise ValueError("n_grid must be ascending with at least 3 points")
+    if replicates < 1:
+        raise ValueError("need at least 1 replicate")
     check_sizes(spec, n_grid)
     if d is None:
         d = spec.d
-    scale = noise.center_scale
     per_n = {name: [] for name in RATIO_NAMES}
+    errors = []
     for n in n_grid:
-        cells = {name: [] for name in RATIO_NAMES}
-        for r in range(replicates):
-            cloud, B, B_hat = centered_pair(spec, noise, n, seed, r)
-            logn = np.log(n)
-
-            # a temporary: the n x n difference is freed before the eigensolves
-            diff_norm = norms(SymmetricMatrix._unchecked(B_hat.data - B.data))
-            cells["b_perturbation"].append(diff_norm / np.sqrt(n * logn))
-
-            pb = top_eigs(B, d)
-            ph = top_eigs(B_hat, d)
-            cells["procrustes_residual"].append(
-                procrustes_residual(pb.vectors, ph.vectors) / (logn / n))
-            cells["lambda_d_over_n"].append(pb.values[-1] / n)
-
-            wstar = align(pb.vectors, ph.vectors)
-            sb, sh = np.diag(pb.values), np.diag(ph.values)
-            cells["eig_juxtaposition"].append(
-                np.linalg.norm(wstar @ sh - sb @ wstar, "fro") / logn)
-            sb_h = np.diag(np.sqrt(np.maximum(pb.values, 0.0)))
-            sh_h = np.diag(np.sqrt(np.maximum(ph.values, 0.0)))
-            cells["sqrt_eig_juxtaposition"].append(
-                np.linalg.norm(wstar @ sh_h - sb_h @ wstar, "fro")
-                / (logn / np.sqrt(n)))
-
-            x_hat = ph.vectors @ sh_h
-            centered = scale * (cloud.points - cloud.points.mean(axis=0))
-            w_n = align(x_hat, centered)
-            row_err = np.linalg.norm(x_hat @ w_n - centered, axis=1)
-            rate = np.sqrt(logn / n)
-            cells["sup_row_error"].append(row_err.max() / rate)
-            cells["mean_row_error"].append(row_err.mean() / rate)
-        for name in RATIO_NAMES:
-            per_n[name].append(float(np.median(cells[name])))
+        results, reasons = run_replicates(
+            lambda r: _bound_cell(spec, noise, n, seed, r, d), replicates, threads)
+        errors += [(n, r, e) for r, e in enumerate(reasons) if e is not None]
+        cells = [c for c in results if c is not None]
+        for i, name in enumerate(RATIO_NAMES):
+            per_n[name].append(float(np.median([c[i] for c in cells]))
+                               if cells else float("nan"))
     ratios = {}
     for name in RATIO_NAMES:
         meds = per_n[name]
@@ -313,4 +321,4 @@ def bound_checks(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
         ratios[name] = {"median_per_n": meds,
                         "flag_growth": bool(max(meds) / base > 2.0 and
                                             meds.index(max(meds)) > 0)}
-    return {"n_grid": n_grid, "ratios": ratios}
+    return {"n_grid": n_grid, "ratios": ratios, "errors": errors}

@@ -1,5 +1,5 @@
 """Classical multidimensional scaling: double centering, truncated spectral
-decomposition, dimension selection, and sub-embedding."""
+decomposition and dimension selection."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import (DEGENERATE_GAP_RTOL, SpectralPair, SymmetricMatrix,
-                         double_center, top_eigs)
+from .matrixcore import SymmetricMatrix, double_center, top_eigs
 
 
 class DeficientEmbeddingError(ValueError):
@@ -28,14 +27,6 @@ class Embedding:
     eigenvalues: np.ndarray
     deficient: bool = False
     degenerate: bool = False
-
-    @property
-    def n(self) -> int:
-        return self.config.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.config.shape[1]
 
 
 def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False,
@@ -77,19 +68,3 @@ def select_dim(delta_sq: SymmetricMatrix, max_d: int) -> dict:
     threshold = float(n) ** (2.0 / 3.0)
     d_hat = int(np.sum(vals >= threshold))
     return {"d_hat": d_hat, "threshold": threshold, "eigenvalues": vals}
-
-
-def sub_embed(e: Embedding, d_prime: int) -> Embedding:
-    """First d' columns of an embedding; equals a direct d'-dimensional
-    embedding when the eigenvalue at the cut is simple."""
-    if not 1 <= d_prime <= e.d:
-        raise ValueError(f"d_prime={d_prime} must satisfy 1 <= d_prime <= d={e.d}")
-    degenerate = e.degenerate
-    if d_prime < e.d:
-        gap = e.eigenvalues[d_prime - 1] - e.eigenvalues[d_prime]
-        scale = max(float(np.abs(e.eigenvalues).max()), 1e-300)
-        degenerate = degenerate or bool(gap < DEGENERATE_GAP_RTOL * scale)
-    return Embedding(config=e.config[:, :d_prime],
-                     eigenvalues=e.eigenvalues[:d_prime],
-                     deficient=bool(e.eigenvalues[:d_prime][-1] <= 0),
-                     degenerate=degenerate)

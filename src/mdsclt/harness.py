@@ -8,7 +8,6 @@ decomposition, all deterministic given the experiment seed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -16,7 +15,6 @@ import numpy as np
 import scipy.stats
 
 from . import clt, cmds, noise as noisemod, pointmodel, rawstress
-from .matrixcore import ConvergenceError, blas_threads
 
 # The replicate-seed rule of clt.simulate, for code that keys its own runs alike.
 _replicate_seed = clt._replicate_seed
@@ -171,24 +169,9 @@ def run(cfg: ExperimentConfig) -> McReport:
     per_n = []
     invalid = False
     for n in cfg.n_list:
-        results = [None] * cfg.replicates
-        errors = [None] * cfg.replicates
-
-        def work(r):
-            # ValueError covers DeficientEmbeddingError and np.linalg.LinAlgError
-            try:
-                results[r] = _one_replicate(cfg, n, r)
-            except (ValueError, ConvergenceError) as exc:
-                errors[r] = f"{type(exc).__name__}: {exc}"
-
-        with blas_threads(1):
-            if cfg.threads > 1:
-                with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                    list(pool.map(work, range(cfg.replicates)))
-            else:
-                for r in range(cfg.replicates):
-                    work(r)
-
+        results = None  # free the last n's results before this n's replicates run
+        results, errors = clt.run_replicates(lambda r: _one_replicate(cfg, n, r),
+                                             cfg.replicates, cfg.threads)
         ok = [r for r, res in enumerate(results) if res is not None]
         failed = cfg.replicates - len(ok)
         reasons = [(r, e) for r, e in enumerate(errors) if e is not None]
@@ -242,7 +225,7 @@ def run(cfg: ExperimentConfig) -> McReport:
 
 def _decomposition_summary(cfg: ExperimentConfig, n: int) -> dict:
     _, B, B_hat = clt.centered_pair(cfg.distribution, cfg.noise, n, cfg.seed, 0)
-    rep = clt.decompose(B, B_hat, cfg.d)
+    rep = clt.decompose(B, B_hat, cfg.d, overwrite=True)
     return {"identity_residual": rep.identity_residual,
             "median_row_norms": [float(np.median(t)) for t in rep.term_row_norms]}
 

@@ -1,12 +1,13 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from mdsclt import cmds
+from mdsclt import clt, cmds, harness
 from mdsclt.cli import dispatch
-from mdsclt.matrixcore import (blas_threads, double_center, read_matrix_csv,
-                               top_eigs)
+from mdsclt.matrixcore import (ConvergenceError, blas_threads, double_center,
+                               read_matrix_csv, top_eigs)
 
 
 def write_config(path, n_list=(60,), replicates=3, noise=None, seed=5,
@@ -241,20 +242,23 @@ class TestTheoryCovAndDiagnose:
 
     def test_diagnose_bit_identical_above_dense_cutoff(self, tmp_path):
         """n=300 takes the iterative solver for the spectral norm: a repeat in
-        the same process and a run with one BLAS thread write the same bytes."""
+        the same process, a run with one BLAS thread and runs with one and two
+        workers write the same bytes."""
         cfg = write_config(tmp_path / "cfg.json")
 
-        def report_bytes(name):
+        def report_bytes(name, *extra):
             out = tmp_path / name
             assert dispatch(["diagnose", "--config", str(cfg),
                              "--n-grid", "100,200,300", "--replicates", "2",
-                             "--out", str(out)]) == 0
+                             "--out", str(out), *extra]) == 0
             return out.read_bytes()
 
         first = report_bytes("a.json")
         assert report_bytes("b.json") == first
         with blas_threads(1):
             assert report_bytes("c.json") == first
+        assert report_bytes("d.json", "--threads", "1") == first
+        assert report_bytes("e.json", "--threads", "2") == first
 
     def test_bias_trend_plot(self, tmp_path):
         report = tmp_path / "bias.json"
@@ -335,3 +339,60 @@ class TestErrorHandling:
                          "--n-grid", "50,100,10001", "--replicates", "2",
                          "--out", str(tmp_path / "diag.json")]) == 1
         assert "n=10001 is outside the supported range" in capsys.readouterr().err
+
+    @staticmethod
+    def fail_cells(monkeypatch, cells):
+        """Make the eigensolves of the diagnose cells ``cells``, (n, replicate)
+        pairs, raise ConvergenceError."""
+        current = threading.local()
+        centered_pair, top_eigs = clt.centered_pair, clt.top_eigs
+
+        def pair(spec, noise, n, seed, r):
+            current.cell = (n, r)
+            return centered_pair(spec, noise, n, seed, r)
+
+        def failing_top_eigs(m, k):
+            if current.cell in cells:
+                raise ConvergenceError("no convergence")
+            return top_eigs(m, k)
+
+        monkeypatch.setattr(clt, "centered_pair", pair)
+        monkeypatch.setattr(clt, "top_eigs", failing_top_eigs)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_diagnose_failed_cell_reported_not_raised(self, tmp_path, capsys,
+                                                      monkeypatch, threads):
+        """A failed cell is named on stderr with its reason; the medians of its
+        n are taken over the other cells, and the other n are unchanged."""
+        cfg = write_config(tmp_path / "cfg.json")
+        exp = harness.ExperimentConfig.from_json(json.loads(cfg.read_text()))
+        kept = [clt._bound_cell(exp.distribution, exp.noise, 100, exp.seed, r, 2)
+                for r in (0, 2)]
+        argv = ["diagnose", "--config", str(cfg), "--n-grid", "50,100,200",
+                "--replicates", "3", "--threads", threads, "--out"]
+        assert dispatch(argv + [str(tmp_path / "all.json")]) == 0
+        self.fail_cells(monkeypatch, {(100, 1)})
+        assert dispatch(argv + [str(tmp_path / "diag.json")]) == 0
+        assert capsys.readouterr().err == (
+            "n=100 replicate 1 failed: ConvergenceError: no convergence\n")
+        full = json.loads((tmp_path / "all.json").read_text())
+        table = json.loads((tmp_path / "diag.json").read_text())
+        assert set(table) == set(full) == {"seed", "n_grid", "ratios"}
+        for i, name in enumerate(clt.RATIO_NAMES):
+            meds = table["ratios"][name]["median_per_n"]
+            assert np.all(np.isfinite(meds))
+            assert meds[1] == float(np.median([c[i] for c in kept]))
+            assert meds[::2] == full["ratios"][name]["median_per_n"][::2]
+
+    def test_diagnose_n_without_cells_exit_1(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "diag.json"
+        self.fail_cells(monkeypatch, {(100, 0), (100, 1)})
+        assert dispatch(["diagnose", "--config", str(cfg), "--n-grid",
+                         "50,100,200", "--replicates", "2", "--threads", "2",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "n=100 replicate 0 failed: ConvergenceError: no convergence\n"
+            "n=100 replicate 1 failed: ConvergenceError: no convergence\n"
+            "error: no replicate succeeded at n=100\n")
+        assert not out.exists()

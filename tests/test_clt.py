@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mdsclt import clt, pointmodel
-from mdsclt.matrixcore import SymmetricMatrix, double_center
+from mdsclt.matrixcore import ConvergenceError, SymmetricMatrix, double_center
 from mdsclt.noise import NoiseLaw, NoiseSpec, perturb
 from mdsclt.pointmodel import DistributionSpec
 
@@ -49,40 +51,6 @@ class TestTheoryCov:
             clt.theory_cov(GAUSS_I2, uniform4)
         tc = clt.theory_cov(GAUSS_I2, uniform4, z_list=[[0.0, 0.0]])
         assert len(tc.per_class) == 1
-
-
-class TestHeteroTheoryCov:
-    def test_constant_sigma_matches_model1(self, triangle):
-        """Homoscedastic reduction: the conjugated form divided by 4 equals
-        the model-1 covariance (the factor-4 bookkeeping is resolved
-        empirically by the harness)."""
-        sigma = 1.3
-        out = clt.hetero_theory_cov(triangle, lambda i, j: sigma, i=0, n=500)
-        noise = NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=sigma))
-        model1 = clt.theory_cov(triangle, noise).per_class[0]["sigma"]
-        # (n-1)/n gap from excluding j == i
-        assert np.allclose(out["conjugated"] / 4.0, model1, rtol=0.01)
-        mom = pointmodel.moments(triangle)
-        assert np.allclose(out["sigma_i"], sigma**2 * mom.xi, rtol=0.01)
-
-    def test_zero_sigma(self, triangle):
-        out = clt.hetero_theory_cov(triangle, lambda i, j: 0.0, i=0, n=100)
-        assert np.allclose(out["sigma_i"], 0.0)
-        assert np.allclose(out["conjugated"], 0.0)
-
-    def test_even_index_rule_vs_direct_sum(self, triangle):
-        c, n, i = 2.0, 101, 1
-        fn = lambda a, b: c * np.where(b % 2 == 0, 1.0, 0.0)
-        out = clt.hetero_theory_cov(triangle, fn, i=i, n=n)
-        count = sum(1 for j in range(n) if j != i and j % 2 == 0)
-        mom = pointmodel.moments(triangle)
-        assert np.allclose(out["sigma_i"], count / n * c**2 * mom.xi,
-                           rtol=1e-12)
-
-    def test_whiten_is_inverse_sqrt(self, triangle):
-        out = clt.hetero_theory_cov(triangle, lambda i, j: 0.8, i=0, n=200)
-        w = out["whiten"]
-        assert np.allclose(w @ out["sigma_i"] @ w, np.eye(2), atol=1e-10)
 
 
 class TestAlign:
@@ -235,23 +203,6 @@ class TestDecompose:
             clt.decompose(b, b, 2)
 
 
-class TestGrowthCheck:
-    def test_zero(self):
-        out = clt.growth_check(SymmetricMatrix(np.zeros((10, 10)), hollow=True))
-        assert not out["ok"]
-
-    def test_triangle_1000(self, triangle):
-        cloud = pointmodel.sample(triangle, 1000, seed=1)
-        D = SymmetricMatrix(cloud.distance_matrix(), hollow=True)
-        assert clt.growth_check(D)["ok"]
-
-    def test_tiny_cloud_advisory(self):
-        d = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0],
-                      [1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]])
-        out = clt.growth_check(SymmetricMatrix(d, hollow=True))
-        assert not out["ok"]  # advisory only; nothing raised
-
-
 class TestBoundChecks:
     def test_zero_noise_ratios(self, triangle):
         noise = NoiseSpec("model2", law=NoiseLaw("uniform", a=0.0))
@@ -273,6 +224,9 @@ class TestBoundChecks:
             clt.bound_checks(triangle, uniform4, [3, 50, 100], 2, 0)
         with pytest.raises(ValueError, match="n=10001 is outside"):
             clt.bound_checks(triangle, uniform4, [50, 100, 10001], 2, 0)
+        for replicates in (0, -1):
+            with pytest.raises(ValueError, match="at least 1 replicate"):
+                clt.bound_checks(triangle, uniform4, [50, 100, 200], replicates, 0)
 
     def test_reports_all_ratios(self, triangle, uniform4):
         out = clt.bound_checks(triangle, uniform4, [50, 100, 200],
@@ -280,6 +234,22 @@ class TestBoundChecks:
         assert set(out["ratios"]) == set(clt.RATIO_NAMES)
         for entry in out["ratios"].values():
             assert len(entry["median_per_n"]) == 3
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_run_replicates_in_replicate_order(threads):
+    """Results and reasons come back indexed by replicate whatever order the
+    workers finish in; a numerical failure is recorded, not raised."""
+    def fn(r):
+        time.sleep(0.002 * ((7 * r) % 5))
+        if r % 4 == 3:
+            raise ConvergenceError(f"replicate {r}")
+        return r * r
+
+    results, errors = clt.run_replicates(fn, 12, threads)
+    assert results == [None if r % 4 == 3 else r * r for r in range(12)]
+    assert errors == [f"ConvergenceError: replicate {r}" if r % 4 == 3 else None
+                      for r in range(12)]
 
 
 SIMULATE_NOISES = [

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mdsclt import cmds, pointmodel
-from mdsclt.cmds import (DeficientEmbeddingError, embed, select_dim,
-                         sub_embed)
+from mdsclt.cmds import DeficientEmbeddingError, embed, select_dim
 from mdsclt.matrixcore import SymmetricMatrix, double_center
 
 
@@ -133,28 +132,3 @@ class TestSelectDim:
         dsq = delta_sq_of(TRIANGLE)
         with pytest.raises(ValueError):
             select_dim(dsq, 3)
-
-
-class TestSubEmbed:
-    def test_identity_at_full_dim(self):
-        e = embed(delta_sq_of(TRIANGLE), 2)
-        s = sub_embed(e, 2)
-        assert np.array_equal(s.config, e.config)
-
-    def test_matches_direct_embed(self):
-        dsq = delta_sq_of(TRIANGLE)
-        assert np.allclose(sub_embed(embed(dsq, 2), 1).config,
-                           embed(dsq, 1).config, atol=1e-10)
-
-    def test_tie_at_cut_flagged(self, rng):
-        # equal eigenvalues straddling the cut
-        x = configuration_with_eigenvalues(40, [10.0, 7.0, 7.0], rng)
-        e = embed(delta_sq_of(x), 3)
-        assert sub_embed(e, 2).degenerate
-
-    def test_d_prime_validation(self):
-        e = embed(delta_sq_of(TRIANGLE), 2)
-        with pytest.raises(ValueError):
-            sub_embed(e, 0)
-        with pytest.raises(ValueError):
-            sub_embed(e, 3)

@@ -86,7 +86,7 @@ class TestRun:
         first = report_bytes(cfg1)
         assert report_bytes(cfg1) == first
         assert report_bytes(cfg2) == first
-        monkeypatch.setattr(harness, "blas_threads",
+        monkeypatch.setattr(harness.clt, "blas_threads",
                             lambda count: contextlib.nullcontext())
         assert report_bytes(cfg2) == first
 
@@ -223,6 +223,17 @@ class TestBlasThreads:
         assert all(c == [1] * len(c) for c in seen[cmds])
         assert seen[harness.clt]
         assert all(c == [2] * len(c) for c in seen[harness.clt])
+
+    @pytest.mark.parametrize("replicates, threads, want", [
+        (1, 1, 1), (1, 2, 2), (2, 2, 1), (3, 2, 1), (2, 5, 2)])
+    def test_spare_threads_go_to_blas(self, replicates, threads, want):
+        """Workers x BLAS threads stay within the thread budget, and a budget
+        beyond one worker per replicate goes to BLAS."""
+        with matrixcore.blas_threads(3):
+            results, _ = harness.clt.run_replicates(lambda r: blas_counts(),
+                                                    replicates, threads)
+            assert blas_counts() == [3] * len(blas_counts())
+        assert results == [[want] * len(blas_counts())] * replicates
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_restored_when_a_replicate_raises(self, triangle, uniform4,

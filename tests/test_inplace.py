@@ -1,13 +1,14 @@
 """The in-place n x n stages (distances, noise fill, double centering) give
-the same bits as their plain out-of-place expressions, and a replicate stays
-within a fixed number of n x n matrices of memory."""
+the same bits as their plain out-of-place expressions, and a replicate, a
+diagnose cell and the decomposition check stay within a fixed number of
+n x n matrices of memory."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mdsclt import harness, matrixcore, noise, pointmodel
+from mdsclt import clt, harness, matrixcore, noise, pointmodel
 from mdsclt.matrixcore import SymmetricMatrix, double_center
 from mdsclt.noise import NoiseLaw, NoiseSpec, perturb
 from mdsclt.pointmodel import DistributionSpec
@@ -144,6 +145,39 @@ def test_replicate_peak_memory(spec):
     tracemalloc.start()
     try:
         harness._one_replicate(cfg, n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} matrices"
+
+
+@pytest.mark.parametrize("dist", list(CLOUDS.values()), ids=list(CLOUDS))
+def test_decompose_in_place_same_bits(dist):
+    """decompose builds B_hat - B in B_hat's array with the bits of the copy."""
+    spec = NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))
+    _, B, B_hat = clt.centered_pair(dist, spec, N, 8, 1)
+    ref = clt.decompose(B, B_hat, 2)
+    own = clt.decompose(B, B_hat, 2, overwrite=True)
+    assert own.identity_residual == ref.identity_residual
+    assert all(same_bits(a, b) for a, b in zip(own.term_row_norms, ref.term_row_norms))
+
+
+@pytest.mark.parametrize("check", ["diagnose_cell", "decomposition"])
+@pytest.mark.parametrize("spec", [s for s in NOISES if s.variant != "model1_hetero"],
+                         ids=lambda s: s.variant)
+def test_two_matrix_checks_peak_memory(spec, check):
+    """One diagnose cell and the decomposition check at n=2000 hold B and B_hat
+    and allocate at most 2.5 n x n matrices."""
+    n = 2000
+    cfg = harness.ExperimentConfig(distribution=pointmodel.triangle_345(),
+                                   noise=spec, n_list=(n,), d=2, replicates=2,
+                                   seed=4)
+    tracemalloc.start()
+    try:
+        if check == "diagnose_cell":
+            clt.bound_checks(cfg.distribution, spec, [50, 100, n], 1, cfg.seed)
+        else:
+            harness._decomposition_summary(cfg, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
