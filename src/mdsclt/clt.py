@@ -246,6 +246,19 @@ def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int,
                                degenerate=res["degenerate"])
 
 
+def growth_check(D: SymmetricMatrix) -> dict:
+    """Advisory check that max_i sum_j D_ij^2 dominates log^4 n.
+
+    The factor 5 is a pragmatic margin for "much greater than"; advisory
+    only, nothing downstream refuses to run on a failing check.
+    """
+    row_sums = (D.data**2).sum(axis=1)
+    log4n = float(np.log(D.n) ** 4)
+    max_row = float(row_sums.max())
+    return {"max_row_sum_sq": max_row, "log4n": log4n,
+            "ok": bool(max_row >= 5.0 * log4n)}
+
+
 RATIO_NAMES = ("b_perturbation", "procrustes_residual", "lambda_d_over_n",
                "eig_juxtaposition", "sqrt_eig_juxtaposition", "sup_row_error",
                "mean_row_error")
