@@ -68,12 +68,15 @@ def _load_config(path: str, threads: int) -> harness.ExperimentConfig:
 
 
 def _default_threads(value):
-    if value is not None:
-        return value
-    env = os.environ.get("MDSCLT_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+    source = "--threads"
+    if value is None:
+        env = os.environ.get("MDSCLT_THREADS")
+        if not env:
+            return os.cpu_count() or 1
+        value, source = int(env), "MDSCLT_THREADS"
+    if value < 1:
+        raise ValueError(f"{source} must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> _Parser:

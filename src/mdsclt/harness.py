@@ -38,6 +38,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
         n_list = tuple(self.n_list)
         if list(n_list) != sorted(n_list):
             raise ValueError("n_list must be ascending")

@@ -5,6 +5,11 @@ decompositions run with.
 All operations are pure and deterministic; eigenvector signs are fixed so
 repeated calls on the same matrix return bit-identical output. Matrices are
 checked where outside data enters, not where the library builds them.
+
+The in-place n x n passes (distances, double centering) run over row strips
+of about ``_STRIP`` entries and read no transposed entry, since their inputs
+are exactly symmetric. The one transposed copy is ``mirror_upper``, which
+completes the noise fill block by block.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ DENSE_EIG_CUTOFF = 256
 # Largest n a simulation (experiment config or diagnostics grid) may request.
 MAX_SUPPORTED_N = 10000
 DEGENERATE_GAP_RTOL = 1e-10
-# Side of the square blocks the in-place n x n passes work on.
+# Side of the square blocks in which ``mirror_upper`` copies the upper triangle.
 _BLOCK = 256
+# Entries per row strip of the in-place n x n passes: n <= 256 is one strip.
+_STRIP = 1 << 16
 
 
 class ConvergenceError(RuntimeError):
@@ -110,42 +117,26 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def _block_pairs(n: int):
-    """(rows, cols) slices of the square blocks on and above the diagonal of an
-    n x n matrix, row block by row block."""
-    for i in range(0, n, _BLOCK):
-        for j in range(i, n, _BLOCK):
-            yield slice(i, i + _BLOCK), slice(j, j + _BLOCK)
-
-
-def symmetrize_map(a: np.ndarray, f) -> np.ndarray:
-    """Set ``a`` to (F + F^T) / 2 in place, where F = f(a) is computed block by
-    block: ``f(block, rows, cols)`` overwrites ``block``, the view
-    ``a[rows, cols]``, with its values of F. Each pair of mirrored blocks is
-    read and written once, so no n x n temporary is made. Returns ``a``."""
-    for r, c in _block_pairs(a.shape[0]):
-        upper = a[r, c]
-        f(upper, r, c)
-        if r == c:
-            upper += upper.T
-            upper /= 2.0
-        else:
-            lower = a[c, r]
-            f(lower, c, r)
-            upper += lower.T
-            upper /= 2.0
-            lower[...] = upper.T
-    return a
+def row_strips(n: int):
+    """Slices of the consecutive row strips of an n x n matrix, each about
+    ``_STRIP`` entries (whole rows, at least one)."""
+    step = max(1, _STRIP // max(n, 1))
+    for i in range(0, n, step):
+        yield slice(i, i + step)
 
 
 def mirror_upper(a: np.ndarray) -> np.ndarray:
-    """Copy the strict upper triangle of ``a`` onto the lower one, in place."""
-    for r, c in _block_pairs(a.shape[0]):
-        if r == c:
-            b = a[r, c]
-            low = np.tril_indices(b.shape[0], -1)
-            b[low] = b.T[low]
-        else:
+    """Copy the strict upper triangle of ``a`` onto the lower one, in place,
+    in square blocks of side ``_BLOCK``; one strict-lower mask serves every
+    diagonal block."""
+    n = a.shape[0]
+    lower = np.tri(min(n, _BLOCK), k=-1, dtype=bool)
+    for i in range(0, n, _BLOCK):
+        r = slice(i, i + _BLOCK)
+        b = a[r, r]
+        np.copyto(b, b.T, where=lower[:b.shape[0], :b.shape[0]])
+        for j in range(i + _BLOCK, n, _BLOCK):
+            c = slice(j, j + _BLOCK)
             a[c, r] = a[r, c].T
     return a
 
@@ -164,14 +155,24 @@ def double_center(sq: SymmetricMatrix, overwrite: bool = False) -> SymmetricMatr
     grand = sq.data.mean()
     a = sq.data if overwrite else sq.data.copy()
     a.setflags(write=True)
-
-    def centered(block, r, c):
+    # Row strips of B = (F + F^T) / 2 with F_ij = -(a_ij - row_i - row_j + grand) / 2;
+    # F_ji is evaluated from a_ij = a_ji, so no transposed entry is read.
+    strips = list(row_strips(n))
+    f_t = np.empty_like(a[strips[0]])
+    for r in strips:
+        block = a[r]
+        t = f_t[:block.shape[0]]
+        np.subtract(block, row, out=t)
+        t -= row[r, None]
+        t += grand
+        t *= -0.5
         block -= row[r, None]
-        block -= row[c]
+        block -= row
         block += grand
         block *= -0.5
-
-    return SymmetricMatrix._unchecked(symmetrize_map(a, centered))
+        block += t
+        block /= 2.0
+    return SymmetricMatrix._unchecked(a)
 
 
 def _lanczos(a: np.ndarray, k: int, which: str, vectors: bool = True):

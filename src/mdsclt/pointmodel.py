@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrixcore import symmetrize_map
+from .matrixcore import row_strips
 from .noise import NoiseSpec
 
 
@@ -44,19 +44,19 @@ class PointCloud:
     def distance_matrix(self) -> np.ndarray:
         """Hollow symmetric matrix of pairwise Euclidean distances, from the
         Gram matrix: |p_i|^2 + |p_j|^2 - 2 <p_i, p_j>, built in the Gram
-        matrix's own array."""
+        matrix's own array row strip by row strip. numpy forms ``P @ P.T`` as
+        one triangle mirrored onto the other, so the Gram matrix, and with it
+        the result, is exactly symmetric."""
         g = self.points @ self.points.T
         sq_norms = np.diag(g).copy()
-
-        def distances(block, r, c):
+        for r in row_strips(self.n):
+            block = g[r]
             block *= 2.0
-            np.subtract(sq_norms[r, None] + sq_norms[c], block, out=block)
-            if r == c:
-                np.fill_diagonal(block, 0.0)
+            np.subtract(sq_norms[r, None] + sq_norms, block, out=block)
             np.maximum(block, 0.0, out=block)
             np.sqrt(block, out=block)
-
-        return symmetrize_map(g, distances)
+        np.fill_diagonal(g, 0.0)
+        return g
 
 
 @dataclass(frozen=True)

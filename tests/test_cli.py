@@ -289,6 +289,26 @@ class TestErrorHandling:
         assert dispatch(["mc-run", "--config", str(bad),
                          "--out", str(tmp_path / "o.json")]) == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["mc-run", "diagnose"])
+    def test_thread_count_below_1_exit_1(self, tmp_path, capsys, command, threads):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "o.json"
+        assert dispatch([command, "--config", str(cfg), "--threads", threads,
+                         "--out", str(out)]) == 1
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mc-run", "diagnose"])
+    def test_env_thread_count_below_1_exit_1(self, tmp_path, capsys, monkeypatch,
+                                             command):
+        monkeypatch.setenv("MDSCLT_THREADS", "0")
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "o.json"
+        assert dispatch([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "MDSCLT_THREADS must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deficient_embed_exit_1(self, tmp_path):
         # collinear points: second eigenvalue nonpositive
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])

@@ -203,23 +203,6 @@ class TestDecompose:
             clt.decompose(b, b, 2)
 
 
-class TestGrowthCheck:
-    def test_zero(self):
-        out = clt.growth_check(SymmetricMatrix(np.zeros((10, 10)), hollow=True))
-        assert not out["ok"]
-
-    def test_triangle_1000(self, triangle):
-        cloud = pointmodel.sample(triangle, 1000, seed=1)
-        D = SymmetricMatrix(cloud.distance_matrix(), hollow=True)
-        assert clt.growth_check(D)["ok"]
-
-    def test_tiny_cloud_advisory(self):
-        d = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0],
-                      [1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]])
-        out = clt.growth_check(SymmetricMatrix(d, hollow=True))
-        assert not out["ok"]  # advisory only; nothing raised
-
-
 class TestBoundChecks:
     def test_zero_noise_ratios(self, triangle):
         noise = NoiseSpec("model2", law=NoiseLaw("uniform", a=0.0))
@@ -244,6 +227,9 @@ class TestBoundChecks:
         for replicates in (0, -1):
             with pytest.raises(ValueError, match="at least 1 replicate"):
                 clt.bound_checks(triangle, uniform4, [50, 100, 200], replicates, 0)
+        for threads in (0, -2):
+            with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+                clt.bound_checks(triangle, uniform4, [50, 100, 200], 2, 0, threads=threads)
 
     def test_reports_all_ratios(self, triangle, uniform4):
         out = clt.bound_checks(triangle, uniform4, [50, 100, 200],

@@ -35,6 +35,9 @@ class TestExperimentConfig:
         for d in (1, 3):
             with pytest.raises(ValueError, match="must equal the dimension 2"):
                 small_config(triangle, uniform4, d=d)
+        for threads in (0, -2):
+            with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+                small_config(triangle, uniform4, threads=threads)
         # model-1 noise has no dissimilarities for raw stress to fit
         for noise in (NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.0)),
                       NoiseSpec("model1_hetero", sigma_fn=lambda i, j: 1.0)):

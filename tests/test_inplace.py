@@ -1,7 +1,10 @@
 """The in-place n x n stages (distances, noise fill, double centering) give
-the same bits as their plain out-of-place expressions, and a replicate, a
-diagnose cell and the decomposition check stay within a fixed number of
-n x n matrices of memory."""
+the same bits as their plain out-of-place expressions, whether they run as
+one row strip or many, and a replicate, a diagnose cell and the
+decomposition check stay within a fixed number of n x n matrices of memory.
+The distance and centering strips read no transposed entry: they rely on the
+Gram matrix ``P @ P.T`` being exactly symmetric, which is pinned here too, as
+is the block-wise upper-to-lower mirror of the noise fill."""
 
 import tracemalloc
 
@@ -79,10 +82,12 @@ def same_bits(a, b):
 
 @pytest.fixture(params=["default", "small"])
 def blocking(request, monkeypatch):
-    """Default block and chunk sizes, and small ones that split n=300 into
-    many ragged blocks and row chunks."""
+    """Default block, strip and chunk sizes, and small ones that split n=300
+    into many ragged blocks, row strips (13 of 23 rows and a last one of one
+    row) and row chunks."""
     if request.param == "small":
         monkeypatch.setattr(matrixcore, "_BLOCK", 48)
+        monkeypatch.setattr(matrixcore, "_STRIP", 7000)
         monkeypatch.setattr(noise, "_CHUNK", 1000)
 
 
@@ -91,8 +96,23 @@ def cloud(request):
     return pointmodel.sample(CLOUDS[request.param], N, seed=3)
 
 
+@pytest.mark.parametrize("n", [3, 257, N])
+@pytest.mark.parametrize("dist", [*CLOUDS.values(), pointmodel.triangle_345()],
+                         ids=[*CLOUDS, "mixture"])
+def test_gram_matrix_exactly_symmetric(dist, n):
+    # sample needs n >= d + 2 = 4, so n = 3 takes the first rows of n = 4
+    points = pointmodel.sample(dist, max(n, 4), seed=3).points[:n]
+    g = points @ points.T
+    assert same_bits(g, g.T.copy())
+
+
 def test_distance_matrix_pin(cloud, blocking):
     assert same_bits(cloud.distance_matrix(), ref_distance_matrix(cloud.points))
+
+
+def test_mirror_upper_pin(blocking):
+    a = np.random.default_rng(8).standard_normal((N, N))
+    assert same_bits(matrixcore.mirror_upper(a.copy()), np.triu(a) + np.triu(a, 1).T)
 
 
 @pytest.mark.parametrize("spec", NOISES, ids=lambda s: s.variant)
