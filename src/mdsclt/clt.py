@@ -13,8 +13,9 @@ import numpy as np
 
 from . import noise as noisemod
 from . import pointmodel
-from .matrixcore import (MAX_SUPPORTED_N, ConvergenceError, SymmetricMatrix,
-                         blas_threads, double_center, norms, svd_small, top_eigs)
+from .matrixcore import (DENSE_EIG_CUTOFF, MAX_SUPPORTED_N, ConvergenceError,
+                         SymmetricMatrix, blas_threads, double_center, norms,
+                         svd_small, top_eigs)
 
 
 def check_sizes(spec: pointmodel.DistributionSpec, n_values) -> None:
@@ -59,16 +60,20 @@ def centered_pair(distribution: pointmodel.DistributionSpec,
     return cloud, B, double_center(out["delta_sq"], overwrite=True)
 
 
-def run_replicates(fn, replicates: int, threads: int):
+def run_replicates(fn, replicates: int, threads: int, n: int):
     """Call ``fn(r)`` for r = 0 .. replicates - 1 on ``threads`` workers, each
     with one BLAS thread; with fewer replicates than threads, one worker per
-    replicate shares the threads out as BLAS threads. Returns (results,
-    errors), both indexed by r: a replicate that fails numerically has result
-    None and its reason in errors; the others have error None.
+    replicate shares the threads out as BLAS threads when the replicates'
+    matrices are n x n with n above ``DENSE_EIG_CUTOFF``. The dense
+    eigensolve at or below it gives other bits on other BLAS thread counts,
+    so there each worker keeps one. Returns (results, errors), both indexed
+    by r: a replicate that fails numerically has result None and its reason
+    in errors; the others have error None.
     """
     results = [None] * replicates
     errors = [None] * replicates
     workers = max(1, min(threads, replicates))
+    blas = max(1, threads // workers) if n > DENSE_EIG_CUTOFF else 1
 
     def work(r):
         # ValueError covers DeficientEmbeddingError and np.linalg.LinAlgError
@@ -77,7 +82,7 @@ def run_replicates(fn, replicates: int, threads: int):
         except (ValueError, ConvergenceError) as exc:
             errors[r] = f"{type(exc).__name__}: {exc}"
 
-    with blas_threads(max(1, threads // workers)):
+    with blas_threads(blas):
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(work, range(replicates)))
@@ -212,7 +217,7 @@ def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int,
     n = B.n
     pb = top_eigs(B, d)
     ph = top_eigs(B_hat, d)
-    if pb.values[-1] <= 0 or ph.values[-1] <= 0:
+    if pb.values[-1] <= pb.floor or ph.values[-1] <= ph.floor:
         raise ValueError("decomposition requires positive top-d eigenvalues")
     ub, sb = pb.vectors, pb.values
     uh, sh = ph.vectors, ph.values
@@ -310,7 +315,7 @@ def bound_checks(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
     errors = []
     for n in n_grid:
         results, reasons = run_replicates(
-            lambda r: _bound_cell(spec, noise, n, seed, r, d), replicates, threads)
+            lambda r: _bound_cell(spec, noise, n, seed, r, d), replicates, threads, n)
         errors += [(n, r, e) for r, e in enumerate(reasons) if e is not None]
         cells = [c for c in results if c is not None]
         for i, name in enumerate(RATIO_NAMES):

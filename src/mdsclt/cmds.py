@@ -11,8 +11,9 @@ from .matrixcore import SymmetricMatrix, double_center, top_eigs
 
 
 class DeficientEmbeddingError(ValueError):
-    """Requested dimension reaches a non-positive eigenvalue of the centered
-    matrix; the embedding dimension is likely mis-chosen."""
+    """Requested dimension reaches an eigenvalue of the centered matrix that
+    is not positive beyond roundoff; the embedding dimension is likely
+    mis-chosen."""
 
 
 @dataclass(frozen=True)
@@ -35,19 +36,20 @@ def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False,
 
     The configuration is U S^{1/2} from the top-d eigenpairs of the double
     centering of ``delta_sq`` (in ``delta_sq``'s own array with
-    ``overwrite``). Non-positive eigenvalues among the top d are an error
-    unless ``allow_deficient``, in which case those columns are zero-filled
-    and the embedding flagged.
+    ``overwrite``). Eigenvalues among the top d that are not positive beyond
+    roundoff (``SpectralPair.floor``) are an error unless ``allow_deficient``,
+    in which case those columns are zero-filled (roundoff-scale where the
+    eigenvalue is a tiny positive one) and the embedding flagged.
     """
     n = delta_sq.n
     if not 1 <= d <= n - 1:
         raise ValueError(f"embedding dimension d={d} must satisfy 1 <= d <= n-1")
     pair = top_eigs(double_center(delta_sq, overwrite=overwrite), d)
     vals = pair.values
-    deficient = bool(vals[-1] <= 0)
+    deficient = bool(vals[-1] <= pair.floor)
     if deficient and not allow_deficient:
         raise DeficientEmbeddingError(
-            f"eigenvalue {d} of the centered matrix is {vals[-1]:.3e} <= 0"
+            f"eigenvalue {d} of the centered matrix is {vals[-1]:.3e} <= {pair.floor:.3g}"
         )
     config = pair.vectors * np.sqrt(np.maximum(vals, 0.0))
     return Embedding(config=config, eigenvalues=vals,

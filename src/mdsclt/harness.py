@@ -173,7 +173,7 @@ def run(cfg: ExperimentConfig) -> McReport:
     for n in cfg.n_list:
         results = None  # free the last n's results before this n's replicates run
         results, errors = clt.run_replicates(lambda r: _one_replicate(cfg, n, r),
-                                             cfg.replicates, cfg.threads)
+                                             cfg.replicates, cfg.threads, n)
         ok = [r for r, res in enumerate(results) if res is not None]
         failed = cfg.replicates - len(ok)
         reasons = [(r, e) for r, e in enumerate(errors) if e is not None]

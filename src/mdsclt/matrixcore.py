@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
-# Dense full decomposition below this size; iterative solver above.
+# Dense solve for the k top eigenpairs up to this size; iterative solver above.
 DENSE_EIG_CUTOFF = 256
 # Largest n a simulation (experiment config or diagnostics grid) may request.
 MAX_SUPPORTED_N = 10000
@@ -107,6 +108,12 @@ class SpectralPair:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=float))
 
+    @property
+    def floor(self) -> float:
+        """n eps |lambda_1|: a returned eigenvalue at or below it is zero up to
+        the roundoff of the solve."""
+        return self.vectors.shape[0] * np.finfo(float).eps * abs(float(self.values[0]))
+
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     v = vectors.copy()
@@ -181,7 +188,7 @@ def _lanczos(a: np.ndarray, k: int, which: str, vectors: bool = True):
 
     The start vector is fixed by n, so the output does not depend on earlier
     calls or on the calling thread; the iteration cap is 10n. ARPACK cannot
-    start on an all-zero matrix, which gets the full dense decomposition.
+    start on an all-zero matrix, which gets the dense top-k solve.
     """
     n = a.shape[0]
     v0 = np.random.default_rng(n).uniform(-1.0, 1.0, n)
@@ -195,20 +202,30 @@ def _lanczos(a: np.ndarray, k: int, which: str, vectors: bool = True):
     except spla.ArpackError:
         if a.any():
             raise
-        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+        return _dense_top(a, k, vectors)
+
+
+def _dense_top(a: np.ndarray, k: int, vectors: bool = True):
+    """The k algebraically largest eigenvalues of the symmetric array ``a``,
+    ascending (with eigenvectors if ``vectors``), from LAPACK's ``?syevr``,
+    which solves for that index range alone."""
+    n = a.shape[0]
+    return scipy.linalg.eigh(a, subset_by_index=[n - k, n - 1], eigvals_only=not vectors)
 
 
 def top_eigs(m: SymmetricMatrix, k: int) -> SpectralPair:
     """Return the k algebraically largest eigenpairs of ``m``.
 
-    Uses a full dense decomposition for small matrices and ARPACK (start
-    vector fixed by n, iteration cap 10n) for large ones requesting few pairs.
+    Small matrices, and requests for k >= n - 1 pairs, get a dense solve for
+    those k pairs only (not all n); large ones requesting few pairs get
+    ARPACK (start vector fixed by n, iteration cap 10n). The dense solve is
+    bit-stable across runs but not across BLAS thread counts.
     """
     n = m.n
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     if n <= DENSE_EIG_CUTOFF or k >= n - 1:
-        w, v = np.linalg.eigh(m.data)
+        w, v = _dense_top(m.data, k)
     else:
         w, v = _lanczos(m.data, k, "LA")
     order = np.argsort(w)[::-1][:k]

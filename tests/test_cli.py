@@ -198,6 +198,18 @@ class TestMcRun:
                   "--threads", "3"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("n", [200, 256])
+    def test_thread_count_does_not_change_dense_output(self, tmp_path, n):
+        """At or below the dense cutoff, fewer replicates than threads keep
+        one BLAS thread per worker: the dense eigensolve gives other bits on
+        other BLAS thread counts."""
+        cfg = write_config(tmp_path / "cfg.json", n_list=(n,), replicates=2)
+        outs = [tmp_path / "r1.json", tmp_path / "r4.json"]
+        for out, threads in zip(outs, ("1", "4")):
+            assert dispatch(["mc-run", "--config", str(cfg), "--out", str(out),
+                             "--threads", threads]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_samples_dir(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", replicates=2)
         out = tmp_path / "r.json"

@@ -93,6 +93,17 @@ class TestEmbed:
         # roundoff-scale for eigenvalues that are numerically ~ 0
         assert np.abs(e.config[:, 1:]).max() <= 1e-6
 
+    def test_collinear_roundoff_eigenvalue_is_deficient(self):
+        """Distances that went through a square root leave lambda_2 of four
+        collinear points at a roundoff value (+2e-16 here), which is
+        deficient whatever its sign."""
+        pts = np.array([0.0, 1.0, 2.0, 3.0])
+        m = SymmetricMatrix(np.sqrt((pts[:, None] - pts[None, :]) ** 2) ** 2,
+                            hollow=True)
+        with pytest.raises(DeficientEmbeddingError, match="eigenvalue 2 "):
+            embed(m, 2)
+        assert embed(m, 2, allow_deficient=True).deficient
+
     def test_d_out_of_range(self):
         dsq = delta_sq_of(TRIANGLE)
         with pytest.raises(ValueError):

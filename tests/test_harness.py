@@ -231,12 +231,16 @@ class TestBlasThreads:
         (1, 1, 1), (1, 2, 2), (2, 2, 1), (3, 2, 1), (2, 5, 2)])
     def test_spare_threads_go_to_blas(self, replicates, threads, want):
         """Workers x BLAS threads stay within the thread budget, and a budget
-        beyond one worker per replicate goes to BLAS."""
-        with matrixcore.blas_threads(3):
-            results, _ = harness.clt.run_replicates(lambda r: blas_counts(),
-                                                    replicates, threads)
-            assert blas_counts() == [3] * len(blas_counts())
-        assert results == [[want] * len(blas_counts())] * replicates
+        beyond one worker per replicate goes to BLAS above the dense cutoff;
+        at or below it, where the dense eigensolve's bits depend on the BLAS
+        thread count, every worker keeps one."""
+        cutoff = matrixcore.DENSE_EIG_CUTOFF
+        for n, expect in ((cutoff + 1, want), (cutoff, 1)):
+            with matrixcore.blas_threads(3):
+                results, _ = harness.clt.run_replicates(lambda r: blas_counts(),
+                                                        replicates, threads, n)
+                assert blas_counts() == [3] * len(blas_counts())
+            assert results == [[expect] * len(blas_counts())] * replicates
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_restored_when_a_replicate_raises(self, triangle, uniform4,

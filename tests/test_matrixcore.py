@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mdsclt.matrixcore import (SymmetricMatrix, double_center, norms,
+from mdsclt.matrixcore import (SymmetricMatrix, _fix_signs, double_center, norms,
                                read_matrix_csv, svd_small, top_eigs)
 
 
@@ -170,6 +170,26 @@ class TestTopEigs:
         p2 = top_eigs(m, 3)
         assert np.array_equal(p1.values, p2.values)
         assert np.array_equal(p1.vectors, p2.vectors)
+
+    @pytest.mark.parametrize("n", [3, 60, 256])
+    @pytest.mark.parametrize("k", [1, 2, "n-1"])
+    def test_dense_matches_full_decomposition(self, rng, n, k):
+        """The dense top-k solve agrees with the top k of a full eigh: values
+        within 1e-12 ||m||, and vectors after the sign fix within 1e-10
+        wherever the eigenvalue is 1e-4 ||m|| away from its neighbours."""
+        k = n - 1 if k == "n-1" else k
+        a = rng.standard_normal((n, n))
+        m = SymmetricMatrix(a + a.T)
+        pair = top_eigs(m, k)
+        w, v = np.linalg.eigh(m.data)
+        scale = np.abs(w).max()
+        assert np.abs(pair.values - w[::-1][:k]).max() <= 1e-12 * scale
+        want = _fix_signs(np.ascontiguousarray(v[:, ::-1][:, :k]))
+        gaps = np.diff(w)[::-1]  # gap below each eigenvalue, descending order
+        apart = np.minimum(np.append(np.inf, gaps)[:k], np.append(gaps, np.inf)[:k])
+        keep = apart > 1e-4 * scale
+        assert keep.sum() >= k // 2
+        assert np.abs(pair.vectors[:, keep] - want[:, keep]).max(initial=0.0) <= 1e-10
 
     def test_zero_matrix_above_cutoff_gets_dense_answer(self):
         """The iterative solver cannot start on an all-zero matrix; it gives
