@@ -251,6 +251,10 @@ def _cmd_mc_run(args) -> int:
     for block in report.per_n:
         for r, reason in block["errors"]:
             print(f"n={block['n']} replicate {r} failed: {reason}", file=sys.stderr)
+        check = block.get("diagnostics", {}).get("decomposition", {})
+        if "error" in check:
+            print(f"n={block['n']} decomposition check failed: {check['error']}",
+                  file=sys.stderr)
     _write_json(args.out, report.to_json())
     if args.samples_dir:
         os.makedirs(args.samples_dir, exist_ok=True)

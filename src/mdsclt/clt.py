@@ -203,6 +203,18 @@ def procrustes_residual(u_b: np.ndarray, u_hat: np.ndarray) -> float:
     return float(np.linalg.norm(m - w1 @ w2.T, 2))
 
 
+def _positive_top(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int) -> tuple:
+    """The top-d eigenpairs of B and of B_hat. Raises ValueError when either
+    d-th eigenvalue is at or below its roundoff floor, the rule by which
+    ``cmds.embed`` calls an embedding deficient."""
+    pb = top_eigs(B, d)
+    ph = top_eigs(B_hat, d)
+    if pb.values[-1] <= pb.floor or ph.values[-1] <= ph.floor:
+        raise ValueError(f"the top-{d} eigenvalues of B and B_hat must be positive; "
+                         f"eigenvalue {d} is {pb.values[-1]:.3e} and {ph.values[-1]:.3e}")
+    return pb, ph
+
+
 def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int,
               overwrite: bool = False) -> DecompositionReport:
     """Evaluate the six-term identity for X_hat - U S^{1/2} W*.
@@ -215,10 +227,7 @@ def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int,
     if B.n != B_hat.n:
         raise ValueError("matrices must have matching dimension")
     n = B.n
-    pb = top_eigs(B, d)
-    ph = top_eigs(B_hat, d)
-    if pb.values[-1] <= pb.floor or ph.values[-1] <= ph.floor:
-        raise ValueError("decomposition requires positive top-d eigenvalues")
+    pb, ph = _positive_top(B, B_hat, d)
     ub, sb = pb.vectors, pb.values
     uh, sh = ph.vectors, ph.values
     res = align(ub, uh, full=True)
@@ -260,11 +269,11 @@ def _bound_cell(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
                 n: int, seed: int, r: int, d: int) -> tuple:
     """The ratios of one (n, replicate) cell, in ``RATIO_NAMES`` order. B_hat - B
     is built in B_hat's array after both eigensolves, so the cell holds two
-    n x n matrices."""
+    n x n matrices. A cell whose B or B_hat has a d-th eigenvalue at or below
+    its roundoff floor raises ValueError, as ``decompose`` does."""
     cloud, B, B_hat = centered_pair(spec, noise, n, seed, r)
     logn = np.log(n)
-    pb = top_eigs(B, d)
-    ph = top_eigs(B_hat, d)
+    pb, ph = _positive_top(B, B_hat, d)
     diff = B_hat.data
     diff.setflags(write=True)
     diff -= B.data
@@ -272,8 +281,8 @@ def _bound_cell(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
 
     wstar = align(pb.vectors, ph.vectors)
     sb, sh = np.diag(pb.values), np.diag(ph.values)
-    sb_h = np.diag(np.sqrt(np.maximum(pb.values, 0.0)))
-    sh_h = np.diag(np.sqrt(np.maximum(ph.values, 0.0)))
+    sb_h = np.diag(np.sqrt(pb.values))
+    sh_h = np.diag(np.sqrt(ph.values))
     x_hat = ph.vectors @ sh_h
     centered = noise.center_scale * (cloud.points - cloud.points.mean(axis=0))
     w_n = align(x_hat, centered)

@@ -157,9 +157,11 @@ def run(cfg: ExperimentConfig) -> McReport:
 
     Deterministic for a given config regardless of thread count: replicate
     seeds are derived independently and aggregation is replicate-ordered.
-    The replicates run on ``cfg.threads`` workers with one BLAS thread each.
-    A replicate that fails numerically is counted in its n's ``failed`` and
-    listed with its reason in ``errors``.
+    The replicates run on ``cfg.threads`` workers with one BLAS thread each,
+    and the decomposition check runs as one more replicate under the same
+    rule. A replicate that fails numerically is counted in its n's ``failed``
+    and listed with its reason in ``errors``; a failed decomposition check
+    reports ``{"error": reason}`` in place of its summary.
     """
     theory = _theory_for(cfg)
     scale = cfg.noise.center_scale
@@ -220,7 +222,9 @@ def run(cfg: ExperimentConfig) -> McReport:
                 designated_cov=des_cov, cov_entry_variances=cov_var,
                 theoretical_cov=theo, normality=normality, count=len(pooled)))
         if cfg.checks.get("decomposition"):
-            block["diagnostics"] = {"decomposition": _decomposition_summary(cfg, n)}
+            (summary,), (error,) = clt.run_replicates(
+                lambda r: _decomposition_summary(cfg, n), 1, cfg.threads, n)
+            block["diagnostics"] = {"decomposition": summary or {"error": error}}
     return McReport(config=cfg.to_json(), per_n=per_n,
                     center_scale=cfg.noise.center_scale, invalid=invalid)
 

@@ -30,6 +30,8 @@ DENSE_EIG_CUTOFF = 256
 # Largest n a simulation (experiment config or diagnostics grid) may request.
 MAX_SUPPORTED_N = 10000
 DEGENERATE_GAP_RTOL = 1e-10
+# Relative residual at which an eigenvalue-only Lanczos solve stops (``_lanczos``).
+_VALUE_TOL = float(np.sqrt(np.finfo(float).eps))
 # Side of the square blocks in which ``mirror_upper`` copies the upper triangle.
 _BLOCK = 256
 # Entries per row strip of the in-place n x n passes: n <= 256 is one strip.
@@ -189,11 +191,21 @@ def _lanczos(a: np.ndarray, k: int, which: str, vectors: bool = True):
     The start vector is fixed by n, so the output does not depend on earlier
     calls or on the calling thread; the iteration cap is 10n. ARPACK cannot
     start on an all-zero matrix, which gets the dense top-k solve.
+
+    A solve with eigenvectors runs to machine precision (ARPACK's tol=0). An
+    eigenvalue-only solve stops once each wanted Ritz residual ||r|| is at
+    most sqrt(eps) |theta| (``_VALUE_TOL``), at about half the matvecs. A
+    Ritz value's error is at most ||r||^2 / gap, the gap being its distance
+    to the rest of the spectrum: eps |theta| times |theta| / gap, so the
+    value keeps near full precision unless the wanted eigenvalue has
+    neighbours within sqrt(eps) |theta|. Then the bound is ||r|| itself,
+    sqrt(eps) |theta|.
     """
     n = a.shape[0]
     v0 = np.random.default_rng(n).uniform(-1.0, 1.0, n)
     try:
         return spla.eigsh(a, k=k, which=which, maxiter=10 * n, v0=v0,
+                          tol=0.0 if vectors else _VALUE_TOL,
                           return_eigenvectors=vectors)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
@@ -295,7 +307,10 @@ def svd_small(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def norms(m: SymmetricMatrix) -> float:
     """Spectral norm of ``m``: its largest |eigenvalue|, from one extremal
-    eigenvalue above ``DENSE_EIG_CUTOFF``."""
+    eigenvalue above ``DENSE_EIG_CUTOFF``. That eigenvalue-only Lanczos solve
+    stops at a sqrt(eps) relative residual (see ``_lanczos``): the value is
+    within about eps of the norm, relative, unless the top |eigenvalues|
+    cluster within sqrt(eps), where it is within sqrt(eps)."""
     if m.n <= DENSE_EIG_CUTOFF:
         w = np.linalg.eigvalsh(m.data)
     else:

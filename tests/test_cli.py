@@ -416,6 +416,29 @@ class TestErrorHandling:
             assert meds[1] == float(np.median([c[i] for c in kept]))
             assert meds[::2] == full["ratios"][name]["median_per_n"][::2]
 
+    def test_failed_decomposition_check_reported_not_raised(self, tmp_path, capsys,
+                                                             monkeypatch):
+        """A decomposition check that fails at one n is named on stderr, and
+        the report carries its reason there and the other n's summary."""
+        decompose = clt.decompose
+
+        def deficient_at_60(B, B_hat, d, overwrite=False):
+            if B.n == 60:
+                raise ValueError("deficient")
+            return decompose(B, B_hat, d, overwrite)
+
+        monkeypatch.setattr(clt, "decompose", deficient_at_60)
+        cfg = write_config(tmp_path / "cfg.json", n_list=(60, 80),
+                           checks={"clt": False, "decomposition": True})
+        out = tmp_path / "r.json"
+        assert dispatch(["mc-run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "n=60 decomposition check failed: ValueError: deficient\n")
+        per_n = json.loads(out.read_text())["per_n"]
+        assert per_n[0]["diagnostics"] == {"decomposition": {"error": "ValueError: deficient"}}
+        assert per_n[1]["diagnostics"]["decomposition"]["identity_residual"] < 1e-7
+        assert [block["failed"] for block in per_n] == [0, 0]
+
     def test_diagnose_n_without_cells_exit_1(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "diag.json"

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mdsclt import clt, pointmodel
-from mdsclt.matrixcore import ConvergenceError, SymmetricMatrix, double_center
+from mdsclt.matrixcore import (ConvergenceError, SpectralPair, SymmetricMatrix,
+                               double_center)
 from mdsclt.noise import NoiseLaw, NoiseSpec, perturb
 from mdsclt.pointmodel import DistributionSpec
 
@@ -230,6 +231,41 @@ class TestBoundChecks:
         for threads in (0, -2):
             with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
                 clt.bound_checks(triangle, uniform4, [50, 100, 200], 2, 0, threads=threads)
+
+    def test_deficient_cell_counted_as_failed(self, triangle, uniform4, monkeypatch):
+        """A cell whose B_hat has a non-positive d-th eigenvalue fails with a
+        reason, and its n's medians come from the other cells."""
+        top_eigs = clt.top_eigs
+        cell = {}
+
+        def deficient_at_n50_r1(m, k):
+            pair = top_eigs(m, k)
+            if cell.get("id") == (50, 1) and m is cell.get("B_hat"):
+                return SpectralPair(np.append(pair.values[:-1], 0.0), pair.vectors)
+            return pair
+
+        centered_pair = clt.centered_pair
+
+        def recorded(spec, noise, n, seed, r):
+            out = centered_pair(spec, noise, n, seed, r)
+            cell.update(id=(n, r), B_hat=out[2])
+            return out
+
+        monkeypatch.setattr(clt, "top_eigs", deficient_at_n50_r1)
+        monkeypatch.setattr(clt, "centered_pair", recorded)
+        out = clt.bound_checks(triangle, uniform4, [50, 100, 200], replicates=3, seed=3)
+        [(n, r, reason)] = out["errors"]
+        assert (n, r) == (50, 1)
+        assert reason.startswith("ValueError: the top-2 eigenvalues of B and B_hat "
+                                 "must be positive; eigenvalue 2 is ")
+        assert reason.endswith(" and 0.000e+00")
+        monkeypatch.undo()
+        cells = [clt._bound_cell(triangle, uniform4, 50, 3, r, 2) for r in (0, 2)]
+        whole = clt.bound_checks(triangle, uniform4, [50, 100, 200], replicates=3, seed=3)
+        for i, name in enumerate(clt.RATIO_NAMES):
+            meds = out["ratios"][name]["median_per_n"]
+            assert meds[0] == float(np.median([c[i] for c in cells]))
+            assert meds[1:] == whole["ratios"][name]["median_per_n"][1:]
 
     def test_reports_all_ratios(self, triangle, uniform4):
         out = clt.bound_checks(triangle, uniform4, [50, 100, 200],

@@ -169,6 +169,37 @@ class TestRun:
         assert diag["identity_residual"] <= 1e-7
         assert len(diag["median_row_norms"]) == 6
 
+    @pytest.mark.parametrize("n", [200, 256])
+    def test_decomposition_check_ignores_caller_blas_threads(self, triangle,
+                                                             uniform4, n):
+        """Within the dense cutoff the check keeps one BLAS thread whatever
+        count the caller runs with, so its residual bits do not move."""
+        cfg = small_config(triangle, uniform4, n_list=(n,), replicates=2,
+                           checks={"clt": False, "decomposition": True})
+        seen = []
+        for count in (1, 2):
+            with matrixcore.blas_threads(count):
+                seen.append(run(cfg).per_n[0]["diagnostics"])
+        assert seen[0] == seen[1]
+
+    def test_failed_decomposition_check_reported(self, triangle, uniform4,
+                                                 monkeypatch):
+        """A numerical failure of the check becomes its reason in the report,
+        and the replicates' results stand."""
+        def diverged(cfg, n):
+            raise matrixcore.ConvergenceError("no convergence")
+
+        cfg = small_config(triangle, uniform4, n_list=(100, 120),
+                           checks={"clt": False, "decomposition": True})
+        plain = run(small_config(triangle, uniform4, n_list=(100, 120)))
+        monkeypatch.setattr(harness, "_decomposition_summary", diverged)
+        report = run(cfg)
+        for block, want in zip(report.per_n, plain.per_n):
+            assert block["diagnostics"] == {
+                "decomposition": {"error": "ConvergenceError: no convergence"}}
+            assert block["failed"] == 0
+            assert np.array_equal(block["deviations"], want["deviations"])
+
     def test_deviation_stack(self, triangle, uniform4):
         """Each n's block keeps the deviation rows of its successful
         replicates as one (replicates, n, d) array, with the row labels."""
@@ -204,8 +235,10 @@ class TestBlasThreads:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_blas_thread_per_worker_then_restored(self, triangle, uniform4,
                                                       monkeypatch, threads):
-        """Replicates see one BLAS thread; the decomposition check after them
-        sees the caller's count, which is also the count after the run."""
+        """Replicates see one BLAS thread. The decomposition check runs as one
+        more replicate on the same runner: one BLAS thread at n = 100, within
+        the dense cutoff, and the whole budget above it. The caller's count
+        is restored after the run."""
         seen = {cmds: [], harness.clt: []}
 
         def spy(module):
@@ -219,13 +252,13 @@ class TestBlasThreads:
         spy(cmds)
         spy(harness.clt)
         with matrixcore.blas_threads(2):
-            run(small_config(triangle, uniform4, threads=threads,
+            run(small_config(triangle, uniform4, threads=threads, n_list=(100, 300),
                              checks={"clt": False, "decomposition": True}))
             assert blas_counts() == [2] * len(blas_counts())
-        assert len(seen[cmds]) == 6
+        assert len(seen[cmds]) == 12
         assert all(c == [1] * len(c) for c in seen[cmds])
-        assert seen[harness.clt]
-        assert all(c == [2] * len(c) for c in seen[harness.clt])
+        width = len(blas_counts())
+        assert seen[harness.clt] == [[1] * width] * 2 + [[threads] * width] * 2
 
     @pytest.mark.parametrize("replicates, threads, want", [
         (1, 1, 1), (1, 2, 2), (2, 2, 1), (3, 2, 1), (2, 5, 2)])

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mdsclt.matrixcore import (SymmetricMatrix, _fix_signs, double_center, norms,
-                               read_matrix_csv, svd_small, top_eigs)
+from mdsclt import clt, matrixcore, pointmodel
+from mdsclt.matrixcore import (DENSE_EIG_CUTOFF, SymmetricMatrix, _fix_signs,
+                               double_center, norms, read_matrix_csv, svd_small,
+                               top_eigs)
+from mdsclt.noise import NoiseLaw, NoiseSpec
 
 
 def centered_gram(points):
@@ -277,6 +282,64 @@ class TestNorms:
 
     def test_zero_matrix_above_cutoff(self):
         assert norms(SymmetricMatrix(np.zeros((300, 300)))) == 0.0
+
+    @staticmethod
+    def diagnose_difference(n):
+        """B_hat - B of a diagnose cell: 3-4-5 mixture, Uniform(-4, 4) model 2."""
+        noise = NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))
+        _, B, B_hat = clt.centered_pair(pointmodel.triangle_345(), noise, n, 2018, 0)
+        return SymmetricMatrix.from_array(B_hat.data - B.data)
+
+    @staticmethod
+    def wigner(rng):
+        """Gapless spectrum filling [-2, 2], n = 400."""
+        a = rng.standard_normal((400, 400))
+        return SymmetricMatrix.from_array((a + a.T) / np.sqrt(2 * 800))
+
+    @staticmethod
+    def plus_minus_tie(rng):
+        """+2 and -2 at the top of the spectrum, n = 400."""
+        q, _ = np.linalg.qr(rng.standard_normal((400, 400)))
+        w = rng.uniform(-1.0, 1.0, 400)
+        w[:2] = 2.0, -2.0
+        return SymmetricMatrix.from_array((q * w) @ q.T)
+
+    @pytest.mark.parametrize("case", ["wigner", "diagnose_difference", "plus_minus_tie"])
+    def test_eigenvalue_only_solve_accuracy(self, rng, case):
+        """Above the dense cutoff the eigenvalue-only Lanczos solve stops at a
+        sqrt(eps) residual, and the norm still matches a dense solve to 1e-12."""
+        m = (self.diagnose_difference(500) if case == "diagnose_difference"
+             else getattr(self, case)(rng))
+        assert m.n > DENSE_EIG_CUTOFF
+        want = float(np.abs(scipy.linalg.eigvalsh(m.data)).max())
+        assert norms(m) == pytest.approx(want, rel=1e-12)
+
+    def test_eigenvalue_only_solve_saves_matvecs(self, monkeypatch):
+        """On B_hat - B at n = 1000 the sqrt(eps) stop takes at most 0.7x the
+        matvecs of a solve to machine precision (tol=0). The start vector is
+        fixed by n, so both counts repeat exactly."""
+        eigsh = spla.eigsh
+        calls = []
+
+        def counting_eigsh(a, *args, **kwargs):
+            op = spla.aslinearoperator(a)
+
+            def matvec(x):
+                calls[-1] += 1
+                return op.matvec(x)
+
+            calls.append(0)
+            counted = spla.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+            return eigsh(counted, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", counting_eigsh)
+        m = self.diagnose_difference(1000)
+        value = norms(m)
+        monkeypatch.setattr(matrixcore, "_VALUE_TOL", 0.0)
+        exact = norms(m)
+        assert len(calls) == 2
+        assert calls[0] <= 0.7 * calls[1]
+        assert value == pytest.approx(exact, rel=1e-12)
 
 
 finite_mats = arrays(np.float64, (4, 4),
