@@ -11,16 +11,16 @@ meant to keep reports unchanged can be checked by diffing the output.
 
 Cases: ``mc-run`` for each noise variant a JSON config can name, at n=60
 (dense eigensolver) and n=300 (iterative eigensolver, above the dense
-cutoff); ``mc-run`` on a Gaussian cloud at n=300 with model-2 noise, whose
-distance matrix, unlike a mixture's, has n distinct rows; ``mc-run`` with
+cutoff); ``mc-run`` on a Gaussian cloud at n=300 with model-2 noise and on
+a uniform-box cloud at n=300 with model-3 noise, whose distance matrices,
+unlike a mixture's, have n distinct rows and whose points are random draws;
+``mc-run`` with
 the raw-stress estimator, with the
 decomposition check, and with ``--samples-dir`` over n=60 and n=300 (one
 digest per samples CSV); ``diagnose`` with Uniform(-4, 4) noise and with zero
 noise, at n=100, 200 (dense) and 300 (iterative); ``perturb`` for each of
 the ``mc-run`` noise variants; and ``embed --sidecar`` of a noisy n=300
 matrix, whose sidecar scree comes from its own eigensolve.
-``model1_hetero`` takes a Python callable and has no JSON form, so its
-``perturb`` outputs are hashed through the library call instead.
 """
 
 import hashlib
@@ -32,11 +32,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-import numpy as np  # noqa: E402
-
-from mdsclt import noise, pointmodel  # noqa: E402
 from mdsclt.cli import dispatch  # noqa: E402
-from mdsclt.matrixcore import SymmetricMatrix  # noqa: E402
 
 TRIANGLE = {"point_mass_mixture": {
     "locations": [[-0.9, -2.0], [2.1, -2.0], [-0.9, 2.0]],
@@ -49,6 +45,7 @@ NOISES = {
 }
 GAUSSIAN = {"gaussian": {"mean": [0.5, -1.0],
                          "covariance": [[2.0, 0.3], [0.3, 1.0]]}}
+UNIFORM_BOX = {"uniform_box": {"lo": [-1.0, 0.0], "hi": [2.0, 1.0]}}
 # B_hat = B exactly: the spectral norm of an all-zero difference, on both
 # sides of the dense-eigensolver cutoff.
 ZERO_NOISE = {"model": "model2", "law": {"uniform": {"a": 0.0}}}
@@ -95,6 +92,8 @@ def cases(tmp) -> list:
     for name, cfg_json in (
             ("mc-run_gaussian_model2_n300", config(NOISES["model2"], [300],
                                                    distribution=GAUSSIAN)),
+            ("mc-run_uniform_box_model3_n300", config(NOISES["model3"], [300],
+                                                      distribution=UNIFORM_BOX)),
             ("mc-run_rawstress", config(NOISES["model2"], [60], replicates=2,
                                         estimator="rawstress")),
             ("mc-run_decomposition", config(NOISES["model3"], [60, 300],
@@ -148,15 +147,6 @@ def cases(tmp) -> list:
                              "--out", path(name, "config"),
                              "--sidecar", path(name, "sidecar")],
                  ["config", "sidecar"])
-
-    cloud = pointmodel.sample(pointmodel.triangle_345(), 80, 5)
-    D = SymmetricMatrix(cloud.distance_matrix(), hollow=True)
-    spec = noise.NoiseSpec("model1_hetero",
-                           sigma_fn=lambda i, j: 1.0 + 0.5 * ((i + j) % 2))
-    out = noise.perturb(D, spec, 9)
-    for label in ("delta_sq", "E"):
-        digest = hashlib.sha256(np.ascontiguousarray(out[label].data).tobytes())
-        lines.append(f"perturb_model1_hetero/{label} {digest.hexdigest()}")
     return lines
 
 

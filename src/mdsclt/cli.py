@@ -269,7 +269,7 @@ def _cmd_diagnose(args) -> int:
     cfg = _load_config(args.config, threads=_default_threads(args.threads))
     n_grid = [int(v) for v in args.n_grid.split(",")]
     table = clt.bound_checks(cfg.distribution, cfg.noise, n_grid,
-                             args.replicates, cfg.seed, d=cfg.d, threads=cfg.threads)
+                             args.replicates, cfg.seed, threads=cfg.threads)
     errors = table.pop("errors")
     for n, r, reason in errors:
         print(f"n={n} replicate {r} failed: {reason}", file=sys.stderr)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,23 +26,28 @@ def check_sizes(spec: pointmodel.DistributionSpec, n_values) -> None:
                              f"{MAX_SUPPORTED_N}] for dimension {spec.d}")
 
 
-def _replicate_seed(seed: int, n: int, r: int) -> int:
-    return int(np.random.SeedSequence([seed, n, r]).generate_state(1)[0])
+def _replicate_seeds(seed: int, n: int, r: int) -> tuple:
+    """(noise_seed, point_seed) of replicate r: the two words of
+    ``SeedSequence([seed, n, r])``, so the points and the noise of a replicate
+    come from independent streams."""
+    noise_seed, point_seed = np.random.SeedSequence([seed, n, r]).generate_state(2)
+    return int(noise_seed), int(point_seed)
 
 
 def simulate(distribution: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
              n: int, seed: int, r: int, keep=("D",) + noisemod.OUTPUTS):
     """Replicate r of an experiment keyed by (seed, n, r): sample n points,
-    form their distance matrix D, perturb it. Returns (cloud, D, perturbed).
+    form their distance matrix D, perturb it, with the seeds of
+    ``_replicate_seeds``. Returns (cloud, D, perturbed).
 
     Only the matrices named in ``keep`` are built; the others are None. Unless
     D is kept, the perturbed matrix is built in D's array, so a replicate
     holds about one n x n matrix.
     """
-    seed_r = _replicate_seed(seed, n, r)
-    cloud = pointmodel.sample(distribution, n, seed_r)
+    noise_seed, point_seed = _replicate_seeds(seed, n, r)
+    cloud = pointmodel.sample(distribution, n, point_seed)
     D = SymmetricMatrix._unchecked(cloud.distance_matrix(), hollow=True)
-    out = noisemod.perturb(D, noise, seed_r, keep, overwrite="D" not in keep)
+    out = noisemod.perturb(D, noise, noise_seed, keep, overwrite="D" not in keep)
     return cloud, (D if "D" in keep else None), out
 
 
@@ -119,76 +123,61 @@ class DecompositionReport:
 
     term_row_norms: list
     identity_residual: float
-    degenerate: bool
 
 
-def theory_cov(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
-               q_n: Optional[float] = None, z_list=None) -> TheoryCov:
+def theory_cov(spec: pointmodel.DistributionSpec,
+               noise: noisemod.NoiseSpec) -> TheoryCov:
     """Limiting covariance per evaluation location.
 
     Model 1: sigma^2/4 Xi^{-1}, location-free. Models 2 and 3: the weighted
-    second moment conjugated by Xi^{-1}, evaluated at each mixture location
-    (or at the supplied ``z_list`` for non-mixture distributions).
+    second moment conjugated by Xi^{-1} at each location of a point-mass
+    mixture; for other distributions ``pointmodel.sigma_tilde`` raises
+    ValueError.
     """
     mom = pointmodel.moments(spec)
     xi_inv = np.linalg.inv(mom.xi)
+    zs = spec.locations if spec.variant == "point_mass_mixture" else [None]
     if noise.squared_scale:
         sigma = noise.moments.sigma2 / 4.0 * xi_inv
-        zs = spec.locations if spec.variant == "point_mass_mixture" else [None]
         per_class = [{"z": z, "sigma": sigma} for z in zs]
         return TheoryCov(model=noise.variant, per_class=per_class, center_scale=1.0)
 
-    if noise.variant == "model3_mask" and q_n is not None:
-        noise = noisemod.NoiseSpec("model3_mask", q=q_n)
-    if z_list is None:
-        if spec.variant != "point_mass_mixture":
-            raise ValueError("z_list is required for non-mixture distributions")
-        z_list = list(spec.locations)
     per_class = []
-    for z in z_list:
-        st = pointmodel.sigma_tilde(spec, z, noise)["matrix"]
-        sigma = xi_inv @ st @ xi_inv
-        per_class.append({"z": np.asarray(z, float), "sigma": (sigma + sigma.T) / 2.0})
+    for z in zs:
+        sigma = xi_inv @ pointmodel.sigma_tilde(spec, z, noise) @ xi_inv
+        per_class.append({"z": z, "sigma": (sigma + sigma.T) / 2.0})
     return TheoryCov(model=noise.variant, per_class=per_class,
                      center_scale=noise.center_scale)
 
 
-def align(source, target, full: bool = False):
-    """Orthogonal W minimizing ||source W - target||_F (reflections allowed).
-
-    With ``full`` returns {"W", "degenerate"}; ``degenerate`` marks a
-    rank-deficient cross-product, for which the minimizer is non-unique.
-    """
+def align(source, target):
+    """Orthogonal W minimizing ||source W - target||_F (reflections allowed)."""
     source = np.asarray(source, float)
     target = np.asarray(target, float)
     if source.shape != target.shape:
         raise ValueError("source and target shapes must match")
-    w1, s, w2 = svd_small(source.T @ target)
-    w = w1 @ w2.T
-    if not full:
-        return w
-    degenerate = bool(s.min(initial=0.0) <= 1e-12 * max(s.max(initial=0.0), 1e-300))
-    return {"W": w, "degenerate": degenerate}
+    w1, _, w2 = svd_small(source.T @ target)
+    return w1 @ w2.T
 
 
-def rotation_match(emp, target, steps: int = 7200) -> dict:
+def rotation_match(emp, target) -> dict:
     """Best orthogonal conjugation of a 2x2 covariance onto a target.
 
-    Searches rotations (both reflection branches) minimizing the maximum
-    entrywise relative error of R emp R^T against ``target``. Used when two
-    covariances live in coordinate frames that differ by an unknown global
-    rotation of the underlying configuration.
+    Searches 7200 rotations (a 0.05 degree grid) on each reflection branch,
+    minimizing the maximum entrywise relative error of R emp R^T against
+    ``target``. Used when two covariances live in coordinate frames that
+    differ by an unknown global rotation of the underlying configuration.
     """
     emp = np.asarray(emp, float)
     target = np.asarray(target, float)
     if emp.shape != (2, 2) or target.shape != (2, 2):
         raise ValueError("rotation_match handles the planar case only")
     denom = np.maximum(np.abs(target), 1e-12)
-    th = np.linspace(0.0, 2.0 * np.pi, steps, endpoint=False)
+    th = np.linspace(0.0, 2.0 * np.pi, 7200, endpoint=False)
     c, s = np.cos(th), np.sin(th)
-    rot = np.stack([c, -s, s, c], axis=1).reshape(steps, 2, 2)
+    rot = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
     refl = np.array([np.diag([1.0, 1.0]), np.diag([1.0, -1.0])])
-    rs = (rot @ refl[:, None]).reshape(2 * steps, 2, 2)  # all of refl=1 first
+    rs = (rot @ refl[:, None]).reshape(-1, 2, 2)  # all of refl=1 first
     conj = rs @ emp @ rs.transpose(0, 2, 1)
     errs = (np.abs(conj - target) / denom).max(axis=(1, 2))
     best = int(np.argmin(errs))  # the first minimizer, as a strict-improvement scan
@@ -230,8 +219,7 @@ def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int,
     pb, ph = _positive_top(B, B_hat, d)
     ub, sb = pb.vectors, pb.values
     uh, sh = ph.vectors, ph.values
-    res = align(ub, uh, full=True)
-    wstar = res["W"]
+    wstar = align(ub, uh)
 
     diff = B_hat.data if overwrite else B_hat.data.copy()
     diff.setflags(write=True)
@@ -255,9 +243,7 @@ def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int,
     residual = float(np.linalg.norm(total - lhs, "fro")) / scale
     terms = [t1, t2, t3, t4, t5, t6]
     row_norms = [np.sqrt(n) * np.linalg.norm(t, axis=1) for t in terms]
-    return DecompositionReport(term_row_norms=row_norms,
-                               identity_residual=residual,
-                               degenerate=res["degenerate"])
+    return DecompositionReport(term_row_norms=row_norms, identity_residual=residual)
 
 
 RATIO_NAMES = ("b_perturbation", "procrustes_residual", "lambda_d_over_n",
@@ -266,14 +252,14 @@ RATIO_NAMES = ("b_perturbation", "procrustes_residual", "lambda_d_over_n",
 
 
 def _bound_cell(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
-                n: int, seed: int, r: int, d: int) -> tuple:
+                n: int, seed: int, r: int) -> tuple:
     """The ratios of one (n, replicate) cell, in ``RATIO_NAMES`` order. B_hat - B
     is built in B_hat's array after both eigensolves, so the cell holds two
     n x n matrices. A cell whose B or B_hat has a d-th eigenvalue at or below
     its roundoff floor raises ValueError, as ``decompose`` does."""
     cloud, B, B_hat = centered_pair(spec, noise, n, seed, r)
     logn = np.log(n)
-    pb, ph = _positive_top(B, B_hat, d)
+    pb, ph = _positive_top(B, B_hat, spec.d)
     diff = B_hat.data
     diff.setflags(write=True)
     diff -= B.data
@@ -298,8 +284,7 @@ def _bound_cell(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
 
 
 def bound_checks(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
-                 n_grid, replicates: int, seed: int, d: Optional[int] = None,
-                 threads: int = 1) -> dict:
+                 n_grid, replicates: int, seed: int, threads: int = 1) -> dict:
     """Empirical scaling ratios for the perturbation bounds.
 
     For each grid size the listed quantities are divided by their claimed
@@ -318,13 +303,11 @@ def bound_checks(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     check_sizes(spec, n_grid)
-    if d is None:
-        d = spec.d
     per_n = {name: [] for name in RATIO_NAMES}
     errors = []
     for n in n_grid:
         results, reasons = run_replicates(
-            lambda r: _bound_cell(spec, noise, n, seed, r, d), replicates, threads, n)
+            lambda r: _bound_cell(spec, noise, n, seed, r), replicates, threads, n)
         errors += [(n, r, e) for r, e in enumerate(reasons) if e is not None]
         cells = [c for c in results if c is not None]
         for i, name in enumerate(RATIO_NAMES):

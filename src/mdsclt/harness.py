@@ -16,9 +16,6 @@ import scipy.stats
 
 from . import clt, cmds, noise as noisemod, pointmodel, rawstress
 
-# The replicate-seed rule of clt.simulate, for code that keys its own runs alike.
-_replicate_seed = clt._replicate_seed
-
 # Asymptotic Kolmogorov critical value at the 1% level.
 KS_CRIT_1PCT = float(scipy.stats.kstwobign.isf(0.01))
 

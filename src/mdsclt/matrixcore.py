@@ -188,7 +188,8 @@ def _lanczos(a: np.ndarray, k: int, which: str, vectors: bool = True):
     """ARPACK's k eigenvalues of the symmetric array ``a`` selected by
     ``which`` (with eigenvectors if ``vectors``), in ``spla.eigsh``'s form.
 
-    The start vector is fixed by n, so the output does not depend on earlier
+    The start vector and the generator of ARPACK's restart vectors are
+    fixed by n, so neither the output nor the matvec count depends on earlier
     calls or on the calling thread; the iteration cap is 10n. ARPACK cannot
     start on an all-zero matrix, which gets the dense top-k solve.
 
@@ -206,7 +207,7 @@ def _lanczos(a: np.ndarray, k: int, which: str, vectors: bool = True):
     try:
         return spla.eigsh(a, k=k, which=which, maxiter=10 * n, v0=v0,
                           tol=0.0 if vectors else _VALUE_TOL,
-                          return_eigenvectors=vectors)
+                          return_eigenvectors=vectors, rng=np.random.default_rng(n))
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"eigensolver did not converge within {10 * n} iterations"

@@ -1,16 +1,16 @@
 """Perturbed dissimilarity matrices under three noise mechanisms.
 
 Model 1 adds noise to the squared distances, model 2 to the distances,
-model 3 masks entries Bernoulli(q). Two heteroscedastic variants support
-the bias experiments. ``perturb`` applies all five: every variant produces an
-exactly hollow, exactly symmetric noise matrix with independent
+model 3 masks entries Bernoulli(q). A heteroscedastic model-2 variant
+supports the bias experiments. ``perturb`` applies all four: every variant
+produces an exactly hollow, exactly symmetric noise matrix with independent
 upper-triangle entries mirrored below, and is deterministic given its seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,10 +22,7 @@ MODEL_ALIASES = {
     "model3": "model3_mask",
     "model2_hetero": "model2_hetero_uniform_scaled",
 }
-_VARIANTS = {
-    "model1_sq_additive", "model2_additive", "model3_mask",
-    "model1_hetero", "model2_hetero_uniform_scaled",
-}
+_VARIANTS = set(MODEL_ALIASES.values())
 
 
 @dataclass(frozen=True)
@@ -92,20 +89,11 @@ class NoiseLaw:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Tagged noise mechanism with the moment parameters it exposes.
-
-    ``sigma_fn`` gives model1_hetero's per-pair standard deviation. It is
-    called on integer index arrays ``(i, j)`` of upper-triangle pairs, one
-    chunk of rows at a time, and returns an array of their shape or a scalar
-    that broadcasts to it, e.g.
-    ``lambda i, j: 1.0 + 0.5 * ((i + j) % 2)``; it must be symmetric in
-    ``(i, j)``.
-    """
+    """Tagged noise mechanism with the moment parameters it exposes."""
 
     variant: str
     law: Optional[NoiseLaw] = None
     q: float = 1.0
-    sigma_fn: Optional[Callable] = None
 
     def __post_init__(self):
         variant = MODEL_ALIASES.get(self.variant, self.variant)
@@ -116,8 +104,6 @@ class NoiseSpec:
             raise ValueError(f"{variant} requires a scalar noise law")
         if variant == "model3_mask" and not 0.0 <= self.q <= 1.0:
             raise ValueError("q must be a probability")
-        if variant == "model1_hetero" and self.sigma_fn is None:
-            raise ValueError("model1_hetero requires sigma_fn")
 
     @property
     def moments(self) -> Moments:
@@ -127,8 +113,8 @@ class NoiseSpec:
 
     @property
     def squared_scale(self) -> bool:
-        """Model 1 variants perturb D^2 directly: there is no Delta."""
-        return self.variant.startswith("model1")
+        """Model 1 perturbs D^2 directly: there is no Delta."""
+        return self.variant == "model1_sq_additive"
 
     @property
     def center_scale(self) -> float:
@@ -169,32 +155,21 @@ def _upper_chunks(n: int):
         yield slice(i, i + step), cols > np.arange(i, min(i + step, n))[:, None]
 
 
-def _entries(spec: NoiseSpec, rng: np.random.Generator, d: np.ndarray,
-             rows: slice, mask: np.ndarray):
+def _entries(spec: NoiseSpec, rng: np.random.Generator, d: np.ndarray):
     """Draw the next ``d.size`` entries of the noise stream for the
-    upper-triangle distances ``d`` of ``rows``, selected by ``mask``. Returns
-    the perturbed entries (squared under model 1) and the entries of E."""
+    upper-triangle distances ``d``. Returns the perturbed entries (squared
+    under model 1) and the entries of E."""
     size = d.size
-    if spec.variant in ("model1_sq_additive", "model2_additive"):
-        e = spec.law.draw(rng, size)
-    elif spec.variant == "model1_hetero":
-        iu, ju = np.nonzero(mask)
-        iu += rows.start
-        sig = np.broadcast_to(np.asarray(spec.sigma_fn(iu, ju), float), iu.shape)
-        if np.any(sig != spec.sigma_fn(ju, iu)):
-            raise ValueError("sigma_fn must be symmetric in (i, j)")
-        e = sig * rng.standard_normal(size)
-    elif spec.variant == "model2_hetero_uniform_scaled":
+    if spec.variant == "model2_hetero_uniform_scaled":
         # E~_ij ~ Uniform(-D_ij, D_ij). As |E~| <= D, E = Delta - D is exact,
         # so D + E is Delta = the rounded D + E~ bit for bit, and >= 0.
         delta = d + rng.uniform(-1.0, 1.0, size) * d
-        return delta, delta - d
-    else:  # model3_mask
+    elif spec.variant == "model3_mask":
         delta = d * (rng.random(size) < spec.q).astype(float)
-        return delta, delta - d
-    if spec.squared_scale:
-        return d**2 + e, e
-    return d + e, e
+    else:
+        e = spec.law.draw(rng, size)
+        return (d**2 if spec.squared_scale else d) + e, e
+    return delta, delta - d
 
 
 def perturb(D: SymmetricMatrix, spec: NoiseSpec, seed: int, keep=OUTPUTS,
@@ -224,7 +199,7 @@ def perturb(D: SymmetricMatrix, spec: NoiseSpec, seed: int, keep=OUTPUTS,
         du = d[rows][mask]
         if np.any(du < 0):
             raise ValueError("distance matrix must be non-negative")
-        delta, e = _entries(spec, rng, du, rows, mask)
+        delta, e = _entries(spec, rng, du)
         m[rows][mask] = delta
         if E is not None:
             E[rows][mask] = e + 0.0  # a drawn -0.0 becomes 0.0

@@ -1,13 +1,14 @@
 """Latent point clouds and their population moments.
 
 Supports three generating distributions (finite point-mass mixture, Gaussian,
-uniform box), exact or Monte Carlo first/second moments, and the weighted
-second-moment matrix that the limiting-covariance formulas consume.
+uniform box), their closed-form first and second moments, and the weighted
+second-moment matrix that the model-2 and model-3 limiting-covariance
+formulas consume for point-mass mixtures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,11 +49,11 @@ class PointCloud:
         one triangle mirrored onto the other, so the Gram matrix, and with it
         the result, is exactly symmetric."""
         g = self.points @ self.points.T
-        sq_norms = np.diag(g).copy()
+        sqnorms = np.diag(g).copy()
         for r in row_strips(self.n):
             block = g[r]
             block *= 2.0
-            np.subtract(sq_norms[r, None] + sq_norms, block, out=block)
+            np.subtract(sqnorms[r, None] + sqnorms, block, out=block)
             np.maximum(block, 0.0, out=block)
             np.sqrt(block, out=block)
         np.fill_diagonal(g, 0.0)
@@ -130,7 +131,6 @@ class DistributionSpec:
 class PopulationMoments:
     mu: np.ndarray
     xi: np.ndarray  # covariance of the generating distribution
-    exact: bool
 
     @property
     def xi_min_eig(self) -> float:
@@ -191,7 +191,7 @@ def moments(spec: DistributionSpec) -> PopulationMoments:
     else:
         mu = (spec.lo + spec.hi) / 2.0
         xi = np.diag((spec.hi - spec.lo) ** 2 / 12.0)
-    m = PopulationMoments(mu=np.asarray(mu, float), xi=np.asarray(xi, float), exact=True)
+    m = PopulationMoments(mu=np.asarray(mu, float), xi=np.asarray(xi, float))
     if m.xi_min_eig <= 1e-12 * max(1.0, float(np.abs(m.xi).max())):
         raise ValueError(
             f"singular point covariance (min eigenvalue {m.xi_min_eig:.3e}); "
@@ -212,36 +212,20 @@ def _weight_fn(noise: NoiseSpec):
     )
 
 
-def sigma_tilde(spec: DistributionSpec, z, noise: NoiseSpec,
-                mc_draws: int = 200_000, seed: int = 0) -> dict:
-    """Distance-weighted centered second moment at location ``z``.
+def sigma_tilde(spec: DistributionSpec, z, noise: NoiseSpec) -> np.ndarray:
+    """Distance-weighted centered second moment at location ``z`` of a
+    point-mass mixture: the finite sum over its masses x of
+    pi_x w(|x - z|) (x - mu)(x - mu)^T.
 
-    The scalar weight is sigma^2 r^2 + gamma r + xi/4 - sigma^4/4 (model 2,
-    with r the distance from z) or (1-q)/4 r^4 (model 3). Exact finite sum
-    for point-mass mixtures; Monte Carlo otherwise, with the standard error
-    of the matrix entries reported.
+    The scalar weight w(r) is sigma^2 r^2 + gamma r + xi/4 - sigma^4/4
+    (model 2) or (1-q)/4 r^4 (model 3).
     """
-    z = np.asarray(z, dtype=float)
+    if spec.variant != "point_mass_mixture":
+        raise ValueError("the model-2 and model-3 limiting covariances are derived "
+                         f"for point-mass mixtures only, not {spec.variant!r}")
     w_of = _weight_fn(noise)
-    mom = moments(spec)
-    if spec.variant == "point_mass_mixture":
-        dev = spec.locations - mom.mu
-        r = np.linalg.norm(spec.locations - z, axis=1)
-        coeff = spec.weights * w_of(r)
-        s = (coeff[:, None] * dev).T @ dev
-        return {"matrix": (s + s.T) / 2.0, "exact": True, "std_error": 0.0,
-                "psd_projection_distance": 0.0}
-    draws = sample(spec, mc_draws, seed).points
-    dev = draws - mom.mu
-    coeff = w_of(np.linalg.norm(draws - z, axis=1))
-    terms = coeff[:, None, None] * dev[:, :, None] * dev[:, None, :]
-    s = terms.mean(axis=0)
-    s = (s + s.T) / 2.0
-    se = float(np.sqrt(terms.var(axis=0).max() / mc_draws))
-    w, v = np.linalg.eigh(s)
-    proj_dist = 0.0
-    if w.min() < 0:
-        proj_dist = float(np.sqrt((np.minimum(w, 0.0) ** 2).sum()))
-        s = (v * np.maximum(w, 0.0)) @ v.T
-    return {"matrix": s, "exact": False, "std_error": se,
-            "psd_projection_distance": proj_dist}
+    dev = spec.locations - moments(spec).mu
+    r = np.linalg.norm(spec.locations - np.asarray(z, dtype=float), axis=1)
+    coeff = spec.weights * w_of(r)
+    s = (coeff[:, None] * dev).T @ dev
+    return (s + s.T) / 2.0

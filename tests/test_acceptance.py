@@ -11,7 +11,7 @@ import pytest
 from mdsclt import clt, cmds, harness, pointmodel, rawstress
 from mdsclt.harness import ExperimentConfig
 from mdsclt.matrixcore import SymmetricMatrix, double_center
-from mdsclt.noise import NoiseLaw, NoiseSpec, perturb
+from mdsclt.noise import NoiseLaw, NoiseSpec
 
 TABLE_N1000 = np.array([[13.63, -2.70], [-2.70, 31.76]])
 TRIANGLE = pointmodel.triangle_345()
@@ -276,10 +276,7 @@ def test_criterion_8_raw_stress_comparison():
     worst_gap = 0.0
     monotone = True
     for r in range(5):
-        seed = harness._replicate_seed(88, n, r)
-        cloud = pointmodel.sample(TRIANGLE, n, seed)
-        out = perturb(SymmetricMatrix(cloud.distance_matrix(), hollow=True),
-                      UNIFORM4, seed)
+        cloud, _, out = clt.simulate(TRIANGLE, UNIFORM4, n, 88, r, keep=("delta",))
         state = rawstress.minimize_stress(out["delta"], 2, init="cmds")
         h = state.stress_history
         monotone = monotone and bool(

@@ -239,6 +239,17 @@ class TestTheoryCovAndDiagnose:
         assert len(tc["per_class"]) == 3
         assert tc["center_scale"] == 1.0
 
+    def test_theory_cov_gaussian_model2_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        obj = json.loads(cfg.read_text())
+        obj["distribution"] = {"gaussian": {"mean": [0.0, 0.0],
+                                            "covariance": [[1.0, 0.0], [0.0, 1.0]]}}
+        cfg.write_text(json.dumps(obj))
+        out = tmp_path / "tc.json"
+        assert dispatch(["theory-cov", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "point-mass mixtures" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diagnose_and_plot(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "diag.json"
@@ -398,7 +409,7 @@ class TestErrorHandling:
         n are taken over the other cells, and the other n are unchanged."""
         cfg = write_config(tmp_path / "cfg.json")
         exp = harness.ExperimentConfig.from_json(json.loads(cfg.read_text()))
-        kept = [clt._bound_cell(exp.distribution, exp.noise, 100, exp.seed, r, 2)
+        kept = [clt._bound_cell(exp.distribution, exp.noise, 100, exp.seed, r)
                 for r in (0, 2)]
         argv = ["diagnose", "--config", str(cfg), "--n-grid", "50,100,200",
                 "--replicates", "3", "--threads", threads, "--out"]

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from mdsclt import cli, cmds, harness, matrixcore, pointmodel
+from mdsclt import cli, clt, cmds, harness, matrixcore, pointmodel
 from mdsclt.harness import (ExperimentConfig, ellipse_points,
                             hetero_bias_experiment, normality_check, run)
 from mdsclt.noise import NoiseLaw, NoiseSpec
@@ -39,10 +39,9 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
                 small_config(triangle, uniform4, threads=threads)
         # model-1 noise has no dissimilarities for raw stress to fit
-        for noise in (NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.0)),
-                      NoiseSpec("model1_hetero", sigma_fn=lambda i, j: 1.0)):
-            with pytest.raises(ValueError, match="raw-stress"):
-                small_config(triangle, noise, estimator="rawstress")
+        with pytest.raises(ValueError, match="raw-stress"):
+            small_config(triangle, NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.0)),
+                         estimator="rawstress")
 
     def test_json_roundtrip(self, triangle, uniform4):
         cfg = small_config(triangle, uniform4)
@@ -143,6 +142,15 @@ class TestRun:
             assert c.empirical_cov.shape == (2, 2)
             assert np.allclose(c.empirical_cov, c.empirical_cov.T)
             assert c.theoretical_cov is not None
+
+    def test_non_mixture_model2_runs_without_theory(self, uniform4):
+        """The model-2 theory is for point-mass mixtures: a Gaussian cloud
+        still runs, as one class with no theoretical covariance."""
+        gauss = pointmodel.DistributionSpec(
+            "gaussian", mean=[0.0, 0.0], covariance=[[1.0, 0.0], [0.0, 1.0]])
+        [c] = run(small_config(gauss, uniform4)).per_n[0]["per_class"]
+        assert c.theoretical_cov is None and c.z is None
+        assert c.count == 6 * 100
 
     def test_model3_true_centers_scaled(self, triangle):
         report = run(small_config(triangle, NoiseSpec("model3", q=0.49),
@@ -374,6 +382,6 @@ class TestHeteroBias:
 
 
 def test_replicate_seed_distinct():
-    seeds = {harness._replicate_seed(7, n, r)
-             for n in (100, 200) for r in range(50)}
-    assert len(seeds) == 100
+    seeds = {s for n in (100, 200) for r in range(50)
+             for s in clt._replicate_seeds(7, n, r)}
+    assert len(seeds) == 200

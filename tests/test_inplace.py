@@ -24,7 +24,6 @@ CLOUDS = {
 }
 NOISES = [
     NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=2.0)),
-    NoiseSpec("model1_hetero", sigma_fn=lambda i, j: 1.0 + 0.5 * ((i + j) % 2)),
     NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0)),
     NoiseSpec("model2_hetero"),
     NoiseSpec("model3", q=0.49),
@@ -52,10 +51,6 @@ def ref_perturb(D, spec, seed):
     rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
     if spec.variant in ("model1_sq_additive", "model2_additive"):
         e = ref_sym_from_upper(n, spec.law.draw(rng, nupper))
-    elif spec.variant == "model1_hetero":
-        iu, ju = np.triu_indices(n, 1)
-        sig = np.broadcast_to(np.asarray(spec.sigma_fn(iu, ju), float), iu.shape)
-        e = ref_sym_from_upper(n, sig * rng.standard_normal(nupper))
     elif spec.variant == "model2_hetero_uniform_scaled":
         u = rng.uniform(-1.0, 1.0, nupper)
         e = (D + ref_sym_from_upper(n, u * D[np.triu_indices(n, 1)])) - D
@@ -154,8 +149,7 @@ def test_row_chunked_draws_equal_one_long_draw(draw):
     assert same_bits(np.concatenate(chunks), whole)
 
 
-@pytest.mark.parametrize("spec", [s for s in NOISES if s.variant != "model1_hetero"],
-                         ids=lambda s: s.variant)
+@pytest.mark.parametrize("spec", NOISES, ids=lambda s: s.variant)
 def test_replicate_peak_memory(spec):
     """One cmds replicate at n=2000 allocates at most 2.5 n x n matrices."""
     n = 2000
@@ -183,8 +177,7 @@ def test_decompose_in_place_same_bits(dist):
 
 
 @pytest.mark.parametrize("check", ["diagnose_cell", "decomposition"])
-@pytest.mark.parametrize("spec", [s for s in NOISES if s.variant != "model1_hetero"],
-                         ids=lambda s: s.variant)
+@pytest.mark.parametrize("spec", NOISES, ids=lambda s: s.variant)
 def test_two_matrix_checks_peak_memory(spec, check):
     """One diagnose cell and the decomposition check at n=2000 hold B and B_hat
     and allocate at most 2.5 n x n matrices."""

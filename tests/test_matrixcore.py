@@ -314,10 +314,10 @@ class TestNorms:
         want = float(np.abs(scipy.linalg.eigvalsh(m.data)).max())
         assert norms(m) == pytest.approx(want, rel=1e-12)
 
-    def test_eigenvalue_only_solve_saves_matvecs(self, monkeypatch):
-        """On B_hat - B at n = 1000 the sqrt(eps) stop takes at most 0.7x the
-        matvecs of a solve to machine precision (tol=0). The start vector is
-        fixed by n, so both counts repeat exactly."""
+    @pytest.fixture
+    def matvec_counts(self, monkeypatch):
+        """The matvec count of each ``spla.eigsh`` call, in call order, from a
+        counting LinearOperator around the matrix it is given."""
         eigsh = spla.eigsh
         calls = []
 
@@ -333,6 +333,13 @@ class TestNorms:
             return eigsh(counted, *args, **kwargs)
 
         monkeypatch.setattr(spla, "eigsh", counting_eigsh)
+        return calls
+
+    def test_eigenvalue_only_solve_saves_matvecs(self, monkeypatch, matvec_counts):
+        """On B_hat - B at n = 1000 the sqrt(eps) stop takes at most 0.7x the
+        matvecs of a solve to machine precision (tol=0). The start vector is
+        fixed by n, so both counts repeat exactly."""
+        calls = matvec_counts
         m = self.diagnose_difference(1000)
         value = norms(m)
         monkeypatch.setattr(matrixcore, "_VALUE_TOL", 0.0)
@@ -340,6 +347,18 @@ class TestNorms:
         assert len(calls) == 2
         assert calls[0] <= 0.7 * calls[1]
         assert value == pytest.approx(exact, rel=1e-12)
+
+    def test_restart_vectors_fixed_by_n(self, matvec_counts):
+        """The noiseless B of a diagnose cell has rank 2, so ARPACK's Krylov
+        space runs out and it draws restart vectors. They come from a
+        generator fixed by n: five solves in one process take the same number
+        of matvecs and return the same bits."""
+        noise = NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))
+        _, B, _ = clt.centered_pair(pointmodel.triangle_345(), noise, 500, 601, 0)
+        pairs = [top_eigs(B, 2) for _ in range(5)]
+        assert len(set(matvec_counts)) == 1, matvec_counts
+        assert all(np.array_equal(p.values, pairs[0].values)
+                   and np.array_equal(p.vectors, pairs[0].vectors) for p in pairs)
 
 
 finite_mats = arrays(np.float64, (4, 4),

@@ -73,9 +73,17 @@ class TestNoiseSpec:
         assert NoiseSpec.from_json(m3.to_json()) == m3
 
     def test_hetero_has_no_constant_moments(self):
-        spec = NoiseSpec("model1_hetero", sigma_fn=lambda i, j: 1.0)
+        spec = NoiseSpec("model2_hetero")
         with pytest.raises(ValueError):
             spec.moments
+
+    def test_model1_hetero_unknown(self):
+        """The squared-scale heteroscedastic variant is gone, by name and in
+        JSON."""
+        with pytest.raises(ValueError, match="unknown noise variant 'model1_hetero'"):
+            NoiseSpec("model1_hetero")
+        with pytest.raises(ValueError, match="unknown noise variant 'model1_hetero'"):
+            NoiseSpec.from_json({"model": "model1_hetero"})
 
 
 class TestPerturb:
@@ -129,8 +137,7 @@ class TestPerturb:
         specs = [NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.0)),
                  NoiseSpec("model2", law=NoiseLaw("uniform", a=2.0)),
                  NoiseSpec("model3", q=0.5),
-                 NoiseSpec("model2_hetero"),
-                 NoiseSpec("model1_hetero", sigma_fn=lambda i, j: 0.5)]
+                 NoiseSpec("model2_hetero")]
         for spec in specs:
             out = perturb(D, spec, seed=9)
             e = out["E"].data
@@ -211,52 +218,3 @@ class TestHeteroUniformScaled:
             assert len(grp) > 1000
             assert abs(grp.var() - dist**2 / 3.0) <= 0.1 * dist**2 / 3.0
 
-
-class TestHeteroModel1:
-    def test_zero_sigma_identity(self):
-        D = triangle_distance_matrix(30)
-        out = perturb(D, NoiseSpec("model1_hetero", sigma_fn=lambda i, j: 0.0),
-                      seed=0)["delta_sq"]
-        assert np.array_equal(out.data, D.data**2)
-
-    def test_constant_sigma_reduces_to_model1(self):
-        D = triangle_distance_matrix(30)
-        out = perturb(D, NoiseSpec("model1_hetero", sigma_fn=lambda i, j: 1.7),
-                      seed=5)["delta_sq"]
-        base = perturb(D, NoiseSpec("model1",
-                                    law=NoiseLaw("gaussian", sigma=1.7)),
-                       seed=5)["delta_sq"]
-        assert np.array_equal(out.data, base.data)
-
-    def test_array_sigma_matches_scalar_loop(self):
-        """sigma_fn is called on index arrays; the noise is the per-pair rule
-        evaluated one scalar pair at a time times the unit-variance model-1
-        draw, bit for bit."""
-        n = 30
-        D = triangle_distance_matrix(n)
-        fn = lambda i, j: 1.0 + np.minimum(i, j) / n
-        out = perturb(D, NoiseSpec("model1_hetero", sigma_fn=fn), seed=3)["E"]
-        unit = perturb(D, NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.0)),
-                       seed=3)["E"]
-        loop = np.array([[fn(i, j) if i != j else 0.0 for j in range(n)]
-                         for i in range(n)])
-        assert np.array_equal(out.data, loop * unit.data)
-
-    def test_asymmetric_sigma_fn_rejected(self):
-        D = triangle_distance_matrix(10)
-        with pytest.raises(ValueError):
-            perturb(D, NoiseSpec("model1_hetero", sigma_fn=lambda i, j: i * 1.0),
-                    seed=0)
-
-    def test_per_entry_variance(self):
-        """Variance of one entry over many replicates tracks sigma_fn."""
-        n = 12
-        D = triangle_distance_matrix(n)
-        fn = lambda i, j: 1.0 + abs(i - j) / n
-        spec = NoiseSpec("model1_hetero", sigma_fn=fn)
-        vals = []
-        for r in range(4000):
-            out = perturb(D, spec, seed=r)["delta_sq"]
-            vals.append(out.data[0, 5] - D.data[0, 5] ** 2)
-        want = fn(0, 5) ** 2
-        assert abs(np.var(vals) - want) <= 0.15 * want

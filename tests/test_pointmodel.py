@@ -85,7 +85,6 @@ class TestMoments:
         m = moments(spec)
         assert np.array_equal(m.mu, [3.0, -1.0])
         assert np.array_equal(m.xi, c)
-        assert m.exact
 
     def test_two_symmetric_masses(self):
         spec = DistributionSpec("point_mass_mixture",
@@ -134,13 +133,12 @@ UNIFORM4 = NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))
 class TestSigmaTilde:
     def test_model3_q1_zero(self, triangle):
         out = sigma_tilde(triangle, [0.0, 0.0], NoiseSpec("model3", q=1.0))
-        assert np.allclose(out["matrix"], 0.0)
-        assert out["exact"]
+        assert np.allclose(out, 0.0)
 
     def test_model2_zero_law_zero(self, triangle):
         spec = NoiseSpec("model2", law=NoiseLaw("uniform", a=0.0))
         out = sigma_tilde(triangle, [1.0, 1.0], spec)
-        assert np.allclose(out["matrix"], 0.0)
+        assert np.allclose(out, 0.0)
 
     def test_model1_rejected(self, triangle):
         with pytest.raises(ValueError):
@@ -156,39 +154,36 @@ class TestSigmaTilde:
         xi_inv = np.linalg.inv(moments(triangle).xi)
         errs = []
         for z in triangle.locations:
-            st = sigma_tilde(triangle, z, UNIFORM4)["matrix"]
+            st = sigma_tilde(triangle, z, UNIFORM4)
             sig = xi_inv @ st @ xi_inv
             errs.append(rotation_match(sig, target)["max_rel_entry_error"])
         # exactly one class is the published one; reference printed to 4 digits
         assert min(errs) < 0.01
 
     def test_mixture_path_exact_and_seed_free(self, triangle):
-        a = sigma_tilde(triangle, [0.5, 0.5], UNIFORM4, mc_draws=10, seed=1)
-        b = sigma_tilde(triangle, [0.5, 0.5], UNIFORM4, mc_draws=999, seed=2)
-        assert np.array_equal(a["matrix"], b["matrix"])
-        assert a["exact"] and a["std_error"] == 0.0
+        """The finite sum over the masses, draw-free: a loop over them, one
+        mass at a time, gives the same matrix to roundoff."""
+        z = np.array([0.5, 0.5])
+        mom = UNIFORM4.moments
+        mu = moments(triangle).mu
+        want = np.zeros((2, 2))
+        for x, w in zip(triangle.locations, triangle.weights):
+            r = np.linalg.norm(x - z)
+            weight = (mom.sigma2 * r**2 + mom.gamma * r + mom.xi4 / 4
+                      - mom.sigma2**2 / 4)
+            want += w * weight * np.outer(x - mu, x - mu)
+        got = sigma_tilde(triangle, z, UNIFORM4)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.array_equal(got, sigma_tilde(triangle, z, UNIFORM4))
 
     def test_symmetry(self, triangle):
         out = sigma_tilde(triangle, [1.7, -0.3], UNIFORM4)
-        assert np.array_equal(out["matrix"], out["matrix"].T)
+        assert np.array_equal(out, out.T)
 
-    def test_mc_path_agrees_with_exact_weighting(self):
-        """Gaussian F goes through Monte Carlo; check against a large
-        independent sample average of the same weighted outer product."""
-        spec = DistributionSpec("gaussian", mean=[0.0, 0.0],
-                                covariance=[[1.0, 0.0], [0.0, 1.0]])
-        z = np.array([1.0, 0.0])
-        out = sigma_tilde(spec, z, UNIFORM4, mc_draws=200_000, seed=5)
-        assert not out["exact"]
-        rng = np.random.default_rng(123)
-        draws = rng.standard_normal((400_000, 2))
-        mom = UNIFORM4.moments
-        r = np.linalg.norm(draws - z, axis=1)
-        w = mom.sigma2 * r**2 + mom.gamma * r + mom.xi4 / 4 - mom.sigma2**2 / 4
-        oracle = (w[:, None, None] * draws[:, :, None]
-                  * draws[:, None, :]).mean(axis=0)
-        tol = 12.0 * max(out["std_error"], 1e-3)
-        assert np.abs(out["matrix"] - oracle).max() <= tol
+    def test_non_mixture_rejected(self):
+        spec = DistributionSpec("uniform_box", lo=[0.0, 0.0], hi=[1.0, 1.0])
+        with pytest.raises(ValueError, match="point-mass mixtures"):
+            sigma_tilde(spec, [0.5, 0.5], UNIFORM4)
 
 
 def test_triangle_345_geometry():
