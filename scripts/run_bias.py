@@ -4,11 +4,10 @@ non-vanishing class-mean bias across n, while the constant-variance
 control concentrates on the true centered locations."""
 
 import argparse
-import json
 import os
 
 from mdsclt import harness, pointmodel
-from mdsclt.cli import dispatch
+from mdsclt.cli import _write_json, dispatch
 from mdsclt.noise import NoiseLaw, NoiseSpec
 
 
@@ -38,8 +37,7 @@ def main():
     }
     for name, out in runs.items():
         path = os.path.join(args.out_dir, f"bias_{name}.json")
-        with open(path, "w") as fh:
-            json.dump(out, fh, indent=2, sort_keys=True)
+        _write_json(path, out)
         print(f"{name}:")
         for n, biases, ses in zip(out["n"], out["bias"], out["std_error"]):
             ratios = ", ".join(f"{b / se:.1f}" for b, se in zip(biases, ses))

@@ -3,12 +3,11 @@
 table over an n grid and render the trend figure."""
 
 import argparse
-import json
 import os
 import sys
 
 from mdsclt import clt, pointmodel
-from mdsclt.cli import dispatch
+from mdsclt.cli import _write_json, dispatch
 from mdsclt.noise import NoiseLaw, NoiseSpec
 
 
@@ -32,8 +31,7 @@ def main():
         print(f"n={n} replicate {r} failed: {reason}", file=sys.stderr)
 
     path = os.path.join(args.out_dir, "ratios.json")
-    with open(path, "w") as fh:
-        json.dump({"seed": args.seed, **table}, fh, indent=2, sort_keys=True)
+    _write_json(path, {"seed": args.seed, **table})
 
     for name, entry in sorted(table["ratios"].items()):
         meds = ", ".join(f"{m:.3g}" for m in entry["median_per_n"])

@@ -7,13 +7,12 @@ cut-down run while iterating.
 """
 
 import argparse
-import json
 import os
 
 import numpy as np
 
 from mdsclt import clt, harness, pointmodel
-from mdsclt.cli import dispatch
+from mdsclt.cli import _write_json, dispatch
 from mdsclt.noise import NoiseLaw, NoiseSpec
 
 
@@ -39,8 +38,7 @@ def main():
     report = harness.run(cfg)
 
     report_path = os.path.join(args.out_dir, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
+    _write_json(report_path, report.to_json())
 
     for block in report.per_n:
         n = block["n"]

@@ -2,7 +2,8 @@
 
 Subcommands: gen-points, distmat, perturb, embed, select-dim, rawstress,
 theory-cov, mc-run, diagnose, plot. Exit codes: 0 success, 1 validation
-error, 2 numerical failure. Outputs are written atomically.
+error, 2 numerical failure. Outputs are written atomically. Every command
+runs on one BLAS thread, so its output bits do not depend on the BLAS default.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import tempfile
 import numpy as np
 
 from . import clt, cmds, harness, noise as noisemod, pointmodel, rawstress, svgplot
-from .matrixcore import ConvergenceError, double_center, read_matrix_csv, top_eigs
+from .matrixcore import (ConvergenceError, blas_threads, double_center,
+                         read_matrix_csv, top_eigs)
 
 SCREE_EXTRA = 4  # eigenvalues beyond d that the embed sidecar reports
 
@@ -337,7 +339,7 @@ def _plot_scree(report: dict, out: str) -> int:
 
 def _plot_bias_trend(report: dict, out: str) -> int:
     if "bias" not in report:
-        print("error: report has no 'bias' section (run the hetero_bias check)",
+        print("error: report has no 'bias' section (run scripts/run_bias.py)",
               file=sys.stderr)
         return 1
     ns = report["n"]
@@ -407,7 +409,8 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        with blas_threads(1):
+            return _COMMANDS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -44,6 +44,16 @@ class ExperimentConfig:
         if self.estimator not in ("cmds", "rawstress"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         clt.check_sizes(self.distribution, n_list)
+        if self.distribution.variant == "point_mass_mixture":
+            for n in n_list:
+                counts = pointmodel._mixture_counts(self.distribution.weights, n)
+                if not counts.all():
+                    raise ValueError(f"n={n} leaves mixture class {counts.argmin()} "
+                                     "without points")
+        unknown = ", ".join(sorted(set(self.checks) - {"clt", "decomposition"}))
+        if unknown:
+            raise ValueError(f"unknown checks {unknown}: the known ones are clt "
+                             "and decomposition")
         if n_list and not 1 <= self.d <= n_list[0] - 1:
             raise ValueError(f"embedding dimension d={self.d} must satisfy "
                              f"1 <= d <= n-1 for n={n_list[0]}")
@@ -135,8 +145,7 @@ def _one_replicate(cfg: ExperimentConfig, n: int, r: int):
         cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r,
                                      keep=("delta",))
         config = rawstress.minimize_stress(out["delta"], cfg.d, init="cmds").config
-    scale = cfg.noise.center_scale
-    centered = scale * (cloud.points - cloud.points.mean(axis=0))
+    centered = cfg.noise.center_scale * (cloud.points - cloud.points.mean(axis=0))
     aligned = config @ clt.align(config, centered)
     labels = cloud.labels if cloud.labels is not None else np.zeros(n, dtype=int)
     return labels, aligned, math.sqrt(n) * (aligned - centered)
@@ -153,26 +162,25 @@ def run(cfg: ExperimentConfig) -> McReport:
     """Run the full Monte Carlo experiment described by ``cfg``.
 
     Deterministic for a given config regardless of thread count: replicate
-    seeds are derived independently and aggregation is replicate-ordered.
-    The replicates run on ``cfg.threads`` workers with one BLAS thread each,
-    and the decomposition check runs as one more replicate under the same
-    rule. A replicate that fails numerically is counted in its n's ``failed``
-    and listed with its reason in ``errors``; a failed decomposition check
-    reports ``{"error": reason}`` in place of its summary.
+    seeds are derived independently, aggregation is replicate-ordered, and
+    ``clt.run_replicates`` runs the replicates on ``cfg.threads`` workers with
+    one BLAS thread each; the decomposition check runs on it as one more
+    replicate. A replicate that fails numerically is counted in its n's
+    ``failed`` and listed with its reason in ``errors``; a failed
+    decomposition check reports ``{"error": reason}`` in place of its summary.
     """
     theory = _theory_for(cfg)
-    scale = cfg.noise.center_scale
-    centered_locs = None
+    true_centers = None
     if cfg.distribution.variant == "point_mass_mixture":
-        mom = pointmodel.moments(cfg.distribution)
-        centered_locs = cfg.distribution.locations - mom.mu
+        mu = pointmodel.moments(cfg.distribution).mu
+        true_centers = cfg.noise.center_scale * (cfg.distribution.locations - mu)
     want_normality = bool(cfg.checks.get("clt", True))
     per_n = []
     invalid = False
     for n in cfg.n_list:
         results = None  # free the last n's results before this n's replicates run
         results, errors = clt.run_replicates(lambda r: _one_replicate(cfg, n, r),
-                                             cfg.replicates, cfg.threads, n)
+                                             cfg.replicates, cfg.threads)
         ok = [r for r, res in enumerate(results) if res is not None]
         failed = cfg.replicates - len(ok)
         reasons = [(r, e) for r, e in enumerate(errors) if e is not None]
@@ -187,7 +195,7 @@ def run(cfg: ExperimentConfig) -> McReport:
         if not ok:
             continue
 
-        for idx, k in enumerate(np.unique(labels)):
+        for k in np.unique(labels):
             mask = labels == k
             rows = dev[:, mask]
             pooled = rows.reshape(-1, cfg.d)
@@ -197,30 +205,26 @@ def run(cfg: ExperimentConfig) -> McReport:
             cov_var = covs.var(axis=0, ddof=1) if len(covs) > 1 else np.zeros((cfg.d,) * 2)
             designated = rows[:, 0]
             des_cov = np.cov(designated, rowvar=False, ddof=1) if len(designated) > 1 else None
-            theo = None
-            z = None
-            if theory is not None and idx < len(theory.per_class):
-                theo = theory.per_class[idx]["sigma"]
-                z = theory.per_class[idx]["z"]
+            entry = theory.per_class[k] if theory is not None else {}
             normality = None
             if want_normality and len(pooled) >= 100:
                 try:
                     normality = normality_check(pooled)
                 except ValueError:
                     normality = None
-            true_center = (scale * centered_locs[idx]
-                           if centered_locs is not None else None)
             block["per_class"].append(ClassSummary(
-                z=z, true_center=true_center,
+                z=entry.get("z"),
+                true_center=None if true_centers is None else true_centers[k],
                 empirical_mean=np.mean([results[r][1][mask].mean(axis=0)
                                         for r in ok], axis=0),
                 empirical_cov=mean_cov,
                 pooled_cov=np.cov(pooled, rowvar=False, ddof=1),
                 designated_cov=des_cov, cov_entry_variances=cov_var,
-                theoretical_cov=theo, normality=normality, count=len(pooled)))
+                theoretical_cov=entry.get("sigma"), normality=normality,
+                count=len(pooled)))
         if cfg.checks.get("decomposition"):
             (summary,), (error,) = clt.run_replicates(
-                lambda r: _decomposition_summary(cfg, n), 1, cfg.threads, n)
+                lambda r: _decomposition_summary(cfg, n), 1, cfg.threads)
             block["diagnostics"] = {"decomposition": summary or {"error": error}}
     return McReport(config=cfg.to_json(), per_n=per_n,
                     center_scale=cfg.noise.center_scale, invalid=invalid)
@@ -285,15 +289,12 @@ def hetero_bias_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.distribution.variant != "point_mass_mixture":
         raise ValueError("bias experiment requires a point-mass mixture")
     report = run(cfg)
-    mom = pointmodel.moments(cfg.distribution)
-    centered_locs = cfg.distribution.locations - mom.mu
     out = {"n": [], "bias": [], "std_error": []}
     for block in report.per_n:
         n = block["n"]
         biases, ses = [], []
-        for k, c in enumerate(block["per_class"]):
-            bias = float(np.linalg.norm(
-                c.empirical_mean - report.center_scale * centered_locs[k]))
+        for c in block["per_class"]:
+            bias = float(np.linalg.norm(c.empirical_mean - c.true_center))
             # mean position averages count pooled sqrt(n)-scaled deviations
             se = float(np.sqrt(np.trace(c.pooled_cov) / (n * c.count)))
             biases.append(bias)

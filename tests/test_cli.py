@@ -4,10 +4,11 @@ import threading
 import numpy as np
 import pytest
 
-from mdsclt import clt, cmds, harness
+from mdsclt import clt, cmds, harness, pointmodel
 from mdsclt.cli import dispatch
 from mdsclt.matrixcore import (ConvergenceError, blas_threads, double_center,
                                read_matrix_csv, top_eigs)
+from mdsclt.noise import NoiseLaw, NoiseSpec
 
 
 def write_config(path, n_list=(60,), replicates=3, noise=None, seed=5,
@@ -132,6 +133,26 @@ class TestPerturb:
         assert np.allclose(a, b**2)
 
 
+class TestOneShotCommands:
+    def test_embed_ignores_caller_blas_threads(self, tmp_path):
+        """The one-shot commands run on one BLAS thread whatever count their
+        caller has set: at n = 200 the dense eigensolve of ``embed`` gives
+        other bits on two BLAS threads."""
+        _, _, out = clt.simulate(pointmodel.triangle_345(),
+                                 NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0)),
+                                 200, 5, 0, keep=("delta_sq",))
+        dsq = tmp_path / "dsq.csv"
+        np.savetxt(dsq, out["delta_sq"].data, delimiter=",", fmt="%.17g")
+        seen = []
+        for count in (1, 2):
+            x, side = tmp_path / f"x{count}.csv", tmp_path / f"x{count}.json"
+            with blas_threads(count):
+                assert dispatch(["embed", "--in", str(dsq), "--d", "2", "--out",
+                                 str(x), "--sidecar", str(side)]) == 0
+            seen.append((x.read_bytes(), side.read_bytes()))
+        assert seen[0] == seen[1]
+
+
 class TestSelectDimAndPlots:
     def test_select_dim_then_scree_plot(self, tmp_path):
         pts = tmp_path / "p.csv"
@@ -200,12 +221,24 @@ class TestMcRun:
 
     @pytest.mark.parametrize("n", [200, 256])
     def test_thread_count_does_not_change_dense_output(self, tmp_path, n):
-        """At or below the dense cutoff, fewer replicates than threads keep
-        one BLAS thread per worker: the dense eigensolve gives other bits on
-        other BLAS thread counts."""
+        """With fewer replicates than threads each worker still has one BLAS
+        thread: the dense eigensolve gives other bits on other BLAS thread
+        counts."""
         cfg = write_config(tmp_path / "cfg.json", n_list=(n,), replicates=2)
         outs = [tmp_path / "r1.json", tmp_path / "r4.json"]
         for out, threads in zip(outs, ("1", "4")):
+            assert dispatch(["mc-run", "--config", str(cfg), "--out", str(out),
+                             "--threads", threads]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_decomposition_check_ignores_thread_count(self, tmp_path):
+        """The decomposition check is a lone replicate; above the dense cutoff,
+        too, it keeps one BLAS thread, so --threads does not move its bits."""
+        cfg = write_config(tmp_path / "cfg.json", n_list=(300, 1000), replicates=2,
+                           noise={"model": "model3", "q": 0.7},
+                           checks={"clt": False, "decomposition": True})
+        outs = [tmp_path / "r1.json", tmp_path / "r2.json"]
+        for out, threads in zip(outs, ("1", "2")):
             assert dispatch(["mc-run", "--config", str(cfg), "--out", str(out),
                              "--threads", threads]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
@@ -374,6 +407,30 @@ class TestErrorHandling:
         assert dispatch(["mc-run", "--config", str(cfg), "--threads", "1",
                          "--out", str(out)]) == 1
         assert reason in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_mixture_class_exit_1(self, tmp_path, capsys):
+        """A class that gets no points at some n would shift the later
+        classes' locations and covariances onto the wrong class."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "distribution": {"point_mass_mixture": {
+                "locations": [[0, 0], [3, 0], [0, 4], [5, 5]],
+                "weights": [0, 0.3, 0.5, 0.2]}},
+            "noise": {"model": "model2", "law": {"uniform": {"a": 4.0}}},
+            "n_list": [200], "d": 2, "replicates": 2, "seed": 5}))
+        out = tmp_path / "o.json"
+        assert dispatch(["mc-run", "--config", str(cfg), "--threads", "1",
+                         "--out", str(out)]) == 1
+        assert "n=200 leaves mixture class 0 without points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_check_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", checks={"decompositon": True})
+        out = tmp_path / "o.json"
+        assert dispatch(["mc-run", "--config", str(cfg), "--threads", "1",
+                         "--out", str(out)]) == 1
+        assert "unknown checks decompositon" in capsys.readouterr().err
         assert not out.exists()
 
     def test_diagnose_grid_out_of_range_exit_1(self, tmp_path, capsys):

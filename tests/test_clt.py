@@ -279,7 +279,7 @@ def test_run_replicates_in_replicate_order(threads):
             raise ConvergenceError(f"replicate {r}")
         return r * r
 
-    results, errors = clt.run_replicates(fn, 12, threads, 300)
+    results, errors = clt.run_replicates(fn, 12, threads)
     assert results == [None if r % 4 == 3 else r * r for r in range(12)]
     assert errors == [f"ConvergenceError: replicate {r}" if r % 4 == 3 else None
                       for r in range(12)]

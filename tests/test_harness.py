@@ -180,8 +180,8 @@ class TestRun:
     @pytest.mark.parametrize("n", [200, 256])
     def test_decomposition_check_ignores_caller_blas_threads(self, triangle,
                                                              uniform4, n):
-        """Within the dense cutoff the check keeps one BLAS thread whatever
-        count the caller runs with, so its residual bits do not move."""
+        """The check keeps one BLAS thread whatever count the caller runs
+        with, so its residual bits do not move."""
         cfg = small_config(triangle, uniform4, n_list=(n,), replicates=2,
                            checks={"clt": False, "decomposition": True})
         seen = []
@@ -243,10 +243,10 @@ class TestBlasThreads:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_blas_thread_per_worker_then_restored(self, triangle, uniform4,
                                                       monkeypatch, threads):
-        """Replicates see one BLAS thread. The decomposition check runs as one
-        more replicate on the same runner: one BLAS thread at n = 100, within
-        the dense cutoff, and the whole budget above it. The caller's count
-        is restored after the run."""
+        """Replicates see one BLAS thread, and so does the decomposition
+        check, which runs as one more replicate on the same runner, at n =
+        100 and at n = 300 alike. The caller's count is restored after the
+        run."""
         seen = {cmds: [], harness.clt: []}
 
         def spy(module):
@@ -265,23 +265,18 @@ class TestBlasThreads:
             assert blas_counts() == [2] * len(blas_counts())
         assert len(seen[cmds]) == 12
         assert all(c == [1] * len(c) for c in seen[cmds])
-        width = len(blas_counts())
-        assert seen[harness.clt] == [[1] * width] * 2 + [[threads] * width] * 2
+        assert seen[harness.clt] == [[1] * len(blas_counts())] * 4
 
-    @pytest.mark.parametrize("replicates, threads, want", [
-        (1, 1, 1), (1, 2, 2), (2, 2, 1), (3, 2, 1), (2, 5, 2)])
-    def test_spare_threads_go_to_blas(self, replicates, threads, want):
-        """Workers x BLAS threads stay within the thread budget, and a budget
-        beyond one worker per replicate goes to BLAS above the dense cutoff;
-        at or below it, where the dense eigensolve's bits depend on the BLAS
-        thread count, every worker keeps one."""
-        cutoff = matrixcore.DENSE_EIG_CUTOFF
-        for n, expect in ((cutoff + 1, want), (cutoff, 1)):
-            with matrixcore.blas_threads(3):
-                results, _ = harness.clt.run_replicates(lambda r: blas_counts(),
-                                                        replicates, threads, n)
-                assert blas_counts() == [3] * len(blas_counts())
-            assert results == [[expect] * len(blas_counts())] * replicates
+    @pytest.mark.parametrize("replicates, threads", [
+        (1, 1), (1, 2), (2, 2), (3, 2), (2, 5)])
+    def test_every_worker_has_one_blas_thread(self, replicates, threads):
+        """A thread budget beyond one worker per replicate stays unused: every
+        worker runs on one BLAS thread, and the caller's count comes back."""
+        with matrixcore.blas_threads(3):
+            results, _ = harness.clt.run_replicates(lambda r: blas_counts(),
+                                                    replicates, threads)
+            assert blas_counts() == [3] * len(blas_counts())
+        assert results == [[1] * len(blas_counts())] * replicates
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_restored_when_a_replicate_raises(self, triangle, uniform4,
