@@ -48,25 +48,21 @@ def _write_csv(path: str, array, header: str | None = None) -> None:
     _atomic_write(path, "\n".join(([header] if header else []) + rows) + "\n")
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, _json_text(obj))
 
 
-def _load_distribution(arg: str) -> pointmodel.DistributionSpec:
-    if arg == "triangle345":
-        return pointmodel.triangle_345()
-    with open(arg) as fh:
-        return pointmodel.DistributionSpec.from_json(json.load(fh))
-
-
-def _load_noise(arg: str) -> noisemod.NoiseSpec:
-    with open(arg) as fh:
-        return noisemod.NoiseSpec.from_json(json.load(fh))
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _load_config(path: str, threads: int) -> harness.ExperimentConfig:
-    with open(path) as fh:
-        return harness.ExperimentConfig.from_json(json.load(fh), threads=threads)
+    return harness.ExperimentConfig.from_json(_read_json(path), threads=threads)
 
 
 def _default_threads(value):
@@ -154,7 +150,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_gen_points(args) -> int:
-    spec = _load_distribution(args.dist)
+    spec = (pointmodel.triangle_345() if args.dist == "triangle345" else
+            pointmodel.DistributionSpec.from_json(_read_json(args.dist)))
     cloud = pointmodel.sample(spec, args.n, args.seed)
     _write_csv(args.out, cloud.points)
     if args.labels_out and cloud.labels is not None:
@@ -170,18 +167,16 @@ def _cmd_distmat(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    spec = noisemod.NoiseSpec.from_json(_read_json(args.noise))
+    if args.out_delta and spec.squared_scale:
+        raise ValueError("model 1 produces squared dissimilarities only: "
+                         "there is no --out-delta")
     D = read_matrix_csv(args.inp, hollow=True)
-    spec = _load_noise(args.noise)
-    out = noisemod.perturb(D, spec, args.seed)
-    _write_csv(args.out_delta_sq, out["delta_sq"].data)
-    if args.out_delta:
-        if out["delta"] is None:
-            print("error: model 1 produces squared dissimilarities only",
-                  file=sys.stderr)
-            return 1
-        _write_csv(args.out_delta, out["delta"].data)
-    if args.out_e:
-        _write_csv(args.out_e, out["E"].data)
+    paths = {"delta_sq": args.out_delta_sq, "delta": args.out_delta, "E": args.out_e}
+    out = noisemod.perturb(D, spec, args.seed, keep=[k for k, p in paths.items() if p])
+    for key, path in paths.items():
+        if path:
+            _write_csv(path, out[key].data)
     return 0
 
 
@@ -207,7 +202,7 @@ def _cmd_select_dim(args) -> int:
     if args.out:
         _write_json(args.out, obj)
     else:
-        print(json.dumps(obj, indent=2))
+        sys.stdout.write(_json_text(obj))
     return 0
 
 
@@ -377,8 +372,7 @@ def _plot_bound_ratios(report: dict, out: str) -> int:
 
 
 def _cmd_plot(args) -> int:
-    with open(args.report) as fh:
-        report = json.load(fh)
+    report = _read_json(args.report)
     if args.kind == "ellipses":
         return _plot_ellipses(report, args.n, args.out)
     if args.kind == "scree":

@@ -13,7 +13,7 @@ import numpy as np
 from . import noise as noisemod
 from . import pointmodel
 from .matrixcore import (MAX_SUPPORTED_N, ConvergenceError, SymmetricMatrix,
-                         blas_threads, double_center, norms, svd_small, top_eigs)
+                         blas_threads, double_center, norms, top_eigs)
 
 
 def check_sizes(spec: pointmodel.DistributionSpec, n_values) -> None:
@@ -151,8 +151,17 @@ def align(source, target):
     target = np.asarray(target, float)
     if source.shape != target.shape:
         raise ValueError("source and target shapes must match")
-    w1, _, w2 = svd_small(source.T @ target)
-    return w1 @ w2.T
+    w1, _, w2t = np.linalg.svd(source.T @ target)
+    return w1 @ w2t
+
+
+def align_to_points(config, cloud: pointmodel.PointCloud,
+                    noise: noisemod.NoiseSpec) -> tuple:
+    """``config`` aligned to the latent points it estimates: returns (aligned,
+    centered), with ``centered`` the points minus their mean, scaled by the
+    noise's ``center_scale``."""
+    centered = noise.center_scale * (cloud.points - cloud.points.mean(axis=0))
+    return config @ align(config, centered), centered
 
 
 def rotation_match(emp, target) -> dict:
@@ -179,24 +188,23 @@ def rotation_match(emp, target) -> dict:
     return {"R": rs[best], "max_rel_entry_error": float(errs[best])}
 
 
-def procrustes_residual(u_b: np.ndarray, u_hat: np.ndarray) -> float:
-    """Spectral-norm gap between the eigenvector cross-product and its
-    closest orthogonal matrix."""
-    m = u_b.T @ u_hat
-    w1, _, w2 = svd_small(m)
-    return float(np.linalg.norm(m - w1 @ w2.T, 2))
-
-
-def _positive_top(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int) -> tuple:
-    """The top-d eigenpairs of B and of B_hat. Raises ValueError when either
-    d-th eigenvalue is at or below its roundoff floor, the rule by which
-    ``cmds.embed`` calls an embedding deficient."""
+def _perturbation(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int) -> tuple:
+    """The top-d eigenpairs of B and of B_hat, W* = align(U, U_hat) and B_hat - B
+    built in B_hat's array, which must not be read afterwards. Raises
+    ValueError when either d-th eigenvalue is at or below its roundoff floor,
+    the rule by which ``cmds.embed`` calls an embedding deficient."""
+    if B.n != B_hat.n:
+        raise ValueError("matrices must have matching dimension")
     pb = top_eigs(B, d)
     ph = top_eigs(B_hat, d)
     if pb.values[-1] <= pb.floor or ph.values[-1] <= ph.floor:
         raise ValueError(f"the top-{d} eigenvalues of B and B_hat must be positive; "
                          f"eigenvalue {d} is {pb.values[-1]:.3e} and {ph.values[-1]:.3e}")
-    return pb, ph
+    wstar = align(pb.vectors, ph.vectors)
+    diff = B_hat.data
+    diff.setflags(write=True)
+    diff -= B.data
+    return pb, ph, wstar, diff
 
 
 def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int,
@@ -208,19 +216,12 @@ def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int,
     in ``B_hat``'s own array after both eigensolves, and ``B_hat`` must not be
     read afterwards; otherwise in a copy.
     """
-    if B.n != B_hat.n:
-        raise ValueError("matrices must have matching dimension")
-    n = B.n
-    pb, ph = _positive_top(B, B_hat, d)
+    if not overwrite:
+        B_hat = SymmetricMatrix._unchecked(B_hat.data.copy())
+    pb, ph, wstar, diff = _perturbation(B, B_hat, d)
     ub, sb = pb.vectors, pb.values
     uh, sh = ph.vectors, ph.values
-    wstar = align(ub, uh)
-
-    diff = B_hat.data if overwrite else B_hat.data.copy()
-    diff.setflags(write=True)
-    diff -= B.data
-    sb_h = np.sqrt(sb)
-    sh_h = np.sqrt(sh)
+    sb_h, sh_h = np.sqrt(sb), np.sqrt(sh)
     x_hat = uh * sh_h
     du = diff @ ub
 
@@ -237,7 +238,7 @@ def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int,
     scale = max(float(np.linalg.norm(x_hat, "fro")), 1e-300)
     residual = float(np.linalg.norm(total - lhs, "fro")) / scale
     terms = [t1, t2, t3, t4, t5, t6]
-    row_norms = [np.sqrt(n) * np.linalg.norm(t, axis=1) for t in terms]
+    row_norms = [np.sqrt(B.n) * np.linalg.norm(t, axis=1) for t in terms]
     return DecompositionReport(term_row_norms=row_norms, identity_residual=residual)
 
 
@@ -254,26 +255,19 @@ def _bound_cell(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
     its roundoff floor raises ValueError, as ``decompose`` does."""
     cloud, B, B_hat = centered_pair(spec, noise, n, seed, r)
     logn = np.log(n)
-    pb, ph = _positive_top(B, B_hat, spec.d)
-    diff = B_hat.data
-    diff.setflags(write=True)
-    diff -= B.data
+    pb, ph, wstar, diff = _perturbation(B, B_hat, spec.d)
     b_perturbation = norms(SymmetricMatrix._unchecked(diff)) / np.sqrt(n * logn)
 
-    wstar = align(pb.vectors, ph.vectors)
-    sb, sh = np.diag(pb.values), np.diag(ph.values)
-    sb_h = np.diag(np.sqrt(pb.values))
-    sh_h = np.diag(np.sqrt(ph.values))
-    x_hat = ph.vectors @ sh_h
-    centered = noise.center_scale * (cloud.points - cloud.points.mean(axis=0))
-    w_n = align(x_hat, centered)
-    row_err = np.linalg.norm(x_hat @ w_n - centered, axis=1)
+    sb, sh = pb.values, ph.values
+    sb_h, sh_h = np.sqrt(sb), np.sqrt(sh)
+    aligned, centered = align_to_points(ph.vectors * sh_h, cloud, noise)
+    row_err = np.linalg.norm(aligned - centered, axis=1)
     rate = np.sqrt(logn / n)
     return (b_perturbation,
-            procrustes_residual(pb.vectors, ph.vectors) / (logn / n),
-            pb.values[-1] / n,
-            np.linalg.norm(wstar @ sh - sb @ wstar, "fro") / logn,
-            np.linalg.norm(wstar @ sh_h - sb_h @ wstar, "fro") / (logn / np.sqrt(n)),
+            np.linalg.norm(pb.vectors.T @ ph.vectors - wstar, 2) / (logn / n),
+            sb[-1] / n,
+            np.linalg.norm(wstar * sh - sb[:, None] * wstar, "fro") / logn,
+            np.linalg.norm(wstar * sh_h - sb_h[:, None] * wstar, "fro") / (logn / np.sqrt(n)),
             row_err.max() / rate,
             row_err.mean() / rate)
 

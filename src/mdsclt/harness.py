@@ -8,7 +8,7 @@ decomposition, all deterministic given the experiment seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -74,14 +74,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict, **overrides) -> "ExperimentConfig":
-        kw = {"distribution": pointmodel.DistributionSpec.from_json(obj["distribution"]),
-              "noise": noisemod.NoiseSpec.from_json(obj["noise"]),
-              "n_list": tuple(obj["n_list"]), "d": obj["d"],
-              "replicates": obj["replicates"], "seed": obj["seed"],
-              "estimator": obj.get("estimator", "cmds"),
-              "checks": obj.get("checks", {})}
-        kw.update(overrides)
-        return cls(**kw)
+        required = ("distribution", "noise", "n_list", "d", "replicates", "seed")
+        noisemod.json_keys(obj, "experiment config", required, ("estimator", "checks"))
+        specs = {"distribution": pointmodel.DistributionSpec.from_json(obj["distribution"]),
+                 "noise": noisemod.NoiseSpec.from_json(obj["noise"])}
+        return cls(**{**obj, **specs, **overrides})
 
 
 @dataclass
@@ -113,21 +110,12 @@ class McReport:
 
     def to_json(self) -> dict:
         def arr(a):
-            return None if a is None else np.asarray(a).tolist()
+            return a.tolist() if isinstance(a, np.ndarray) else a
         out = {"config": self.config, "center_scale": self.center_scale,
                "invalid": self.invalid, "per_n": []}
         for block in self.per_n:
-            classes = []
-            for c in block["per_class"]:
-                classes.append({
-                    "z": arr(c.z), "true_center": arr(c.true_center),
-                    "empirical_mean": arr(c.empirical_mean),
-                    "empirical_cov": arr(c.empirical_cov),
-                    "pooled_cov": arr(c.pooled_cov),
-                    "designated_cov": arr(c.designated_cov),
-                    "cov_entry_variances": arr(c.cov_entry_variances),
-                    "theoretical_cov": arr(c.theoretical_cov),
-                    "normality": c.normality, "count": c.count})
+            classes = [{f.name: arr(getattr(c, f.name)) for f in fields(ClassSummary)}
+                       for c in block["per_class"]]
             out["per_n"].append({"n": block["n"], "per_class": classes,
                                  "failed": block["failed"],
                                  "diagnostics": block.get("diagnostics")})
@@ -137,16 +125,13 @@ class McReport:
 def _one_replicate(cfg: ExperimentConfig, n: int, r: int):
     """One generate-perturb-embed-align pass: returns the class labels, the
     aligned n x d configuration and its sqrt(n)-scaled deviation rows."""
+    kind = "delta_sq" if cfg.estimator == "cmds" else "delta"
+    cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r, keep=(kind,))
     if cfg.estimator == "cmds":
-        cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r,
-                                     keep=("delta_sq",))
-        config = cmds.embed(out["delta_sq"], cfg.d, overwrite=True).config
+        config = cmds.embed(out[kind], cfg.d, overwrite=True).config
     else:
-        cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r,
-                                     keep=("delta",))
-        config = rawstress.minimize_stress(out["delta"], cfg.d, init="cmds").config
-    centered = cfg.noise.center_scale * (cloud.points - cloud.points.mean(axis=0))
-    aligned = config @ clt.align(config, centered)
+        config = rawstress.minimize_stress(out[kind], cfg.d, init="cmds").config
+    aligned, centered = clt.align_to_points(config, cloud, cfg.noise)
     labels = cloud.labels if cloud.labels is not None else np.zeros(n, dtype=int)
     return labels, aligned, math.sqrt(n) * (aligned - centered)
 

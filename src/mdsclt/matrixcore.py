@@ -1,6 +1,6 @@
-"""Dense symmetric matrix algebra: double centering, spectral decomposition,
-small SVD and the spectral norm; also the BLAS thread count the
-decompositions run with.
+"""Dense symmetric matrix algebra: double centering, spectral decomposition
+and the spectral norm; also the BLAS thread count the decompositions run
+with.
 
 All operations are pure and deterministic; eigenvector signs are fixed so
 repeated calls on the same matrix return bit-identical output. Matrices are
@@ -293,17 +293,6 @@ def blas_threads(count: int):
     finally:
         for (_, put), n in zip(controls, previous):
             put(n)
-
-
-def svd_small(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of a small d x d matrix: returns (W1, s, W2) with m = W1 diag(s) W2^T."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > 32:
-        raise ValueError("svd_small is restricted to d <= 32 alignment problems")
-    w1, s, w2t = np.linalg.svd(m)
-    return w1, s, w2t.T
 
 
 def norms(m: SymmetricMatrix) -> float:

@@ -23,6 +23,31 @@ MODEL_ALIASES = {
     "model2_hetero": "model2_hetero_uniform_scaled",
 }
 _VARIANTS = set(MODEL_ALIASES.values())
+# The parameters each scalar noise law reads from its JSON body.
+_LAW_KEYS = {"uniform": ("a",), "gaussian": ("sigma",), "two_point": ("a", "p")}
+
+
+def json_keys(obj, what: str, required, optional=()) -> dict:
+    """``obj`` if it is a JSON object with every key in ``required`` and no key
+    outside ``required`` and ``optional``; else ValueError naming the keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    bad = [f"unknown key {k!r}" for k in obj if k not in (*required, *optional)]
+    bad += [f"missing key {k!r}" for k in required if k not in obj]
+    if bad:
+        raise ValueError(f"{what}: {', '.join(bad)}")
+    return obj
+
+
+def json_variant(obj, what: str, keys: dict) -> tuple:
+    """(variant, body) of a one-key JSON object ``{variant: body}``, with the
+    body's keys checked against ``keys[variant]``."""
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise ValueError(f"{what} must be a JSON object with one key: {', '.join(keys)}")
+    (variant, body), = obj.items()
+    if variant not in keys:
+        raise ValueError(f"unknown {what} {variant!r}")
+    return variant, json_keys(body, f"{what} {variant!r}", keys[variant])
 
 
 @dataclass(frozen=True)
@@ -75,15 +100,11 @@ class NoiseLaw:
         return np.where(rng.random(size) < self.p, self.a, b)
 
     def to_json(self) -> dict:
-        if self.kind == "uniform":
-            return {"uniform": {"a": self.a}}
-        if self.kind == "gaussian":
-            return {"gaussian": {"sigma": self.sigma}}
-        return {"two_point": {"a": self.a, "p": self.p}}
+        return {self.kind: {k: getattr(self, k) for k in _LAW_KEYS[self.kind]}}
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseLaw":
-        (kind, body), = obj.items()
+        kind, body = json_variant(obj, "noise law", _LAW_KEYS)
         return cls(kind=kind, **body)
 
 
@@ -132,6 +153,7 @@ class NoiseSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseSpec":
+        json_keys(obj, "noise", ("model",), ("law", "q"))
         law = NoiseLaw.from_json(obj["law"]) if "law" in obj else None
         return cls(variant=obj["model"], law=law, q=obj.get("q", 1.0))
 

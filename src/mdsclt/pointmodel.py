@@ -14,7 +14,11 @@ from typing import Optional
 import numpy as np
 
 from .matrixcore import row_strips
-from .noise import NoiseSpec
+from .noise import NoiseSpec, json_variant
+
+# The parameters each distribution variant reads from its JSON body.
+_VARIANT_KEYS = {"point_mass_mixture": ("locations", "weights"),
+                 "gaussian": ("mean", "covariance"), "uniform_box": ("lo", "hi")}
 
 
 @dataclass(frozen=True)
@@ -113,17 +117,12 @@ class DistributionSpec:
         return self.lo.shape[0]
 
     def to_json(self) -> dict:
-        if self.variant == "point_mass_mixture":
-            return {"point_mass_mixture": {"locations": self.locations.tolist(),
-                                           "weights": self.weights.tolist()}}
-        if self.variant == "gaussian":
-            return {"gaussian": {"mean": self.mean.tolist(),
-                                 "covariance": self.covariance.tolist()}}
-        return {"uniform_box": {"lo": self.lo.tolist(), "hi": self.hi.tolist()}}
+        return {self.variant: {k: getattr(self, k).tolist()
+                               for k in _VARIANT_KEYS[self.variant]}}
 
     @classmethod
     def from_json(cls, obj: dict) -> "DistributionSpec":
-        (variant, body), = obj.items()
+        variant, body = json_variant(obj, "distribution variant", _VARIANT_KEYS)
         return cls(variant=variant, **body)
 
 

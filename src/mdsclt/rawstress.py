@@ -34,9 +34,13 @@ def raw_stress(config, delta: SymmetricMatrix) -> float:
     config = np.asarray(config, float)
     if config.shape[0] != delta.n:
         raise ValueError("configuration and dissimilarity sizes must match")
-    dist = _pairwise(config)
     iu = np.triu_indices(delta.n, 1)
-    return float(((delta.data[iu] - dist[iu]) ** 2).sum())
+    return _stress(_pairwise(config), delta.data[iu], iu)
+
+
+def _stress(dist: np.ndarray, upper: np.ndarray, iu: tuple) -> float:
+    """Raw stress from the distances ``dist`` and dissimilarities ``upper`` at ``iu``."""
+    return float(((upper - dist[iu]) ** 2).sum())
 
 
 def minimize_stress(delta: SymmetricMatrix, d: int, init="cmds", seed: int = 0,
@@ -62,16 +66,18 @@ def minimize_stress(delta: SymmetricMatrix, d: int, init="cmds", seed: int = 0,
         if x.shape != (n, d):
             raise ValueError(f"init configuration must be {n} x {d}")
 
+    iu = np.triu_indices(n, 1)
+    upper = delta.data[iu]
+    apart = (delta.data != 0) & ~np.eye(n, dtype=bool)  # distinct points, delta != 0
     coincident = False
-    history = [raw_stress(x, delta)]
+    dist = _pairwise(x)
+    history = [_stress(dist, upper, iu)]
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        dist = _pairwise(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(dist > 0, delta.data / np.where(dist > 0, dist, 1.0), 0.0)
-        if np.any((dist == 0) & (delta.data != 0) &
-                  ~np.eye(n, dtype=bool)):
+        if np.any((dist == 0) & apart):
             coincident = True
         np.fill_diagonal(ratio, 0.0)
         bmat = -ratio
@@ -79,13 +85,14 @@ def minimize_stress(delta: SymmetricMatrix, d: int, init="cmds", seed: int = 0,
         x_new = bmat @ x / n  # Guttman update for uniform weights
         x_new = x_new - x_new.mean(axis=0)
         prev = history[-1]
-        cur = raw_stress(x_new, delta)
+        dist_new = _pairwise(x_new)
+        cur = _stress(dist_new, upper, iu)
         if cur > prev:
             # With negative dissimilarities the majorization bound does not
             # apply and a step can increase stress; reject it and stop.
             converged = True
             break
-        x = x_new
+        x, dist = x_new, dist_new
         history.append(cur)
         if prev - cur < tol * max(prev, 1e-300):
             converged = True

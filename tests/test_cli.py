@@ -100,7 +100,8 @@ class TestPipelineRoundTrip:
 
 
 class TestPerturb:
-    def test_model1_delta_request_fails(self, tmp_path):
+    def test_model1_delta_request_fails(self, tmp_path, capsys):
+        """The request is rejected before any output is computed or written."""
         pts = tmp_path / "p.csv"
         dm = tmp_path / "d.csv"
         noise = tmp_path / "noise.json"
@@ -113,6 +114,8 @@ class TestPerturb:
                          "--out-delta-sq", str(tmp_path / "dsq.csv"),
                          "--out-delta", str(tmp_path / "delta.csv")])
         assert code == 1
+        assert "squared dissimilarities only" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "noise.json", "p.csv"]
 
     def test_model2_outputs(self, tmp_path):
         pts = tmp_path / "p.csv"
@@ -154,7 +157,7 @@ class TestOneShotCommands:
 
 
 class TestSelectDimAndPlots:
-    def test_select_dim_then_scree_plot(self, tmp_path):
+    def test_select_dim_then_scree_plot(self, tmp_path, capsys):
         pts = tmp_path / "p.csv"
         dm = tmp_path / "d.csv"
         dispatch(["gen-points", "--dist", "triangle345", "--n", "200",
@@ -168,6 +171,10 @@ class TestSelectDimAndPlots:
                          "--out", str(sel)]) == 0
         report = json.loads(sel.read_text())
         assert report["d_hat"] == 2
+        # without --out the same bytes go to stdout
+        capsys.readouterr()
+        assert dispatch(["select-dim", "--in", str(dsq), "--max-d", "4"]) == 0
+        assert capsys.readouterr().out.encode() == sel.read_bytes()
         svg = tmp_path / "scree.svg"
         assert dispatch(["plot", "--report", str(sel), "--kind", "scree",
                          "--out", str(svg)]) == 0
@@ -242,6 +249,23 @@ class TestMcRun:
             assert dispatch(["mc-run", "--config", str(cfg), "--out", str(out),
                              "--threads", threads]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_33_dimensional_gaussian_runs(self, tmp_path):
+        """Alignment solves a d x d SVD for every d, not only d <= 32."""
+        d = 33
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "distribution": {"gaussian": {"mean": [0.0] * d,
+                                          "covariance": np.eye(d).tolist()}},
+            "noise": {"model": "model1", "law": {"gaussian": {"sigma": 1.0}}},
+            "n_list": [40], "d": d, "replicates": 2, "seed": 5,
+            "checks": {"clt": False}}))
+        out = tmp_path / "report.json"
+        assert dispatch(["mc-run", "--config", str(cfg), "--threads", "1",
+                         "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [b["failed"] for b in report["per_n"]] == [0]
+        assert not report["invalid"]
 
     def test_samples_dir(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", replicates=2)
@@ -423,6 +447,28 @@ class TestErrorHandling:
         assert dispatch(["mc-run", "--config", str(cfg), "--threads", "1",
                          "--out", str(out)]) == 1
         assert "n=200 leaves mixture class 0 without points" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("patch, reason", [
+        ({"seed": None}, "missing key 'seed'"),
+        ({"distribution": {"gaussian": {"mean": [0.0, 0.0],
+                                        "cov": [[1.0, 0.0], [0.0, 1.0]]}}},
+         "unknown key 'cov'"),
+        ({"noise": {"model": "model2", "law": {"uniform": {"b": 4.0}}}},
+         "unknown key 'b'"),
+        ({"replicate": 3}, "unknown key 'replicate'"),
+        ({"noise": {"model": "model3", "qq": 0.5}}, "unknown key 'qq'"),
+    ], ids=["missing_seed", "gaussian_cov", "uniform_b", "top_level_extra",
+            "model3_qq"])
+    def test_bad_json_key_exit_1(self, tmp_path, capsys, patch, reason):
+        """``patch`` replaces or adds top-level keys; None deletes one."""
+        cfg = write_config(tmp_path / "cfg.json")
+        obj = {**json.loads(cfg.read_text()), **patch}
+        cfg.write_text(json.dumps({k: v for k, v in obj.items() if v is not None}))
+        out = tmp_path / "o.json"
+        assert dispatch(["mc-run", "--config", str(cfg), "--threads", "1",
+                         "--out", str(out)]) == 1
+        assert reason in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_check_exit_1(self, tmp_path, capsys):

@@ -48,6 +48,13 @@ class TestExperimentConfig:
         back = ExperimentConfig.from_json(cfg.to_json())
         assert back.to_json() == cfg.to_json()
 
+    def test_from_json_optional_keys(self, triangle):
+        """estimator, checks and the masking q may be left out of the JSON."""
+        obj = small_config(triangle, NoiseSpec("model3", q=0.49)).to_json()
+        del obj["estimator"], obj["checks"], obj["noise"]["q"]
+        back = ExperimentConfig.from_json(obj)
+        assert (back.estimator, back.checks, back.noise.q) == ("cmds", {}, 1.0)
+
     def test_from_json_overrides(self, triangle, uniform4):
         cfg = small_config(triangle, uniform4)
         back = ExperimentConfig.from_json(cfg.to_json(), threads=4)

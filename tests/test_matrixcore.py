@@ -8,8 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from mdsclt import clt, matrixcore, pointmodel
 from mdsclt.matrixcore import (DENSE_EIG_CUTOFF, SymmetricMatrix, _fix_signs,
-                               double_center, norms, read_matrix_csv, svd_small,
-                               top_eigs)
+                               double_center, norms, read_matrix_csv, top_eigs)
 from mdsclt.noise import NoiseLaw, NoiseSpec
 
 
@@ -217,30 +216,6 @@ class TestTopEigs:
             top_eigs(m, 0)
         with pytest.raises(ValueError):
             top_eigs(m, 4)
-
-
-class TestSvdSmall:
-    def test_identity(self):
-        w1, s, w2 = svd_small(np.eye(2))
-        assert np.allclose(s, [1.0, 1.0])
-
-    def test_orthogonal_input(self):
-        m = np.array([[0.0, -1.0], [1.0, 0.0]])
-        w1, s, w2 = svd_small(m)
-        assert np.allclose(s, [1.0, 1.0])
-        assert np.allclose(w1 @ w2.T, m, atol=1e-12)
-
-    def test_rotated_diagonal_roundtrip(self):
-        th = np.pi / 6
-        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        m = rot @ np.diag([2.0, 0.5])
-        w1, s, w2 = svd_small(m)
-        assert np.allclose(s, [2.0, 0.5])
-        assert np.linalg.norm(w1 @ np.diag(s) @ w2.T - m, "fro") <= 1e-10
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            svd_small(np.eye(33))
 
 
 class TestNorms:

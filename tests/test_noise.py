@@ -72,6 +72,18 @@ class TestNoiseSpec:
         m3 = NoiseSpec("model3", q=0.49)
         assert NoiseSpec.from_json(m3.to_json()) == m3
 
+    def test_from_json_names_bad_keys(self):
+        with pytest.raises(ValueError, match="missing key 'model'"):
+            NoiseSpec.from_json({"law": {"uniform": {"a": 1.0}}})
+        with pytest.raises(ValueError, match="missing key 'p'"):
+            NoiseLaw.from_json({"two_point": {"a": 1.0}})
+        with pytest.raises(ValueError, match="unknown key 'sigma'"):
+            NoiseLaw.from_json({"uniform": {"a": 1.0, "sigma": 1.0}})
+        with pytest.raises(ValueError, match="one key"):
+            NoiseLaw.from_json({"uniform": {"a": 1.0}, "gaussian": {"sigma": 1.0}})
+        with pytest.raises(ValueError, match="unknown noise law 'laplace'"):
+            NoiseLaw.from_json({"laplace": {"b": 1.0}})
+
     def test_hetero_has_no_constant_moments(self):
         spec = NoiseSpec("model2_hetero")
         with pytest.raises(ValueError):
