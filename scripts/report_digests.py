@@ -11,16 +11,17 @@ meant to keep reports unchanged can be checked by diffing the output.
 
 Cases: ``mc-run`` for each noise variant a JSON config can name, at n=60
 (dense eigensolver) and n=300 (iterative eigensolver, above the dense
-cutoff); ``mc-run`` on a Gaussian cloud at n=300 with model-2 noise and on
-a uniform-box cloud at n=300 with model-3 noise, whose distance matrices,
-unlike a mixture's, have n distinct rows and whose points are random draws;
-``mc-run`` with
-the raw-stress estimator, with the
+cutoff); ``mc-run`` on a Gaussian cloud at n=300 with model-1 and with
+model-2 noise and on a uniform-box cloud at n=300 with model-3 noise, whose
+distance matrices, unlike a mixture's, have n distinct rows and whose points
+are random draws (model 1 on the Gaussian is the one non-mixture report with
+a theoretical covariance); ``mc-run`` with the raw-stress estimator, with the
 decomposition check, and with ``--samples-dir`` over n=60 and n=300 (one
-digest per samples CSV); ``diagnose`` with Uniform(-4, 4) noise and with zero
-noise, at n=100, 200 (dense) and 300 (iterative); ``perturb`` for each of
-the ``mc-run`` noise variants; and ``embed --sidecar`` of a noisy n=300
-matrix, whose sidecar scree comes from its own eigensolve.
+digest per samples CSV); ``theory-cov`` of the mixture under models 1, 2 and
+3 and of the Gaussian under model 1; ``diagnose`` with Uniform(-4, 4) noise
+and with zero noise, at n=100, 200 (dense) and 300 (iterative); ``perturb``
+for each of the ``mc-run`` noise variants; and ``embed --sidecar`` of a noisy
+n=300 matrix, whose sidecar scree comes from its own eigensolve.
 """
 
 import hashlib
@@ -90,6 +91,8 @@ def cases(tmp) -> list:
             lines += run(tmp, name, ["mc-run", "--config", cfg, "--threads", "1",
                                      "--out", path(name, "report")], ["report"])
     for name, cfg_json in (
+            ("mc-run_gaussian_model1_n300", config(NOISES["model1"], [300],
+                                                   distribution=GAUSSIAN)),
             ("mc-run_gaussian_model2_n300", config(NOISES["model2"], [300],
                                                    distribution=GAUSSIAN)),
             ("mc-run_uniform_box_model3_n300", config(NOISES["model3"], [300],
@@ -110,6 +113,16 @@ def cases(tmp) -> list:
     for n in (60, 300):
         digest = sha256_file(os.path.join(samples, f"samples_n{n}.csv"))
         lines.append(f"{name}/samples_n{n} {digest}")
+
+    for name, cfg_json in (
+            ("theory-cov_model1", config(NOISES["model1"], [60])),
+            ("theory-cov_model2", config(NOISES["model2"], [60])),
+            ("theory-cov_model3", config(NOISES["model3"], [60])),
+            ("theory-cov_gaussian_model1", config(NOISES["model1"], [60],
+                                                  distribution=GAUSSIAN))):
+        cfg = write_json(path(name, "config"), cfg_json)
+        lines += run(tmp, name, ["theory-cov", "--config", cfg,
+                                 "--out", path(name, "report")], ["report"])
 
     for name, noise_json in (("diagnose", NOISES["model2"]),
                              ("diagnose_zero_noise", ZERO_NOISE)):

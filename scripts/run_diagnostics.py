@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from mdsclt import clt, pointmodel
+from mdsclt import clt, harness, pointmodel
 from mdsclt.cli import _write_json, dispatch
 from mdsclt.noise import NoiseLaw, NoiseSpec
 
@@ -15,18 +15,19 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="out/diagnostics")
     ap.add_argument("--n-grid", default="100,200,400,800")
-    ap.add_argument("--replicates", type=int, default=10)
+    ap.add_argument("--replicates", type=int, default=10, help="at least 2")
     ap.add_argument("--seed", type=int, default=6)
     ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                     help="workers, each with one BLAS thread (default: CPU count)")
     args = ap.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)
-    n_grid = [int(v) for v in args.n_grid.split(",")]
-    table = clt.bound_checks(
-        pointmodel.triangle_345(),
-        NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0)),
-        n_grid, args.replicates, args.seed, threads=args.threads)
+    cfg = harness.ExperimentConfig(
+        distribution=pointmodel.triangle_345(),
+        noise=NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0)),
+        n_list=tuple(int(v) for v in args.n_grid.split(",")),
+        d=2, replicates=args.replicates, seed=args.seed, threads=args.threads)
+    table = clt.bound_checks(cfg, cfg.replicates)
     for n, r, reason in table.pop("errors"):
         print(f"n={n} replicate {r} failed: {reason}", file=sys.stderr)
 

@@ -61,8 +61,8 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _load_config(path: str, threads: int) -> harness.ExperimentConfig:
-    return harness.ExperimentConfig.from_json(_read_json(path), threads=threads)
+def _load_config(path: str, **overrides) -> harness.ExperimentConfig:
+    return harness.ExperimentConfig.from_json(_read_json(path), **overrides)
 
 
 def _default_threads(value):
@@ -220,13 +220,13 @@ def _cmd_rawstress(args) -> int:
 
 
 def _cmd_theory_cov(args) -> int:
-    cfg = _load_config(args.config, threads=1)
-    tc = clt.theory_cov(cfg.distribution, cfg.noise)
+    cfg = _load_config(args.config)
+    sigmas = clt.theory_cov(cfg.distribution, cfg.noise)
+    dist = cfg.distribution
+    zs = dist.locations.tolist() if dist.variant == "point_mass_mixture" else [None]
     _write_json(args.out, {
-        "model": tc.model, "center_scale": tc.center_scale,
-        "per_class": [{"z": None if c["z"] is None else np.asarray(c["z"]).tolist(),
-                       "sigma": np.asarray(c["sigma"]).tolist()}
-                      for c in tc.per_class]})
+        "model": cfg.noise.variant, "center_scale": cfg.noise.center_scale,
+        "per_class": [{"z": z, "sigma": s.tolist()} for z, s in zip(zs, sigmas)]})
     return 0
 
 
@@ -263,15 +263,14 @@ def _cmd_mc_run(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    cfg = _load_config(args.config, threads=_default_threads(args.threads))
-    n_grid = [int(v) for v in args.n_grid.split(",")]
-    table = clt.bound_checks(cfg.distribution, cfg.noise, n_grid,
-                             args.replicates, cfg.seed, threads=cfg.threads)
+    cfg = _load_config(args.config, threads=_default_threads(args.threads),
+                       n_list=[int(v) for v in args.n_grid.split(",")])
+    table = clt.bound_checks(cfg, args.replicates)
     errors = table.pop("errors")
     for n, r, reason in errors:
         print(f"n={n} replicate {r} failed: {reason}", file=sys.stderr)
     failed = [n for n, _, _ in errors]
-    empty = [n for n in n_grid if failed.count(n) == args.replicates]
+    empty = [n for n in cfg.n_list if failed.count(n) == args.replicates]
     if empty:
         print(f"error: no replicate succeeded at n={','.join(map(str, empty))}",
               file=sys.stderr)

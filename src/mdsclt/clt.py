@@ -12,17 +12,8 @@ import numpy as np
 
 from . import noise as noisemod
 from . import pointmodel
-from .matrixcore import (MAX_SUPPORTED_N, ConvergenceError, SymmetricMatrix,
-                         blas_threads, double_center, norms, top_eigs)
-
-
-def check_sizes(spec: pointmodel.DistributionSpec, n_values) -> None:
-    """Reject sample sizes a simulation cannot run: below the dimension + 2
-    or above ``MAX_SUPPORTED_N``."""
-    for n in n_values:
-        if not spec.d + 2 <= n <= MAX_SUPPORTED_N:
-            raise ValueError(f"n={n} is outside the supported range [{spec.d + 2}, "
-                             f"{MAX_SUPPORTED_N}] for dimension {spec.d}")
+from .matrixcore import (ConvergenceError, SymmetricMatrix, blas_threads,
+                         double_center, norms, top_eigs)
 
 
 def _replicate_seeds(seed: int, n: int, r: int) -> tuple:
@@ -92,21 +83,6 @@ def run_replicates(fn, replicates: int, threads: int):
 
 
 @dataclass(frozen=True)
-class TheoryCov:
-    """Limiting covariance(s) of sqrt(n)-scaled aligned row deviations.
-
-    ``per_class`` holds one (z, sigma) entry per evaluation location; model 1
-    has a single location-free sigma replicated across classes.
-    ``center_scale`` is the shrinkage of the centered positions (sqrt(q)
-    under masking, 1 otherwise).
-    """
-
-    model: str
-    per_class: list
-    center_scale: float
-
-
-@dataclass(frozen=True)
 class DecompositionReport:
     """Six-term split of the embedding perturbation.
 
@@ -121,28 +97,21 @@ class DecompositionReport:
 
 
 def theory_cov(spec: pointmodel.DistributionSpec,
-               noise: noisemod.NoiseSpec) -> TheoryCov:
-    """Limiting covariance per evaluation location.
+               noise: noisemod.NoiseSpec) -> list:
+    """Limiting covariances of the sqrt(n)-scaled aligned row deviations: one
+    per location of a point-mass mixture, in ``spec.locations`` order, else one.
 
     Model 1: sigma^2/4 Xi^{-1}, location-free. Models 2 and 3: the weighted
     second moment conjugated by Xi^{-1} at each location of a point-mass
     mixture; for other distributions ``pointmodel.sigma_tilde`` raises
     ValueError.
     """
-    mom = pointmodel.moments(spec)
-    xi_inv = np.linalg.inv(mom.xi)
+    xi_inv = np.linalg.inv(pointmodel.moments(spec).xi)
     zs = spec.locations if spec.variant == "point_mass_mixture" else [None]
     if noise.squared_scale:
-        sigma = noise.moments.sigma2 / 4.0 * xi_inv
-        per_class = [{"z": z, "sigma": sigma} for z in zs]
-        return TheoryCov(model=noise.variant, per_class=per_class, center_scale=1.0)
-
-    per_class = []
-    for z in zs:
-        sigma = xi_inv @ pointmodel.sigma_tilde(spec, z, noise) @ xi_inv
-        per_class.append({"z": z, "sigma": (sigma + sigma.T) / 2.0})
-    return TheoryCov(model=noise.variant, per_class=per_class,
-                     center_scale=noise.center_scale)
+        return [noise.moments.sigma2 / 4.0 * xi_inv] * len(zs)
+    sigmas = [xi_inv @ pointmodel.sigma_tilde(spec, z, noise) @ xi_inv for z in zs]
+    return [(s + s.T) / 2.0 for s in sigmas]
 
 
 def align(source, target):
@@ -272,31 +241,29 @@ def _bound_cell(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
             row_err.mean() / rate)
 
 
-def bound_checks(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
-                 n_grid, replicates: int, seed: int, threads: int = 1) -> dict:
-    """Empirical scaling ratios for the perturbation bounds.
+def bound_checks(cfg, replicates: int) -> dict:
+    """Empirical scaling ratios for the perturbation bounds of the experiment
+    ``cfg`` (a ``harness.ExperimentConfig``) over its n_list, of 3 or more n.
 
     For each grid size the listed quantities are divided by their claimed
-    rates; per-n medians over the cells (replicates) that succeeded are
+    rates; per-n medians over the ``replicates`` cells that succeeded are
     reported, and a ratio sequence is flagged when its median grows by more
     than a factor 2 across the grid. Constants are not estimated, only trend
-    boundedness. The cells of each n run on ``threads`` workers as in
+    boundedness. The cells of each n run on ``cfg.threads`` workers as in
     ``run_replicates``; ``errors`` lists (n, replicate, reason) per failed
     cell, and an n without a successful cell gets NaN medians.
     """
-    n_grid = list(n_grid)
-    if sorted(n_grid) != n_grid or len(n_grid) < 3:
-        raise ValueError("n_grid must be ascending with at least 3 points")
+    n_grid = list(cfg.n_list)
+    if len(n_grid) < 3:
+        raise ValueError("n_grid must have at least 3 points")
     if replicates < 1:
         raise ValueError("need at least 1 replicate")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    check_sizes(spec, n_grid)
     per_n = {name: [] for name in RATIO_NAMES}
     errors = []
     for n in n_grid:
         results, reasons = run_replicates(
-            lambda r: _bound_cell(spec, noise, n, seed, r), replicates, threads)
+            lambda r: _bound_cell(cfg.distribution, cfg.noise, n, cfg.seed, r),
+            replicates, cfg.threads)
         errors += [(n, r, e) for r, e in enumerate(reasons) if e is not None]
         cells = [c for c in results if c is not None]
         for i, name in enumerate(RATIO_NAMES):

@@ -27,7 +27,6 @@ class Embedding:
     config: np.ndarray
     eigenvalues: np.ndarray
     deficient: bool = False
-    degenerate: bool = False
 
 
 def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False,
@@ -52,8 +51,7 @@ def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False,
             f"eigenvalue {d} of the centered matrix is {vals[-1]:.3e} <= {pair.floor:.3g}"
         )
     config = pair.vectors * np.sqrt(np.maximum(vals, 0.0))
-    return Embedding(config=config, eigenvalues=vals,
-                     deficient=deficient, degenerate=pair.degenerate)
+    return Embedding(config=config, eigenvalues=vals, deficient=deficient)
 
 
 def select_dim(delta_sq: SymmetricMatrix, max_d: int) -> dict:

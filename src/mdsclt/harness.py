@@ -15,6 +15,7 @@ import numpy as np
 import scipy.stats
 
 from . import clt, cmds, noise as noisemod, pointmodel, rawstress
+from .matrixcore import MAX_SUPPORTED_N
 
 # Asymptotic Kolmogorov critical value at the 1% level.
 KS_CRIT_1PCT = float(scipy.stats.kstwobign.isf(0.01))
@@ -43,9 +44,14 @@ class ExperimentConfig:
         object.__setattr__(self, "n_list", n_list)
         if self.estimator not in ("cmds", "rawstress"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        clt.check_sizes(self.distribution, n_list)
-        if self.distribution.variant == "point_mass_mixture":
-            for n in n_list:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        dim = self.distribution.d
+        for n in n_list:
+            if not dim + 2 <= n <= MAX_SUPPORTED_N:
+                raise ValueError(f"n={n} is outside the supported range [{dim + 2}, "
+                                 f"{MAX_SUPPORTED_N}] for dimension {dim}")
+            if self.distribution.variant == "point_mass_mixture":
                 counts = pointmodel._mixture_counts(self.distribution.weights, n)
                 if not counts.all():
                     raise ValueError(f"n={n} leaves mixture class {counts.argmin()} "
@@ -76,6 +82,11 @@ class ExperimentConfig:
     def from_json(cls, obj: dict, **overrides) -> "ExperimentConfig":
         required = ("distribution", "noise", "n_list", "d", "replicates", "seed")
         noisemod.json_keys(obj, "experiment config", required, ("estimator", "checks"))
+        for key, depth in (("n_list", 1), ("d", 0), ("replicates", 0), ("seed", 0)):
+            noisemod.json_number(obj[key], f"experiment config {key!r}", int, depth)
+        checks = obj.get("checks", {})
+        if not (isinstance(checks, dict) and all(isinstance(v, bool) for v in checks.values())):
+            raise ValueError("experiment config 'checks' must be an object of booleans")
         specs = {"distribution": pointmodel.DistributionSpec.from_json(obj["distribution"]),
                  "noise": noisemod.NoiseSpec.from_json(obj["noise"])}
         return cls(**{**obj, **specs, **overrides})
@@ -136,13 +147,6 @@ def _one_replicate(cfg: ExperimentConfig, n: int, r: int):
     return labels, aligned, math.sqrt(n) * (aligned - centered)
 
 
-def _theory_for(cfg: ExperimentConfig):
-    try:
-        return clt.theory_cov(cfg.distribution, cfg.noise)
-    except ValueError:
-        return None
-
-
 def run(cfg: ExperimentConfig) -> McReport:
     """Run the full Monte Carlo experiment described by ``cfg``.
 
@@ -154,7 +158,10 @@ def run(cfg: ExperimentConfig) -> McReport:
     ``failed`` and listed with its reason in ``errors``; a failed
     decomposition check reports ``{"error": reason}`` in place of its summary.
     """
-    theory = _theory_for(cfg)
+    try:
+        theory = clt.theory_cov(cfg.distribution, cfg.noise)
+    except ValueError:  # no limiting covariance for this cloud and noise
+        theory = None
     true_centers = None
     if cfg.distribution.variant == "point_mass_mixture":
         mu = pointmodel.moments(cfg.distribution).mu
@@ -190,7 +197,7 @@ def run(cfg: ExperimentConfig) -> McReport:
             cov_var = covs.var(axis=0, ddof=1) if len(covs) > 1 else np.zeros((cfg.d,) * 2)
             designated = rows[:, 0]
             des_cov = np.cov(designated, rowvar=False, ddof=1) if len(designated) > 1 else None
-            entry = theory.per_class[k] if theory is not None else {}
+            sigma = None if theory is None else theory[k]
             normality = None
             if want_normality and len(pooled) >= 100:
                 try:
@@ -198,14 +205,15 @@ def run(cfg: ExperimentConfig) -> McReport:
                 except ValueError:
                     normality = None
             block["per_class"].append(ClassSummary(
-                z=entry.get("z"),
+                z=None if sigma is None or true_centers is None
+                else cfg.distribution.locations[k],
                 true_center=None if true_centers is None else true_centers[k],
                 empirical_mean=np.mean([results[r][1][mask].mean(axis=0)
                                         for r in ok], axis=0),
                 empirical_cov=mean_cov,
                 pooled_cov=np.cov(pooled, rowvar=False, ddof=1),
                 designated_cov=des_cov, cov_entry_variances=cov_var,
-                theoretical_cov=entry.get("sigma"), normality=normality,
+                theoretical_cov=sigma, normality=normality,
                 count=len(pooled)))
         if cfg.checks.get("decomposition"):
             (summary,), (error,) = clt.run_replicates(

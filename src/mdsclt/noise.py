@@ -22,7 +22,9 @@ MODEL_ALIASES = {
     "model3": "model3_mask",
     "model2_hetero": "model2_hetero_uniform_scaled",
 }
-_VARIANTS = set(MODEL_ALIASES.values())
+# The keys besides "model" that each noise variant reads from its JSON body.
+_MODEL_KEYS = {"model1_sq_additive": ("law",), "model2_additive": ("law",),
+               "model3_mask": ("q",), "model2_hetero_uniform_scaled": ()}
 # The parameters each scalar noise law reads from its JSON body.
 _LAW_KEYS = {"uniform": ("a",), "gaussian": ("sigma",), "two_point": ("a", "p")}
 
@@ -37,6 +39,21 @@ def json_keys(obj, what: str, required, optional=()) -> dict:
     if bad:
         raise ValueError(f"{what}: {', '.join(bad)}")
     return obj
+
+
+def json_number(value, what: str, kind=(int, float), depth: int = 0):
+    """``value`` if it is a finite JSON number of a type in ``kind`` (a boolean
+    is not one) or, with ``depth`` > 0, lists of them ``depth`` deep; else
+    ValueError naming ``what``."""
+    def ok(v, d):
+        if d:
+            return isinstance(v, list) and all(ok(x, d - 1) for x in v)
+        return isinstance(v, kind) and not isinstance(v, bool) and abs(v) < np.inf
+    if not ok(value, depth):
+        noun = "integer" if kind is int else "number"
+        raise ValueError(f"{what} must be " + (f"a JSON {noun}" if not depth else
+                         "a list of " + "lists of " * (depth - 1) + noun + "s"))
+    return value
 
 
 def json_variant(obj, what: str, keys: dict) -> tuple:
@@ -105,7 +122,8 @@ class NoiseLaw:
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseLaw":
         kind, body = json_variant(obj, "noise law", _LAW_KEYS)
-        return cls(kind=kind, **body)
+        return cls(kind=kind, **{k: json_number(v, f"noise law {kind!r} {k!r}")
+                                 for k, v in body.items()})
 
 
 @dataclass(frozen=True)
@@ -117,8 +135,8 @@ class NoiseSpec:
     q: float = 1.0
 
     def __post_init__(self):
-        variant = MODEL_ALIASES.get(self.variant, self.variant)
-        if variant not in _VARIANTS:
+        variant = MODEL_ALIASES.get(str(self.variant), str(self.variant))
+        if variant not in _MODEL_KEYS:
             raise ValueError(f"unknown noise variant {self.variant!r}")
         object.__setattr__(self, "variant", variant)
         if variant in ("model1_sq_additive", "model2_additive") and self.law is None:
@@ -155,7 +173,11 @@ class NoiseSpec:
     def from_json(cls, obj: dict) -> "NoiseSpec":
         json_keys(obj, "noise", ("model",), ("law", "q"))
         law = NoiseLaw.from_json(obj["law"]) if "law" in obj else None
-        return cls(variant=obj["model"], law=law, q=obj.get("q", 1.0))
+        spec = cls(variant=obj["model"], law=law,
+                   q=json_number(obj.get("q", 1.0), "noise 'q'"))
+        json_keys(obj, f"noise model {obj['model']!r}", ("model",),
+                  _MODEL_KEYS[spec.variant])
+        return spec
 
 
 def _rng(seed: int, n: int) -> np.random.Generator:

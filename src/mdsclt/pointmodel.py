@@ -14,11 +14,13 @@ from typing import Optional
 import numpy as np
 
 from .matrixcore import row_strips
-from .noise import NoiseSpec, json_variant
+from .noise import NoiseSpec, json_number, json_variant
 
-# The parameters each distribution variant reads from its JSON body.
-_VARIANT_KEYS = {"point_mass_mixture": ("locations", "weights"),
-                 "gaussian": ("mean", "covariance"), "uniform_box": ("lo", "hi")}
+# The parameters each distribution variant reads from its JSON body, with the
+# depth of the lists of numbers each one is.
+_VARIANT_KEYS = {"point_mass_mixture": {"locations": 2, "weights": 1},
+                 "gaussian": {"mean": 1, "covariance": 2},
+                 "uniform_box": {"lo": 1, "hi": 1}}
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,9 @@ class DistributionSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "DistributionSpec":
         variant, body = json_variant(obj, "distribution variant", _VARIANT_KEYS)
+        for key, value in body.items():
+            json_number(value, f"distribution {variant!r} {key!r}",
+                        depth=_VARIANT_KEYS[variant][key])
         return cls(variant=variant, **body)
 
 

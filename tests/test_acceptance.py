@@ -228,8 +228,9 @@ def test_criterion_5_decomposition_identity():
 def test_criterion_6_scaling_diagnostics():
     """Perturbation-bound ratios stay within a factor 2 across
     n in {100, 200, 400, 800}."""
-    out = clt.bound_checks(TRIANGLE, UNIFORM4, [100, 200, 400, 800],
-                           replicates=8, seed=6)
+    cfg = ExperimentConfig(distribution=TRIANGLE, noise=UNIFORM4,
+                           n_list=(100, 200, 400, 800), d=2, replicates=8, seed=6)
+    out = clt.bound_checks(cfg, replicates=8)
     watched = ("b_perturbation", "procrustes_residual", "lambda_d_over_n",
                "sup_row_error")
     spreads = {}

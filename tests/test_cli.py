@@ -471,6 +471,51 @@ class TestErrorHandling:
         assert reason in capsys.readouterr().err
         assert not out.exists()
 
+    UNIFORM4_LAW = {"uniform": {"a": 4.0}}
+
+    @pytest.mark.parametrize("path, value, reason", [
+        (("n_list",), 60, "experiment config 'n_list' must be a list of integers"),
+        (("n_list",), [60.0], "experiment config 'n_list' must be a list of integers"),
+        (("checks",), None, "experiment config 'checks' must be an object of booleans"),
+        (("checks", "clt"), "yes", "experiment config 'checks' must be an object of booleans"),
+        (("replicates",), 2.5, "experiment config 'replicates' must be a JSON integer"),
+        (("d",), "2", "experiment config 'd' must be a JSON integer"),
+        (("seed",), "x", "experiment config 'seed' must be a JSON integer"),
+        (("seed",), -1, "seed must be non-negative, got -1"),
+        (("noise", "law", "uniform", "a"), "x", "noise law 'uniform' 'a' must be a JSON number"),
+        (("noise", "law", "uniform", "a"), True, "noise law 'uniform' 'a' must be a JSON number"),
+        (("noise", "law", "uniform", "a"), float("nan"),
+         "noise law 'uniform' 'a' must be a JSON number"),
+        (("noise", "law", "uniform", "a"), float("inf"),
+         "noise law 'uniform' 'a' must be a JSON number"),
+        (("noise",), {"model": "model3", "q": True}, "noise 'q' must be a JSON number"),
+        (("distribution",), {"gaussian": {"mean": None, "covariance": [[1, 0], [0, 1]]}},
+         "distribution 'gaussian' 'mean' must be a list of numbers"),
+        (("noise",), {"model": "model2", "law": UNIFORM4_LAW, "q": 0.5},
+         "noise model 'model2': unknown key 'q'"),
+        (("noise",), {"model": "model3", "law": UNIFORM4_LAW, "q": 0.5},
+         "noise model 'model3': unknown key 'law'"),
+        (("noise", "model"), ["model2"], "unknown noise variant ['model2']"),
+    ], ids=["n_list_int", "n_list_float_entry", "checks_null", "checks_string",
+            "replicates_float", "d_string", "seed_string", "seed_negative",
+            "law_a_string", "law_a_bool", "law_a_nan", "law_a_inf", "q_bool",
+            "gaussian_mean_null", "model2_q", "model3_law", "model_list"])
+    def test_bad_json_value_exit_1(self, tmp_path, capsys, path, value, reason):
+        """A config value of the wrong type, or a key its noise model does not
+        read, is rejected where the config is loaded, naming the key."""
+        cfg = write_config(tmp_path / "cfg.json")
+        obj = json.loads(cfg.read_text())
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg.write_text(json.dumps(obj))
+        out = tmp_path / "o.json"
+        assert dispatch(["mc-run", "--config", str(cfg), "--threads", "1",
+                         "--out", str(out)]) == 1
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_check_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", checks={"decompositon": True})
         out = tmp_path / "o.json"
@@ -485,6 +530,22 @@ class TestErrorHandling:
                          "--n-grid", "50,100,10001", "--replicates", "2",
                          "--out", str(tmp_path / "diag.json")]) == 1
         assert "n=10001 is outside the supported range" in capsys.readouterr().err
+
+    def test_diagnose_grid_empty_mixture_class_exit_1(self, tmp_path, capsys):
+        """--n-grid gets every n_list rule: a grid n that leaves a mixture
+        class without points is rejected with mc-run's message."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "distribution": {"point_mass_mixture": {
+                "locations": [[0, 0], [3, 0], [0, 4], [5, 5]],
+                "weights": [0.02, 0.3, 0.48, 0.2]}},
+            "noise": {"model": "model2", "law": {"uniform": {"a": 4.0}}},
+            "n_list": [100], "d": 2, "replicates": 2, "seed": 5}))
+        out = tmp_path / "diag.json"
+        assert dispatch(["diagnose", "--config", str(cfg), "--n-grid", "20,100,200",
+                         "--replicates", "2", "--out", str(out)]) == 1
+        assert "n=20 leaves mixture class 0 without points" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def fail_cells(monkeypatch, cells):

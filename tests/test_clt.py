@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mdsclt import clt, pointmodel
+from mdsclt import clt, harness, pointmodel
 from mdsclt.matrixcore import (ConvergenceError, SpectralPair, SymmetricMatrix,
                                double_center)
 from mdsclt.noise import NoiseLaw, NoiseSpec, perturb
@@ -17,35 +17,43 @@ GAUSS_I2 = DistributionSpec("gaussian", mean=[0.0, 0.0],
                             covariance=[[1.0, 0.0], [0.0, 1.0]])
 
 
+def grid_config(spec, noise, n_grid, seed, threads=1):
+    """The experiment config ``bound_checks`` reads its grid, seed and
+    threads from; its own replicate count is not used there."""
+    return harness.ExperimentConfig(distribution=spec, noise=noise, n_list=n_grid,
+                                    d=spec.d, replicates=2, seed=seed, threads=threads)
+
+
 class TestTheoryCov:
     def test_model1_unit_formula(self):
         noise = NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=2.0))
-        tc = clt.theory_cov(GAUSS_I2, noise)
-        assert np.allclose(tc.per_class[0]["sigma"], np.eye(2), atol=1e-12)
-        assert tc.center_scale == 1.0
+        [sigma] = clt.theory_cov(GAUSS_I2, noise)
+        assert np.allclose(sigma, np.eye(2), atol=1e-12)
+        assert noise.center_scale == 1.0
 
     def test_model1_zero_noise(self):
         noise = NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=0.0))
-        tc = clt.theory_cov(GAUSS_I2, noise)
-        assert np.allclose(tc.per_class[0]["sigma"], 0.0)
+        [sigma] = clt.theory_cov(GAUSS_I2, noise)
+        assert np.allclose(sigma, 0.0)
 
     def test_model1_symmetric_pd(self, triangle):
         noise = NoiseSpec("model1", law=NoiseLaw("uniform", a=3.0))
-        sig = clt.theory_cov(triangle, noise).per_class[0]["sigma"]
+        sig = clt.theory_cov(triangle, noise)[0]
         assert np.array_equal(sig, sig.T)
         assert np.linalg.eigvalsh(sig).min() > 0
 
     def test_model2_paper_value_up_to_rotation(self, triangle, uniform4):
-        tc = clt.theory_cov(triangle, uniform4)
+        sigmas = clt.theory_cov(triangle, uniform4)
         target = np.array([[13.56, -3.06], [-3.06, 22.65]])
-        errs = [clt.rotation_match(c["sigma"], target)["max_rel_entry_error"]
-                for c in tc.per_class]
+        errs = [clt.rotation_match(sigma, target)["max_rel_entry_error"]
+                for sigma in sigmas]
         assert min(errs) < 0.01
 
     def test_model3_center_scale(self, triangle):
-        tc = clt.theory_cov(triangle, NoiseSpec("model3", q=0.49))
-        assert tc.center_scale == pytest.approx(0.7)
-        assert len(tc.per_class) == 3
+        noise = NoiseSpec("model3", q=0.49)
+        sigmas = clt.theory_cov(triangle, noise)
+        assert noise.center_scale == pytest.approx(0.7)
+        assert len(sigmas) == 3
 
     def test_non_mixture_rejected_for_models_2_and_3(self, uniform4):
         for noise in (uniform4, NoiseSpec("model3", q=0.49)):
@@ -201,8 +209,8 @@ class TestDecompose:
 class TestBoundChecks:
     def test_zero_noise_ratios(self, triangle):
         noise = NoiseSpec("model2", law=NoiseLaw("uniform", a=0.0))
-        out = clt.bound_checks(triangle, noise, [50, 100, 200, 300],
-                               replicates=2, seed=0)
+        out = clt.bound_checks(grid_config(triangle, noise, [50, 100, 200, 300], 0),
+                               replicates=2)
         for name in ("b_perturbation", "procrustes_residual",
                      "sup_row_error", "mean_row_error"):
             assert max(out["ratios"][name]["median_per_n"]) <= 1e-9
@@ -212,19 +220,21 @@ class TestBoundChecks:
 
     def test_grid_validation(self, triangle, uniform4):
         with pytest.raises(ValueError):
-            clt.bound_checks(triangle, uniform4, [100, 50, 200], 2, 0)
+            clt.bound_checks(grid_config(triangle, uniform4, [100, 50, 200], 0), 2)
         with pytest.raises(ValueError):
-            clt.bound_checks(triangle, uniform4, [100, 200], 2, 0)
+            clt.bound_checks(grid_config(triangle, uniform4, [100, 200], 0), 2)
         with pytest.raises(ValueError, match="n=3 is outside"):
-            clt.bound_checks(triangle, uniform4, [3, 50, 100], 2, 0)
+            clt.bound_checks(grid_config(triangle, uniform4, [3, 50, 100], 0), 2)
         with pytest.raises(ValueError, match="n=10001 is outside"):
-            clt.bound_checks(triangle, uniform4, [50, 100, 10001], 2, 0)
+            clt.bound_checks(grid_config(triangle, uniform4, [50, 100, 10001], 0), 2)
         for replicates in (0, -1):
             with pytest.raises(ValueError, match="at least 1 replicate"):
-                clt.bound_checks(triangle, uniform4, [50, 100, 200], replicates, 0)
+                clt.bound_checks(grid_config(triangle, uniform4, [50, 100, 200], 0),
+                                 replicates)
         for threads in (0, -2):
             with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
-                clt.bound_checks(triangle, uniform4, [50, 100, 200], 2, 0, threads=threads)
+                clt.bound_checks(grid_config(triangle, uniform4, [50, 100, 200], 0,
+                                             threads=threads), 2)
 
     def test_deficient_cell_counted_as_failed(self, triangle, uniform4, monkeypatch):
         """A cell whose B_hat has a non-positive d-th eigenvalue fails with a
@@ -247,7 +257,8 @@ class TestBoundChecks:
 
         monkeypatch.setattr(clt, "top_eigs", deficient_at_n50_r1)
         monkeypatch.setattr(clt, "centered_pair", recorded)
-        out = clt.bound_checks(triangle, uniform4, [50, 100, 200], replicates=3, seed=3)
+        cfg = grid_config(triangle, uniform4, [50, 100, 200], 3)
+        out = clt.bound_checks(cfg, replicates=3)
         [(n, r, reason)] = out["errors"]
         assert (n, r) == (50, 1)
         assert reason.startswith("ValueError: the top-2 eigenvalues of B and B_hat "
@@ -255,15 +266,15 @@ class TestBoundChecks:
         assert reason.endswith(" and 0.000e+00")
         monkeypatch.undo()
         cells = [clt._bound_cell(triangle, uniform4, 50, 3, r) for r in (0, 2)]
-        whole = clt.bound_checks(triangle, uniform4, [50, 100, 200], replicates=3, seed=3)
+        whole = clt.bound_checks(cfg, replicates=3)
         for i, name in enumerate(clt.RATIO_NAMES):
             meds = out["ratios"][name]["median_per_n"]
             assert meds[0] == float(np.median([c[i] for c in cells]))
             assert meds[1:] == whole["ratios"][name]["median_per_n"][1:]
 
     def test_reports_all_ratios(self, triangle, uniform4):
-        out = clt.bound_checks(triangle, uniform4, [50, 100, 200],
-                               replicates=2, seed=3)
+        out = clt.bound_checks(grid_config(triangle, uniform4, [50, 100, 200], 3),
+                               replicates=2)
         assert set(out["ratios"]) == set(clt.RATIO_NAMES)
         for entry in out["ratios"].values():
             assert len(entry["median_per_n"]) == 3

@@ -6,6 +6,7 @@ The distance and centering strips read no transposed entry: they rely on the
 Gram matrix ``P @ P.T`` being exactly symmetric, which is pinned here too, as
 is the block-wise upper-to-lower mirror of the noise fill."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -188,7 +189,7 @@ def test_two_matrix_checks_peak_memory(spec, check):
     tracemalloc.start()
     try:
         if check == "diagnose_cell":
-            clt.bound_checks(cfg.distribution, spec, [50, 100, n], 1, cfg.seed)
+            clt.bound_checks(dataclasses.replace(cfg, n_list=(50, 100, n)), 1)
         else:
             harness._decomposition_summary(cfg, n)
         peak = tracemalloc.get_traced_memory()[1]

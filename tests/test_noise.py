@@ -97,6 +97,20 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="unknown noise variant 'model1_hetero'"):
             NoiseSpec.from_json({"model": "model1_hetero"})
 
+    @pytest.mark.parametrize("obj, key", [
+        ({"model": "model1", "law": {"gaussian": {"sigma": 1.0}}, "q": 0.5}, "q"),
+        ({"model": "model2", "law": {"uniform": {"a": 4.0}}, "q": 0.5}, "q"),
+        ({"model": "model2_hetero", "q": 0.5}, "q"),
+        ({"model": "model3", "law": {"uniform": {"a": 4.0}}}, "law"),
+        ({"model": "model2_hetero", "law": {"uniform": {"a": 4.0}}}, "law"),
+    ])
+    def test_from_json_rejects_keys_the_model_does_not_read(self, obj, key):
+        """q is read by masking only and a law by models 1 and 2 only; a key
+        that would be dropped or never drawn from is an error."""
+        with pytest.raises(ValueError, match=f"noise model '{obj['model']}': "
+                                             f"unknown key '{key}'"):
+            NoiseSpec.from_json(obj)
+
 
 class TestPerturb:
     def test_model3_q1_identity(self):
