@@ -10,8 +10,9 @@ checkouts that print the same lines write the same bytes, so a refactor
 meant to keep reports unchanged can be checked by diffing the output.
 
 Cases: ``mc-run`` for each noise variant a JSON config can name, at n=60
-(dense eigensolver) and n=300 (iterative eigensolver, above the dense
-cutoff); ``mc-run`` on a Gaussian cloud at n=300 with model-1 and with
+(dense eigensolver on the formed centered matrix) and n=300 (above the dense
+cutoff: ARPACK on the implicitly centered operator over the squared
+dissimilarities, which forms no centered matrix); ``mc-run`` on a Gaussian cloud at n=300 with model-1 and with
 model-2 noise and on a uniform-box cloud at n=300 with model-3 noise, whose
 distance matrices, unlike a mixture's, have n distinct rows and whose points
 are random draws (model 1 on the Gaussian is the one non-mixture report with
@@ -20,8 +21,9 @@ decomposition check, and with ``--samples-dir`` over n=60 and n=300 (one
 digest per samples CSV); ``theory-cov`` of the mixture under models 1, 2 and
 3 and of the Gaussian under model 1; ``diagnose`` with Uniform(-4, 4) noise
 and with zero noise, at n=100, 200 (dense) and 300 (iterative); ``perturb``
-for each of the ``mc-run`` noise variants; and ``embed --sidecar`` of a noisy
-n=300 matrix, whose sidecar scree comes from its own eigensolve.
+for each of the ``mc-run`` noise variants; ``embed --sidecar`` of a noisy
+n=300 matrix, whose sidecar scree comes from its own eigensolve; and
+``select-dim`` of the same matrix.
 """
 
 import hashlib
@@ -160,6 +162,9 @@ def cases(tmp) -> list:
                              "--out", path(name, "config"),
                              "--sidecar", path(name, "sidecar")],
                  ["config", "sidecar"])
+    name = "select-dim_n300"
+    lines += run(tmp, name, ["select-dim", "--in", dsq, "--max-d", "4",
+                             "--out", path(name, "report")], ["report"])
     return lines
 
 

@@ -17,8 +17,8 @@ import tempfile
 import numpy as np
 
 from . import clt, cmds, harness, noise as noisemod, pointmodel, rawstress, svgplot
-from .matrixcore import (ConvergenceError, blas_threads, double_center,
-                         read_matrix_csv, top_eigs)
+from .matrixcore import (ConvergenceError, blas_threads, centered, read_matrix_csv,
+                         top_eigs)
 
 SCREE_EXTRA = 4  # eigenvalues beyond d that the embed sidecar reports
 
@@ -186,7 +186,8 @@ def _cmd_embed(args) -> int:
     _write_csv(args.out, emb.config)
     if args.sidecar:
         # the embedding solves for d pairs only; the scree needs its own solve
-        scree = top_eigs(double_center(m), min(args.d + SCREE_EXTRA, m.n))
+        k = min(args.d + SCREE_EXTRA, m.n)
+        scree = top_eigs(centered(m, k), k)
         _write_json(args.sidecar, {
             "eigenvalues": emb.eigenvalues.tolist(),
             "all_top_eigenvalues": scree.values.tolist(),

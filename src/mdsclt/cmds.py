@@ -1,5 +1,9 @@
 """Classical multidimensional scaling: double centering, truncated spectral
-decomposition and dimension selection."""
+decomposition and dimension selection.
+
+Above the dense-eigensolver cutoff the centered matrix is not formed: the
+eigensolver runs on ``matrixcore.centered``'s operator over the squared
+dissimilarities, which reads only their upper triangle."""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import SymmetricMatrix, double_center, top_eigs
+from .matrixcore import SymmetricMatrix, centered, top_eigs
 
 
 class DeficientEmbeddingError(ValueError):
@@ -34,8 +38,11 @@ def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False,
     """Embed a squared-dissimilarity matrix into R^d.
 
     The configuration is U S^{1/2} from the top-d eigenpairs of the double
-    centering of ``delta_sq`` (in ``delta_sq``'s own array with
-    ``overwrite``). Eigenvalues among the top d that are not positive beyond
+    centering of ``delta_sq``. Where that eigensolve is dense (see
+    ``matrixcore.centered``) the centered matrix is built, in ``delta_sq``'s
+    own array with ``overwrite``, which must then not be read again; above
+    the dense cutoff nothing is built and ``delta_sq`` is left as it is.
+    Eigenvalues among the top d that are not positive beyond
     roundoff (``SpectralPair.floor``) are an error unless ``allow_deficient``,
     in which case those columns are zero-filled (roundoff-scale where the
     eigenvalue is a tiny positive one) and the embedding flagged.
@@ -43,7 +50,7 @@ def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False,
     n = delta_sq.n
     if not 1 <= d <= n - 1:
         raise ValueError(f"embedding dimension d={d} must satisfy 1 <= d <= n-1")
-    pair = top_eigs(double_center(delta_sq, overwrite=overwrite), d)
+    pair = top_eigs(centered(delta_sq, d, overwrite=overwrite), d)
     vals = pair.values
     deficient = bool(vals[-1] <= pair.floor)
     if deficient and not allow_deficient:
@@ -63,8 +70,7 @@ def select_dim(delta_sq: SymmetricMatrix, max_d: int) -> dict:
     n = delta_sq.n
     if not 1 <= max_d <= n - 1:
         raise ValueError(f"max_d={max_d} must satisfy 1 <= max_d <= n-1")
-    b = double_center(delta_sq)
-    vals = top_eigs(b, max_d).values
+    vals = top_eigs(centered(delta_sq, max_d), max_d).values
     threshold = float(n) ** (2.0 / 3.0)
     d_hat = int(np.sum(vals >= threshold))
     return {"d_hat": d_hat, "threshold": threshold, "eigenvalues": vals}

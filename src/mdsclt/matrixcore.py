@@ -10,6 +10,11 @@ The in-place n x n passes (distances, double centering) run over row strips
 of about ``_STRIP`` entries and read no transposed entry, since their inputs
 are exactly symmetric. The one transposed copy is ``mirror_upper``, which
 completes the noise fill block by block.
+
+Above ``DENSE_EIG_CUTOFF`` the double centering of a squared-dissimilarity
+matrix is never formed: ``centered`` hands ``top_eigs`` an operator that
+centers implicitly and reads only the matrix's upper triangle, so no n x n
+array is built or overwritten.
 """
 
 from __future__ import annotations
@@ -18,12 +23,14 @@ import contextlib
 import ctypes
 import glob
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
 import scipy.linalg
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dsymv
 
 # Dense solve for the k top eigenpairs up to this size; iterative solver above.
 DENSE_EIG_CUTOFF = 256
@@ -184,14 +191,54 @@ def double_center(sq: SymmetricMatrix, overwrite: bool = False) -> SymmetricMatr
     return SymmetricMatrix._unchecked(a)
 
 
-def _lanczos(a: np.ndarray, k: int, which: str, vectors: bool = True):
-    """ARPACK's k eigenvalues of the symmetric array ``a`` selected by
-    ``which`` (with eigenvectors if ``vectors``), in ``spla.eigsh``'s form.
+def _dense_solve(n: int, k: int) -> bool:
+    """Whether the k top eigenpairs of an n x n matrix get the dense solve:
+    for small n, and for k >= n - 1, which ARPACK cannot solve for."""
+    return n <= DENSE_EIG_CUTOFF or k >= n - 1
+
+
+class _CenteredSquares(spla.LinearOperator):
+    """B = -1/2 P A P of ``double_center`` for A = ``sq``, applied without
+    forming it: x -> -1/2 P (A (P x)), with P a mean subtraction.
+
+    A x is BLAS ``dsymv`` on ``a.T``, the Fortran-order view of A's C-order
+    array, with ``lower=1``: it reads only the stored upper triangle of A,
+    and copies nothing.
+    """
+
+    def __init__(self, sq: SymmetricMatrix):
+        super().__init__(np.float64, sq.data.shape)
+        self.sq = sq
+
+    def _matvec(self, x):
+        x = x.reshape(-1)
+        y = dsymv(-0.5, self.sq.data.T, x - x.mean(), lower=1)
+        y -= y.mean()
+        return y
+
+
+def centered(sq: SymmetricMatrix, k: int, overwrite: bool = False):
+    """B = -1/2 P A P for A = ``sq``, in the form ``top_eigs(B, k)`` solves:
+    ``double_center``'s matrix (built in ``sq``'s array with ``overwrite``)
+    where that solve is dense, else an operator that forms no n x n array
+    and leaves ``sq`` as it is."""
+    if _dense_solve(sq.n, k):
+        return double_center(sq, overwrite=overwrite)
+    return _CenteredSquares(sq)
+
+
+def _lanczos(a, k: int, which: str, vectors: bool = True):
+    """ARPACK's k eigenvalues of the symmetric array or ``centered`` operator
+    ``a`` selected by ``which`` (with eigenvectors if ``vectors``), in
+    ``spla.eigsh``'s form.
 
     The start vector and the generator of ARPACK's restart vectors are
     fixed by n, so neither the output nor the matvec count depends on earlier
-    calls or on the calling thread; the iteration cap is 10n. ARPACK cannot
-    start on an all-zero matrix, which gets the dense top-k solve.
+    calls or on the calling thread; the iteration cap is 10n. The solve runs
+    on one BLAS thread whatever the caller's count, since the bits of
+    ``dsymv`` and of ARPACK's own BLAS calls depend on it. ARPACK cannot
+    start on an all-zero matrix, which gets the dense top-k solve (of the
+    formed B, for an operator).
 
     A solve with eigenvectors runs to machine precision (ARPACK's tol=0). An
     eigenvalue-only solve stops once each wanted Ritz residual ||r|| is at
@@ -205,14 +252,18 @@ def _lanczos(a: np.ndarray, k: int, which: str, vectors: bool = True):
     n = a.shape[0]
     v0 = np.random.default_rng(n).uniform(-1.0, 1.0, n)
     try:
-        return spla.eigsh(a, k=k, which=which, maxiter=10 * n, v0=v0,
-                          tol=0.0 if vectors else _VALUE_TOL,
-                          return_eigenvectors=vectors, rng=np.random.default_rng(n))
+        with _ONE_BLAS_THREAD:
+            return spla.eigsh(a, k=k, which=which, maxiter=10 * n, v0=v0,
+                              tol=0.0 if vectors else _VALUE_TOL,
+                              return_eigenvectors=vectors,
+                              rng=np.random.default_rng(n))
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"eigensolver did not converge within {10 * n} iterations"
         ) from exc
     except spla.ArpackError:
+        if isinstance(a, _CenteredSquares):
+            a = double_center(a.sq).data
         if a.any():
             raise
         return _dense_top(a, k, vectors)
@@ -226,21 +277,24 @@ def _dense_top(a: np.ndarray, k: int, vectors: bool = True):
     return scipy.linalg.eigh(a, subset_by_index=[n - k, n - 1], eigvals_only=not vectors)
 
 
-def top_eigs(m: SymmetricMatrix, k: int) -> SpectralPair:
-    """Return the k algebraically largest eigenpairs of ``m``.
+def top_eigs(m, k: int) -> SpectralPair:
+    """Return the k algebraically largest eigenpairs of ``m``, a
+    ``SymmetricMatrix`` or the result of ``centered(..., k)``.
 
     Small matrices, and requests for k >= n - 1 pairs, get a dense solve for
     those k pairs only (not all n); large ones requesting few pairs get
-    ARPACK (start vector fixed by n, iteration cap 10n). The dense solve is
-    bit-stable across runs but not across BLAS thread counts.
+    ARPACK (start vector fixed by n, iteration cap 10n) on one BLAS thread.
+    The dense solve is bit-stable across runs but not across BLAS thread
+    counts.
     """
-    n = m.n
+    a = m if isinstance(m, _CenteredSquares) else m.data
+    n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    if n <= DENSE_EIG_CUTOFF or k >= n - 1:
-        w, v = _dense_top(m.data, k)
+    if _dense_solve(n, k):
+        w, v = _dense_top(a, k)
     else:
-        w, v = _lanczos(m.data, k, "LA")
+        w, v = _lanczos(a, k, "LA")
     order = np.argsort(w)[::-1][:k]
     values, vectors = w[order], v[:, order]
     vectors = _fix_signs(np.ascontiguousarray(vectors))
@@ -293,6 +347,32 @@ def blas_threads(count: int):
     finally:
         for (_, put), n in zip(controls, previous):
             put(n)
+
+
+class _OneBlasThread:
+    """One BLAS thread while any thread is inside this context. The first
+    thread in sets the count and the last one out restores it, so solves
+    running concurrently on a worker pool never restore it under each other."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._restore = contextlib.ExitStack()
+
+    def __enter__(self):
+        with self._lock:
+            if self._inside == 0:
+                self._restore.enter_context(blas_threads(1))
+            self._inside += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._inside -= 1
+            if self._inside == 0:
+                self._restore.close()
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def norms(m: SymmetricMatrix) -> float:

@@ -92,6 +92,8 @@ class DistributionSpec:
         elif self.variant == "gaussian":
             m = np.asarray(self.mean, dtype=float)
             c = np.asarray(self.covariance, dtype=float)
+            if m.ndim != 1:
+                raise ValueError(f"gaussian mean must be a vector, got shape {m.shape}")
             if c.shape != (m.shape[0], m.shape[0]):
                 raise ValueError("covariance shape must match mean dimension")
             if np.abs(c - c.T).max(initial=0.0) > 1e-12:

@@ -226,10 +226,11 @@ class TestMcRun:
                   "--threads", "3"])
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("n", [200, 256])
+    @pytest.mark.parametrize("n", [200, 256, 300])
     def test_thread_count_does_not_change_dense_output(self, tmp_path, n):
         """With fewer replicates than threads each worker still has one BLAS
-        thread: the dense eigensolve gives other bits on other BLAS thread
+        thread: the dense eigensolve (n <= 256) and the centering operator's
+        dsymv products (n = 300) give other bits on other BLAS thread
         counts."""
         cfg = write_config(tmp_path / "cfg.json", n_list=(n,), replicates=2)
         outs = [tmp_path / "r1.json", tmp_path / "r4.json"]

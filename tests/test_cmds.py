@@ -81,6 +81,25 @@ class TestEmbed:
         assert ks == [2]
         assert e.config.shape == (300, 2)
 
+    def test_overwrite_leaves_delta_sq_above_cutoff(self, rng):
+        """Above the dense cutoff nothing is built in Delta^2's array, even
+        with ``overwrite``."""
+        dsq = delta_sq_of(rng.standard_normal((300, 2)))
+        before = dsq.data.copy()
+        embed(dsq, 2, overwrite=True)
+        assert np.array_equal(dsq.data, before)
+
+    def test_zero_matrix_above_cutoff(self):
+        """An all-zero Delta^2 gets the dense solve of the formed, all-zero B:
+        zero eigenvalues, an all +0.0 configuration, flagged deficient."""
+        e = embed(SymmetricMatrix(np.zeros((300, 300)), hollow=True), 2,
+                  allow_deficient=True)
+        assert e.deficient
+        assert np.array_equal(e.eigenvalues, [0.0, 0.0])
+        assert not np.signbit(e.eigenvalues).any()
+        assert not e.config.any() and not np.signbit(e.config).any()
+        assert e.config.shape == (300, 2)
+
     def test_deficient_rejected_then_allowed(self):
         # rank-1 configuration embedded in d=2: second eigenvalue ~ 0
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
@@ -138,6 +157,12 @@ class TestSelectDim:
     def test_zero_matrix(self):
         out = select_dim(SymmetricMatrix(np.zeros((10, 10)), hollow=True), 3)
         assert out["d_hat"] == 0
+
+    def test_zero_matrix_above_cutoff(self):
+        out = select_dim(SymmetricMatrix(np.zeros((300, 300)), hollow=True), 3)
+        assert out["d_hat"] == 0
+        assert out["threshold"] == 300.0 ** (2.0 / 3.0)
+        assert np.array_equal(out["eigenvalues"], [0.0, 0.0, 0.0])
 
     def test_max_d_validation(self):
         dsq = delta_sq_of(TRIANGLE)

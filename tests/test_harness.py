@@ -1,6 +1,8 @@
 import contextlib
 import json
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -274,6 +276,20 @@ class TestBlasThreads:
         assert all(c == [1] * len(c) for c in seen[cmds])
         assert seen[harness.clt] == [[1] * len(blas_counts())] * 4
 
+    def test_operator_solve_ignores_caller_blas_threads(self, triangle, uniform4):
+        """dsymv's bits depend on the BLAS thread count, so a solve on the
+        centering operator runs on one thread whatever the caller's count,
+        and then restores that count."""
+        _, _, out = clt.simulate(triangle, uniform4, 1000, 7, 0, keep=("delta_sq",))
+        dsq = out["delta_sq"]
+        with matrixcore.blas_threads(1):
+            want = matrixcore.top_eigs(matrixcore.centered(dsq, 2), 2)
+        with matrixcore.blas_threads(2):
+            got = matrixcore.top_eigs(matrixcore.centered(dsq, 2), 2)
+            assert blas_counts() == [2] * len(blas_counts())
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.vectors, want.vectors)
+
     @pytest.mark.parametrize("replicates, threads", [
         (1, 1), (1, 2), (2, 2), (3, 2), (2, 5)])
     def test_every_worker_has_one_blas_thread(self, replicates, threads):
@@ -296,6 +312,43 @@ class TestBlasThreads:
             with pytest.raises(RuntimeError, match="replicate bug"):
                 run(small_config(triangle, uniform4, threads=threads))
             assert blas_counts() == [2] * len(blas_counts())
+
+
+def test_one_blas_thread_guard_under_contention(monkeypatch):
+    """Eight threads keep entering and leaving the solves' one-thread guard,
+    over a fake BLAS whose restores are slow, with a short switch interval:
+    inside the guard the count always reads 1, and the caller's count comes
+    back once the last thread has left."""
+    count = [3]
+
+    def put(n):
+        time.sleep(0.001 if n != 1 else 0.0)
+        count[0] = n
+
+    monkeypatch.setattr(matrixcore, "_openblas_thread_controls",
+                        lambda: [(lambda: count[0], put)])
+    guard, seen = matrixcore._OneBlasThread(), []
+
+    def worker():
+        for _ in range(100):
+            with guard:
+                time.sleep(0.001)
+                seen.append(count[0])
+            time.sleep(0.001)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(8)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert len(seen) == 800 and set(seen) == {1}
+    assert count == [3]
 
 
 def test_blas_threads_without_openblas_is_a_no_op(monkeypatch):

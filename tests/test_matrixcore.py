@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from mdsclt import clt, matrixcore, pointmodel
 from mdsclt.matrixcore import (DENSE_EIG_CUTOFF, SymmetricMatrix, _fix_signs,
-                               double_center, norms, read_matrix_csv, top_eigs)
+                               centered, double_center, norms, read_matrix_csv,
+                               top_eigs)
 from mdsclt.noise import NoiseLaw, NoiseSpec
 
 
@@ -21,6 +22,28 @@ def centered_gram(points):
 
 
 TRIANGLE = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
+
+
+@pytest.fixture
+def matvec_counts(monkeypatch):
+    """The matvec count of each ``spla.eigsh`` call, in call order, from a
+    counting LinearOperator around the matrix it is given."""
+    eigsh = spla.eigsh
+    calls = []
+
+    def counting_eigsh(a, *args, **kwargs):
+        op = spla.aslinearoperator(a)
+
+        def matvec(x):
+            calls[-1] += 1
+            return op.matvec(x)
+
+        calls.append(0)
+        counted = spla.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+        return eigsh(counted, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counting_eigsh)
+    return calls
 
 
 class TestSymmetricMatrix:
@@ -289,27 +312,6 @@ class TestNorms:
         want = float(np.abs(scipy.linalg.eigvalsh(m.data)).max())
         assert norms(m) == pytest.approx(want, rel=1e-12)
 
-    @pytest.fixture
-    def matvec_counts(self, monkeypatch):
-        """The matvec count of each ``spla.eigsh`` call, in call order, from a
-        counting LinearOperator around the matrix it is given."""
-        eigsh = spla.eigsh
-        calls = []
-
-        def counting_eigsh(a, *args, **kwargs):
-            op = spla.aslinearoperator(a)
-
-            def matvec(x):
-                calls[-1] += 1
-                return op.matvec(x)
-
-            calls.append(0)
-            counted = spla.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
-            return eigsh(counted, *args, **kwargs)
-
-        monkeypatch.setattr(spla, "eigsh", counting_eigsh)
-        return calls
-
     def test_eigenvalue_only_solve_saves_matvecs(self, monkeypatch, matvec_counts):
         """On B_hat - B at n = 1000 the sqrt(eps) stop takes at most 0.7x the
         matvecs of a solve to machine precision (tol=0). The start vector is
@@ -334,6 +336,49 @@ class TestNorms:
         assert len(set(matvec_counts)) == 1, matvec_counts
         assert all(np.array_equal(p.values, pairs[0].values)
                    and np.array_equal(p.vectors, pairs[0].vectors) for p in pairs)
+
+
+def replicate_delta_sq(n):
+    """Delta^2 of replicate 0 of the Table-1 config at n: 3-4-5 mixture,
+    Uniform(-4, 4) model 2, seed 7."""
+    noise = NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))
+    _, _, out = clt.simulate(pointmodel.triangle_345(), noise, n, 7, 0,
+                             keep=("delta_sq",))
+    return out["delta_sq"]
+
+
+class TestCentered:
+    @pytest.mark.parametrize("n, k, dense", [
+        (DENSE_EIG_CUTOFF, 2, True), (DENSE_EIG_CUTOFF + 1, 2, False),
+        (300, 299, True), (300, 298, False)])
+    def test_dense_exactly_where_top_eigs_solves_densely(self, n, k, dense):
+        dsq = SymmetricMatrix(np.zeros((n, n)), hollow=True)
+        b = centered(dsq, k)
+        assert isinstance(b, SymmetricMatrix) == dense
+        if dense:
+            assert np.array_equal(b.data, double_center(dsq).data)
+
+    @pytest.mark.parametrize("n", [257, 300, 1000])
+    def test_operator_matches_dense_centering(self, n, matvec_counts):
+        """Above the cutoff the operator over Delta^2 gives the eigenpairs of
+        the formed B_hat, in as many matvecs."""
+        dsq = replicate_delta_sq(n)
+        got = top_eigs(centered(dsq, 2), 2)
+        want = top_eigs(double_center(dsq), 2)
+        assert matvec_counts[0] == matvec_counts[1]
+        assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+        assert np.abs(got.vectors - want.vectors).max() <= 1e-10
+
+    def test_operator_reads_upper_triangle_only(self):
+        """NaN in the strict lower triangle of Delta^2's array leaves the
+        result bit-identical."""
+        dsq = replicate_delta_sq(300)
+        a = dsq.data.copy()
+        a[np.tril_indices(300, -1)] = np.nan
+        got = top_eigs(centered(SymmetricMatrix._unchecked(a, hollow=True), 2), 2)
+        want = top_eigs(centered(dsq, 2), 2)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.vectors, want.vectors)
 
 
 finite_mats = arrays(np.float64, (4, 4),

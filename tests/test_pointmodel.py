@@ -22,6 +22,13 @@ class TestDistributionSpec:
             DistributionSpec("gaussian", mean=[0.0, 0.0],
                              covariance=[[1.0, 2.0], [2.0, 1.0]])
 
+    @pytest.mark.parametrize("mean, shape", [(3.0, r"\(\)"), ([[0.0, 1.0]], r"\(1, 2\)")])
+    def test_rejects_mean_that_is_not_a_vector(self, mean, shape):
+        """A scalar or 2-d mean is a ValueError naming its shape, not an
+        IndexError from the covariance check."""
+        with pytest.raises(ValueError, match=f"mean must be a vector, got shape {shape}"):
+            DistributionSpec("gaussian", mean=mean, covariance=[[1.0]])
+
     def test_rejects_inverted_box(self):
         with pytest.raises(ValueError):
             DistributionSpec("uniform_box", lo=[0.0, 0.0], hi=[1.0, -1.0])
