@@ -71,7 +71,11 @@ def _default_threads(value):
         env = os.environ.get("MDSCLT_THREADS")
         if not env:
             return os.cpu_count() or 1
-        value, source = int(env), "MDSCLT_THREADS"
+        source = "MDSCLT_THREADS"
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {env!r}") from None
     if value < 1:
         raise ValueError(f"{source} must be at least 1, got {value}")
     return value

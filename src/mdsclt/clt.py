@@ -36,7 +36,7 @@ def simulate(distribution: pointmodel.DistributionSpec, noise: noisemod.NoiseSpe
     """
     noise_seed, point_seed = _replicate_seeds(seed, n, r)
     cloud = pointmodel.sample(distribution, n, point_seed)
-    D = SymmetricMatrix._unchecked(cloud.distance_matrix(), hollow=True)
+    D = SymmetricMatrix._unchecked(cloud.distance_matrix())
     out = noisemod.perturb(D, noise, noise_seed, keep, overwrite="D" not in keep)
     return cloud, (D if "D" in keep else None), out
 
@@ -50,7 +50,7 @@ def centered_pair(distribution: pointmodel.DistributionSpec,
     sq = D.data
     sq.setflags(write=True)
     np.square(sq, out=sq)
-    B = double_center(SymmetricMatrix._unchecked(sq, hollow=True), overwrite=True)
+    B = double_center(SymmetricMatrix._unchecked(sq), overwrite=True)
     return cloud, B, double_center(out["delta_sq"], overwrite=True)
 
 
@@ -87,9 +87,13 @@ class DecompositionReport:
     """Six-term split of the embedding perturbation.
 
     ``term_row_norms[t]`` holds the sqrt(n)-scaled row norms of term t;
-    term 0 carries the limit law, terms 1-5 vanish. ``identity_residual``
-    is the relative Frobenius gap between the term sum and the actual
-    embedding deviation (an exact identity up to roundoff).
+    term 0 carries the limit law. Terms 1-5 vanish as n grows when the mean
+    of B_hat - B stays bounded in norm, as under models 1 and 2. The split
+    is taken against B, not E[B_hat]: where E[B_hat] = cB with c != 1 (q
+    under model 3, 4/3 under model2_hetero), B_hat - B carries (c - 1)B and
+    some of terms 1-5 grow with sqrt(n). ``identity_residual`` is the
+    relative Frobenius gap between the term sum and the actual embedding
+    deviation (an exact identity up to roundoff).
     """
 
     term_row_norms: list

@@ -33,15 +33,13 @@ class Embedding:
     deficient: bool = False
 
 
-def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False,
-          overwrite: bool = False) -> Embedding:
+def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False) -> Embedding:
     """Embed a squared-dissimilarity matrix into R^d.
 
     The configuration is U S^{1/2} from the top-d eigenpairs of the double
-    centering of ``delta_sq``. Where that eigensolve is dense (see
-    ``matrixcore.centered``) the centered matrix is built, in ``delta_sq``'s
-    own array with ``overwrite``, which must then not be read again; above
-    the dense cutoff nothing is built and ``delta_sq`` is left as it is.
+    centering of ``delta_sq``, which is left as it is: where that eigensolve
+    is dense (see ``matrixcore.centered``) the centered matrix is built in a
+    copy, and above the dense cutoff it is not built at all.
     Eigenvalues among the top d that are not positive beyond
     roundoff (``SpectralPair.floor``) are an error unless ``allow_deficient``,
     in which case those columns are zero-filled (roundoff-scale where the
@@ -50,7 +48,7 @@ def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False,
     n = delta_sq.n
     if not 1 <= d <= n - 1:
         raise ValueError(f"embedding dimension d={d} must satisfy 1 <= d <= n-1")
-    pair = top_eigs(centered(delta_sq, d, overwrite=overwrite), d)
+    pair = top_eigs(centered(delta_sq, d), d)
     vals = pair.values
     deficient = bool(vals[-1] <= pair.floor)
     if deficient and not allow_deficient:

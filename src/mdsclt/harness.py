@@ -139,7 +139,7 @@ def _one_replicate(cfg: ExperimentConfig, n: int, r: int):
     kind = "delta_sq" if cfg.estimator == "cmds" else "delta"
     cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r, keep=(kind,))
     if cfg.estimator == "cmds":
-        config = cmds.embed(out[kind], cfg.d, overwrite=True).config
+        config = cmds.embed(out[kind], cfg.d).config
     else:
         config = rawstress.minimize_stress(out[kind], cfg.d, init="cmds").config
     aligned, centered = clt.align_to_points(config, cloud, cfg.noise)

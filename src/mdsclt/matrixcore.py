@@ -54,12 +54,10 @@ class SymmetricMatrix:
     """Dense symmetric n x n real matrix.
 
     The stored array is exactly symmetric: construction mirrors the upper
-    triangle onto the lower one. ``hollow`` additionally asserts a zero
-    diagonal.
+    triangle onto the lower one.
     """
 
     data: np.ndarray
-    hollow: bool = False
 
     def __post_init__(self):
         a = np.asarray(self.data, dtype=float)
@@ -68,18 +66,15 @@ class SymmetricMatrix:
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
         a = np.triu(a) + np.triu(a, 1).T  # mirror upper triangle, bit-exact symmetry
-        if self.hollow:
-            if np.any(np.diag(a) != 0.0):
-                raise ValueError("hollow matrix must have an exactly zero diagonal")
         object.__setattr__(self, "data", a)
         self.data.setflags(write=False)
 
     @classmethod
-    def _unchecked(cls, a: np.ndarray, hollow: bool = False) -> "SymmetricMatrix":
-        """Wrap a float array the library built exactly symmetric (and hollow,
-        if so flagged) without the construction checks."""
+    def _unchecked(cls, a: np.ndarray) -> "SymmetricMatrix":
+        """Wrap a float array the library built exactly symmetric without the
+        construction checks."""
         m = object.__new__(cls)
-        m.__dict__.update(data=a, hollow=hollow)
+        m.__dict__.update(data=a)
         a.setflags(write=False)
         return m
 
@@ -88,7 +83,7 @@ class SymmetricMatrix:
         return self.data.shape[0]
 
     @classmethod
-    def from_array(cls, a, hollow: bool = False, rtol: float = 1e-9) -> "SymmetricMatrix":
+    def from_array(cls, a, rtol: float = 1e-9) -> "SymmetricMatrix":
         """Build from a nearly-symmetric array, verifying symmetry to ``rtol``
         relative and symmetrizing by averaging."""
         a = np.asarray(a, dtype=float)
@@ -97,7 +92,7 @@ class SymmetricMatrix:
         scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
         if np.abs(a - a.T).max(initial=0.0) > rtol * scale:
             raise ValueError("matrix is not symmetric within tolerance")
-        return cls((a + a.T) / 2.0, hollow=hollow)
+        return cls((a + a.T) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -217,13 +212,12 @@ class _CenteredSquares(spla.LinearOperator):
         return y
 
 
-def centered(sq: SymmetricMatrix, k: int, overwrite: bool = False):
+def centered(sq: SymmetricMatrix, k: int):
     """B = -1/2 P A P for A = ``sq``, in the form ``top_eigs(B, k)`` solves:
-    ``double_center``'s matrix (built in ``sq``'s array with ``overwrite``)
-    where that solve is dense, else an operator that forms no n x n array
-    and leaves ``sq`` as it is."""
+    ``double_center``'s matrix, in a copy, where that solve is dense, else an
+    operator that forms no n x n array. ``sq`` is left as it is."""
     if _dense_solve(sq.n, k):
-        return double_center(sq, overwrite=overwrite)
+        return double_center(sq)
     return _CenteredSquares(sq)
 
 
@@ -330,6 +324,11 @@ def _openblas_thread_controls() -> list:
     return controls
 
 
+# The libraries are loaded by the imports above and stay loaded, so one
+# lookup serves the process.
+_OPENBLAS = _openblas_thread_controls()
+
+
 @contextlib.contextmanager
 def blas_threads(count: int):
     """Run the block with ``count`` threads in every loaded OpenBLAS, restoring
@@ -338,14 +337,13 @@ def blas_threads(count: int):
     The counts are process-wide: enter this around a worker pool, not inside
     one of its workers.
     """
-    controls = _openblas_thread_controls()
-    previous = [get() for get, _ in controls]
-    for _, put in controls:
+    previous = [get() for get, _ in _OPENBLAS]
+    for _, put in _OPENBLAS:
         put(count)
     try:
         yield
     finally:
-        for (_, put), n in zip(controls, previous):
+        for (_, put), n in zip(_OPENBLAS, previous):
             put(n)
 
 
@@ -381,7 +379,7 @@ def norms(m: SymmetricMatrix) -> float:
     stops at a sqrt(eps) relative residual (see ``_lanczos``): the value is
     within about eps of the norm, relative, unless the top |eigenvalues|
     cluster within sqrt(eps), where it is within sqrt(eps)."""
-    if m.n <= DENSE_EIG_CUTOFF:
+    if _dense_solve(m.n, 1):
         w = np.linalg.eigvalsh(m.data)
     else:
         w = _lanczos(m.data, 1, "LM", vectors=False)
@@ -389,6 +387,9 @@ def norms(m: SymmetricMatrix) -> float:
 
 
 def read_matrix_csv(path, hollow: bool = False) -> SymmetricMatrix:
-    """Read a full square matrix from headerless comma-separated rows."""
-    a = np.loadtxt(path, delimiter=",", ndmin=2)
-    return SymmetricMatrix.from_array(a, hollow=hollow)
+    """Read a full square matrix from headerless comma-separated rows; with
+    ``hollow``, one whose diagonal is exactly zero, as dissimilarities have."""
+    m = SymmetricMatrix.from_array(np.loadtxt(path, delimiter=",", ndmin=2))
+    if hollow and np.any(np.diag(m.data) != 0.0):
+        raise ValueError("hollow matrix must have an exactly zero diagonal")
+    return m

@@ -16,15 +16,9 @@ import numpy as np
 
 from .matrixcore import SymmetricMatrix, mirror_upper
 
-MODEL_ALIASES = {
-    "model1": "model1_sq_additive",
-    "model2": "model2_additive",
-    "model3": "model3_mask",
-    "model2_hetero": "model2_hetero_uniform_scaled",
-}
 # The keys besides "model" that each noise variant reads from its JSON body.
-_MODEL_KEYS = {"model1_sq_additive": ("law",), "model2_additive": ("law",),
-               "model3_mask": ("q",), "model2_hetero_uniform_scaled": ()}
+_MODEL_KEYS = {"model1": ("law",), "model2": ("law",), "model3": ("q",),
+               "model2_hetero": ()}
 # The parameters each scalar noise law reads from its JSON body.
 _LAW_KEYS = {"uniform": ("a",), "gaussian": ("sigma",), "two_point": ("a", "p")}
 
@@ -135,13 +129,11 @@ class NoiseSpec:
     q: float = 1.0
 
     def __post_init__(self):
-        variant = MODEL_ALIASES.get(str(self.variant), str(self.variant))
-        if variant not in _MODEL_KEYS:
+        if not isinstance(self.variant, str) or self.variant not in _MODEL_KEYS:
             raise ValueError(f"unknown noise variant {self.variant!r}")
-        object.__setattr__(self, "variant", variant)
-        if variant in ("model1_sq_additive", "model2_additive") and self.law is None:
-            raise ValueError(f"{variant} requires a scalar noise law")
-        if variant == "model3_mask" and not 0.0 <= self.q <= 1.0:
+        if self.variant in ("model1", "model2") and self.law is None:
+            raise ValueError(f"{self.variant} requires a scalar noise law")
+        if self.variant == "model3" and not 0.0 <= self.q <= 1.0:
             raise ValueError("q must be a probability")
 
     @property
@@ -153,19 +145,18 @@ class NoiseSpec:
     @property
     def squared_scale(self) -> bool:
         """Model 1 perturbs D^2 directly: there is no Delta."""
-        return self.variant == "model1_sq_additive"
+        return self.variant == "model1"
 
     @property
     def center_scale(self) -> float:
         """Shrinkage of the limiting centered positions: sqrt(q) under masking."""
-        return float(np.sqrt(self.q)) if self.variant == "model3_mask" else 1.0
+        return float(np.sqrt(self.q)) if self.variant == "model3" else 1.0
 
     def to_json(self) -> dict:
-        short = {v: k for k, v in MODEL_ALIASES.items()}
-        out = {"model": short.get(self.variant, self.variant)}
+        out = {"model": self.variant}
         if self.law is not None:
             out["law"] = self.law.to_json()
-        if self.variant == "model3_mask":
+        if self.variant == "model3":
             out["q"] = self.q
         return out
 
@@ -204,11 +195,11 @@ def _entries(spec: NoiseSpec, rng: np.random.Generator, d: np.ndarray):
     upper-triangle distances ``d``. Returns the perturbed entries (squared
     under model 1) and the entries of E."""
     size = d.size
-    if spec.variant == "model2_hetero_uniform_scaled":
+    if spec.variant == "model2_hetero":
         # E~_ij ~ Uniform(-D_ij, D_ij). As |E~| <= D, E = Delta - D is exact,
         # so D + E is Delta = the rounded D + E~ bit for bit, and >= 0.
         delta = d + rng.uniform(-1.0, 1.0, size) * d
-    elif spec.variant == "model3_mask":
+    elif spec.variant == "model3":
         delta = d * (rng.random(size) < spec.q).astype(float)
     else:
         e = spec.law.draw(rng, size)
@@ -250,14 +241,14 @@ def perturb(D: SymmetricMatrix, spec: NoiseSpec, seed: int, keep=OUTPUTS,
     mirror_upper(m)
     out = dict.fromkeys(OUTPUTS)
     if E is not None:
-        out["E"] = SymmetricMatrix._unchecked(mirror_upper(E), hollow=True)
+        out["E"] = SymmetricMatrix._unchecked(mirror_upper(E))
     if spec.squared_scale:
         if "delta_sq" in keep:
-            out["delta_sq"] = SymmetricMatrix._unchecked(m, hollow=True)
+            out["delta_sq"] = SymmetricMatrix._unchecked(m)
         return out
     if "delta" in keep:
-        out["delta"] = SymmetricMatrix._unchecked(m, hollow=True)
+        out["delta"] = SymmetricMatrix._unchecked(m)
     if "delta_sq" in keep:
         sq = m**2 if "delta" in keep else np.square(m, out=m)
-        out["delta_sq"] = SymmetricMatrix._unchecked(sq, hollow=True)
+        out["delta_sq"] = SymmetricMatrix._unchecked(sq)
     return out

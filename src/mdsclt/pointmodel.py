@@ -207,10 +207,10 @@ def moments(spec: DistributionSpec) -> PopulationMoments:
 
 
 def _weight_fn(noise: NoiseSpec):
-    if noise.variant == "model2_additive":
+    if noise.variant == "model2":
         s2, g, x4 = noise.moments.sigma2, noise.moments.gamma, noise.moments.xi4
         return lambda r: s2 * r**2 + g * r + x4 / 4.0 - s2**2 / 4.0
-    if noise.variant == "model3_mask":
+    if noise.variant == "model3":
         q = noise.q
         return lambda r: (1.0 - q) / 4.0 * r**4
     raise ValueError(

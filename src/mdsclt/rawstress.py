@@ -53,8 +53,7 @@ def minimize_stress(delta: SymmetricMatrix, d: int, init="cmds", seed: int = 0,
     """
     n = delta.n
     if isinstance(init, str) and init == "cmds":
-        x = embed(SymmetricMatrix._unchecked(delta.data**2), d, allow_deficient=True,
-                  overwrite=True).config
+        x = embed(SymmetricMatrix._unchecked(delta.data**2), d, allow_deficient=True).config
     elif isinstance(init, str) and init == "random":
         rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
         scale = max(float(np.abs(delta.data).max()), 1.0)

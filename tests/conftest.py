@@ -24,7 +24,7 @@ def triangle_cloud_100(triangle):
 
 def exact_delta_sq(cloud):
     d = cloud.distance_matrix()
-    return SymmetricMatrix(d**2, hollow=True)
+    return SymmetricMatrix(d**2)
 
 
 @pytest.fixture

@@ -300,7 +300,7 @@ def test_criterion_9_noiseless_round_trip():
     loss at the optimum below 1e-8 of the centered matrix norm."""
     cloud = pointmodel.sample(TRIANGLE, 200, seed=1)
     d = cloud.distance_matrix()
-    dsq = SymmetricMatrix(d**2, hollow=True)
+    dsq = SymmetricMatrix(d**2)
     emb = cmds.embed(dsq, 2)
     got = np.linalg.norm(emb.config[:, None] - emb.config[None, :], axis=2)
     dist_err = float(np.abs(got - d).max())

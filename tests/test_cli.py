@@ -296,6 +296,7 @@ class TestTheoryCovAndDiagnose:
         tc = json.loads(out.read_text())
         assert len(tc["per_class"]) == 3
         assert tc["center_scale"] == 1.0
+        assert tc["model"] == "model2"
 
     def test_theory_cov_gaussian_model2_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -390,6 +391,16 @@ class TestErrorHandling:
         assert "MDSCLT_THREADS must be at least 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["mc-run", "diagnose"])
+    def test_env_thread_count_not_an_integer_exit_1(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        monkeypatch.setenv("MDSCLT_THREADS", "abc")
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "o.json"
+        assert dispatch([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "MDSCLT_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deficient_embed_exit_1(self, tmp_path):
         # collinear points: second eigenvalue nonpositive
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -417,6 +428,21 @@ class TestErrorHandling:
         bad.write_text("0,1\n2,0\n")
         assert dispatch(["embed", "--in", str(bad), "--d", "1",
                          "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("command", ["perturb", "rawstress"])
+    def test_nonzero_diagonal_exit_1(self, tmp_path, capsys, command):
+        """The commands that read dissimilarities want an exactly zero
+        diagonal, and write nothing without one."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0,1,2\n1,0.5,1\n2,1,0\n")
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps({"model": "model3", "q": 0.5}))
+        args = {"perturb": ["--noise", str(noise), "--out-delta-sq"],
+                "rawstress": ["--d", "1", "--sidecar", str(tmp_path / "s.json"),
+                              "--out"]}[command]
+        assert dispatch([command, "--in", str(bad), *args, str(tmp_path / "o.csv")]) == 1
+        assert "exactly zero diagonal" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "noise.json"]
 
     @pytest.mark.parametrize("kw, reason", [
         ({"n_list": (10001,)}, "n=10001 is outside the supported range"),
@@ -497,10 +523,12 @@ class TestErrorHandling:
         (("noise",), {"model": "model3", "law": UNIFORM4_LAW, "q": 0.5},
          "noise model 'model3': unknown key 'law'"),
         (("noise", "model"), ["model2"], "unknown noise variant ['model2']"),
+        (("noise", "model"), "model2_additive", "unknown noise variant 'model2_additive'"),
     ], ids=["n_list_int", "n_list_float_entry", "checks_null", "checks_string",
             "replicates_float", "d_string", "seed_string", "seed_negative",
             "law_a_string", "law_a_bool", "law_a_nan", "law_a_inf", "q_bool",
-            "gaussian_mean_null", "model2_q", "model3_law", "model_list"])
+            "gaussian_mean_null", "model2_q", "model3_law", "model_list",
+            "model_long_name"])
     def test_bad_json_value_exit_1(self, tmp_path, capsys, path, value, reason):
         """A config value of the wrong type, or a key its noise model does not
         read, is rejected where the config is loaded, naming the key."""

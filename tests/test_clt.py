@@ -184,9 +184,9 @@ class TestDecompose:
 
         def remainder_median(n):
             cloud = pointmodel.sample(triangle, n, seed=5)
-            D = SymmetricMatrix(cloud.distance_matrix(), hollow=True)
+            D = SymmetricMatrix(cloud.distance_matrix())
             out = perturb(D, uniform4, seed=5)
-            B = double_center(SymmetricMatrix(D.data**2, hollow=True))
+            B = double_center(SymmetricMatrix(D.data**2))
             Bh = double_center(out["delta_sq"])
             rep = clt.decompose(B, Bh, 2)
             return [float(np.median(t)) for t in rep.term_row_norms[1:]]
@@ -304,7 +304,8 @@ SIMULATE_NOISES = [
 ]
 
 
-@pytest.mark.parametrize("noise", SIMULATE_NOISES, ids=lambda s: s.variant)
+@pytest.mark.parametrize("noise", SIMULATE_NOISES, ids=[
+    "model1_sq_additive", "model2_additive", "model2_hetero_uniform_scaled", "model3_mask"])
 @pytest.mark.parametrize("dist", [pointmodel.triangle_345(), GAUSS_I2],
                          ids=["mixture", "gaussian"])
 def test_simulate_matches_checked_pipeline(dist, noise):
@@ -314,7 +315,7 @@ def test_simulate_matches_checked_pipeline(dist, noise):
     cloud, D, out = clt.simulate(dist, noise, n, seed, r)
     noise_seed, point_seed = clt._replicate_seeds(seed, n, r)
     ref_cloud = pointmodel.sample(dist, n, point_seed)
-    ref_D = SymmetricMatrix(ref_cloud.distance_matrix(), hollow=True)
+    ref_D = SymmetricMatrix(ref_cloud.distance_matrix())
     ref = perturb(ref_D, noise, noise_seed)
 
     def same_bits(a, b):

@@ -11,7 +11,7 @@ def delta_sq_of(points):
     diff = points[:, None] - points[None, :]
     dsq = (diff**2).sum(axis=2)
     np.fill_diagonal(dsq, 0.0)
-    return SymmetricMatrix(dsq, hollow=True)
+    return SymmetricMatrix(dsq)
 
 
 TRIANGLE = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
@@ -26,7 +26,7 @@ class TestEmbed:
 
     def test_n2_closed_form(self):
         c = 3.1
-        dsq = SymmetricMatrix(np.array([[0.0, c**2], [c**2, 0.0]]), hollow=True)
+        dsq = SymmetricMatrix(np.array([[0.0, c**2], [c**2, 0.0]]))
         e = embed(dsq, 1)
         assert np.allclose(np.abs(e.config[:, 0]), c / 2.0, atol=1e-12)
         assert e.config[:, 0].sum() == pytest.approx(0.0, abs=1e-12)
@@ -81,18 +81,18 @@ class TestEmbed:
         assert ks == [2]
         assert e.config.shape == (300, 2)
 
-    def test_overwrite_leaves_delta_sq_above_cutoff(self, rng):
-        """Above the dense cutoff nothing is built in Delta^2's array, even
-        with ``overwrite``."""
-        dsq = delta_sq_of(rng.standard_normal((300, 2)))
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_never_writes_delta_sq(self, rng, n):
+        """Below the dense cutoff B is built in a copy; above it, not at all."""
+        dsq = delta_sq_of(rng.standard_normal((n, 2)))
         before = dsq.data.copy()
-        embed(dsq, 2, overwrite=True)
+        embed(dsq, 2)
         assert np.array_equal(dsq.data, before)
 
     def test_zero_matrix_above_cutoff(self):
         """An all-zero Delta^2 gets the dense solve of the formed, all-zero B:
         zero eigenvalues, an all +0.0 configuration, flagged deficient."""
-        e = embed(SymmetricMatrix(np.zeros((300, 300)), hollow=True), 2,
+        e = embed(SymmetricMatrix(np.zeros((300, 300))), 2,
                   allow_deficient=True)
         assert e.deficient
         assert np.array_equal(e.eigenvalues, [0.0, 0.0])
@@ -117,8 +117,7 @@ class TestEmbed:
         collinear points at a roundoff value (+2e-16 here), which is
         deficient whatever its sign."""
         pts = np.array([0.0, 1.0, 2.0, 3.0])
-        m = SymmetricMatrix(np.sqrt((pts[:, None] - pts[None, :]) ** 2) ** 2,
-                            hollow=True)
+        m = SymmetricMatrix(np.sqrt((pts[:, None] - pts[None, :]) ** 2) ** 2)
         with pytest.raises(DeficientEmbeddingError, match="eigenvalue 2 "):
             embed(m, 2)
         assert embed(m, 2, allow_deficient=True).deficient
@@ -155,11 +154,11 @@ class TestSelectDim:
         assert out["d_hat"] == 2
 
     def test_zero_matrix(self):
-        out = select_dim(SymmetricMatrix(np.zeros((10, 10)), hollow=True), 3)
+        out = select_dim(SymmetricMatrix(np.zeros((10, 10))), 3)
         assert out["d_hat"] == 0
 
     def test_zero_matrix_above_cutoff(self):
-        out = select_dim(SymmetricMatrix(np.zeros((300, 300)), hollow=True), 3)
+        out = select_dim(SymmetricMatrix(np.zeros((300, 300))), 3)
         assert out["d_hat"] == 0
         assert out["threshold"] == 300.0 ** (2.0 / 3.0)
         assert np.array_equal(out["eigenvalues"], [0.0, 0.0, 0.0])

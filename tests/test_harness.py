@@ -243,10 +243,10 @@ class TestRun:
 
 
 def blas_counts():
-    return [get() for get, _ in matrixcore._openblas_thread_controls()]
+    return [get() for get, _ in matrixcore._OPENBLAS]
 
 
-@pytest.mark.skipif(not matrixcore._openblas_thread_controls(),
+@pytest.mark.skipif(not matrixcore._OPENBLAS,
                     reason="no bundled OpenBLAS loaded")
 class TestBlasThreads:
     @pytest.mark.parametrize("threads", [1, 2])
@@ -325,8 +325,7 @@ def test_one_blas_thread_guard_under_contention(monkeypatch):
         time.sleep(0.001 if n != 1 else 0.0)
         count[0] = n
 
-    monkeypatch.setattr(matrixcore, "_openblas_thread_controls",
-                        lambda: [(lambda: count[0], put)])
+    monkeypatch.setattr(matrixcore, "_OPENBLAS", [(lambda: count[0], put)])
     guard, seen = matrixcore._OneBlasThread(), []
 
     def worker():
@@ -353,7 +352,8 @@ def test_one_blas_thread_guard_under_contention(monkeypatch):
 
 def test_blas_threads_without_openblas_is_a_no_op(monkeypatch):
     monkeypatch.setattr(matrixcore.glob, "glob", lambda pattern: [])
-    assert matrixcore._openblas_thread_controls() == []
+    monkeypatch.setattr(matrixcore, "_OPENBLAS", matrixcore._openblas_thread_controls())
+    assert matrixcore._OPENBLAS == []
     with pytest.raises(KeyError):
         with matrixcore.blas_threads(1):
             raise KeyError("body still runs")

@@ -61,12 +61,6 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             SymmetricMatrix(np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
-    def test_hollow_flag_enforced(self):
-        with pytest.raises(ValueError):
-            SymmetricMatrix(np.eye(2), hollow=True)
-        m = SymmetricMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), hollow=True)
-        assert m.hollow
-
     def test_from_array_rejects_asymmetry(self):
         a = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
@@ -101,7 +95,7 @@ class TestDoubleCenter:
 
     def test_triangle_eigenvalues_match_centered_gram(self):
         d = np.linalg.norm(TRIANGLE[:, None] - TRIANGLE[None, :], axis=2)
-        b = double_center(SymmetricMatrix(d**2, hollow=True))
+        b = double_center(SymmetricMatrix(d**2))
         oracle = np.sort(np.linalg.eigvalsh(centered_gram(TRIANGLE)))[::-1]
         got = np.sort(np.linalg.eigvalsh(b.data))[::-1]
         assert np.allclose(got, oracle, atol=1e-9)
@@ -129,7 +123,7 @@ class TestDoubleCenter:
         diff = z[:, None] - z[None, :]
         dsq = (diff**2).sum(axis=2)
         np.fill_diagonal(dsq, 0.0)
-        b = double_center(SymmetricMatrix(dsq, hollow=True))
+        b = double_center(SymmetricMatrix(dsq))
         oracle = centered_gram(z)
         assert np.linalg.norm(b.data - oracle, "fro") <= \
             1e-8 * np.linalg.norm(oracle, "fro")
@@ -150,7 +144,7 @@ class TestTopEigs:
     def test_triangle_char_poly_oracle(self):
         # eigenvalues of B equal those of the centered scatter [[6,-4],[-4,32/3]]
         d = np.linalg.norm(TRIANGLE[:, None] - TRIANGLE[None, :], axis=2)
-        b = double_center(SymmetricMatrix(d**2, hollow=True))
+        b = double_center(SymmetricMatrix(d**2))
         pair = top_eigs(b, 2)
         oracle = np.sort(np.roots([1.0, -(6.0 + 32.0 / 3.0),
                                    6.0 * 32.0 / 3.0 - 16.0]))[::-1]
@@ -352,7 +346,7 @@ class TestCentered:
         (DENSE_EIG_CUTOFF, 2, True), (DENSE_EIG_CUTOFF + 1, 2, False),
         (300, 299, True), (300, 298, False)])
     def test_dense_exactly_where_top_eigs_solves_densely(self, n, k, dense):
-        dsq = SymmetricMatrix(np.zeros((n, n)), hollow=True)
+        dsq = SymmetricMatrix(np.zeros((n, n)))
         b = centered(dsq, k)
         assert isinstance(b, SymmetricMatrix) == dense
         if dense:
@@ -375,7 +369,7 @@ class TestCentered:
         dsq = replicate_delta_sq(300)
         a = dsq.data.copy()
         a[np.tril_indices(300, -1)] = np.nan
-        got = top_eigs(centered(SymmetricMatrix._unchecked(a, hollow=True), 2), 2)
+        got = top_eigs(centered(SymmetricMatrix._unchecked(a), 2), 2)
         want = top_eigs(centered(dsq, 2), 2)
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.vectors, want.vectors)
@@ -416,3 +410,13 @@ def test_csv_reader_rejects_asymmetric(tmp_path):
     path.write_text("0,1\n2,0\n")
     with pytest.raises(ValueError):
         read_matrix_csv(path)
+
+
+def test_csv_reader_hollow_rejects_nonzero_diagonal(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n2,0\n")
+    assert read_matrix_csv(path).data[0, 0] == 1.0
+    with pytest.raises(ValueError, match="exactly zero diagonal"):
+        read_matrix_csv(path, hollow=True)
+    path.write_text("0,2\n2,0\n")
+    assert read_matrix_csv(path, hollow=True).n == 2

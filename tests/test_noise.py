@@ -8,7 +8,7 @@ from mdsclt.noise import NoiseLaw, NoiseSpec, perturb
 
 def triangle_distance_matrix(n, seed=0):
     cloud = pointmodel.sample(pointmodel.triangle_345(), n, seed)
-    return SymmetricMatrix(cloud.distance_matrix(), hollow=True)
+    return SymmetricMatrix(cloud.distance_matrix())
 
 
 class TestNoiseLaw:
@@ -45,10 +45,14 @@ class TestNoiseLaw:
 
 
 class TestNoiseSpec:
-    def test_aliases(self):
-        spec = NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.0))
-        assert spec.variant == "model1_sq_additive"
-        assert NoiseSpec("model3", q=0.5).variant == "model3_mask"
+    @pytest.mark.parametrize("name", ["model1_sq_additive", "model2_additive",
+                                      "model3_mask", "model2_hetero_uniform_scaled"])
+    def test_long_names_rejected(self, name):
+        """Each noise model has one name, the one a JSON config uses."""
+        with pytest.raises(ValueError, match="unknown noise variant"):
+            NoiseSpec(name, law=NoiseLaw("uniform", a=4.0))
+        with pytest.raises(ValueError, match="unknown noise variant"):
+            NoiseSpec.from_json({"model": name})
 
     def test_law_required_for_additive_models(self):
         with pytest.raises(ValueError):
@@ -185,7 +189,7 @@ class TestPerturb:
     def test_rejects_negative_distances(self):
         d = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError):
-            perturb(SymmetricMatrix(d, hollow=True),
+            perturb(SymmetricMatrix(d),
                     NoiseSpec("model3", q=0.5), seed=0)
 
     def test_sample_moments_converge(self):
@@ -217,7 +221,7 @@ class TestPerturb:
 
 class TestHeteroUniformScaled:
     def test_zero_distances(self):
-        D = SymmetricMatrix(np.zeros((5, 5)), hollow=True)
+        D = SymmetricMatrix(np.zeros((5, 5)))
         out = perturb(D, NoiseSpec("model2_hetero"), seed=0)["delta"]
         assert np.all(out.data == 0.0)
 

@@ -13,7 +13,7 @@ def distances_of(points):
     points = np.asarray(points, float)
     d = np.linalg.norm(points[:, None] - points[None, :], axis=2)
     np.fill_diagonal(d, 0.0)
-    return SymmetricMatrix(d, hollow=True)
+    return SymmetricMatrix(d)
 
 
 class TestRawStress:
@@ -21,7 +21,7 @@ class TestRawStress:
         assert raw_stress(TRIANGLE, distances_of(TRIANGLE)) == 0.0
 
     def test_n2_hand_value(self):
-        delta = SymmetricMatrix(np.array([[0.0, 5.0], [5.0, 0.0]]), hollow=True)
+        delta = SymmetricMatrix(np.array([[0.0, 5.0], [5.0, 0.0]]))
         config = np.array([[0.0], [3.0]])
         assert raw_stress(config, delta) == pytest.approx(4.0)  # (5-3)^2
 
@@ -68,7 +68,7 @@ class TestMinimizeStress:
         the minimizer must still report a non-increasing history (by
         rejecting any increasing step)."""
         cloud = pointmodel.sample(triangle, 200, seed=2)
-        out = perturb(SymmetricMatrix(cloud.distance_matrix(), hollow=True),
+        out = perturb(SymmetricMatrix(cloud.distance_matrix()),
                       uniform4, seed=2)
         assert np.any(out["delta"].data < 0)
         state = minimize_stress(out["delta"], 2, init="cmds")
@@ -97,15 +97,14 @@ class TestMinimizeStress:
         # three coincident points plus one distant: dissimilarities demand
         # separation the duplicate rows cannot express at start
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 0.0]])
-        delta = SymmetricMatrix(np.where(np.eye(4) == 1, 0.0, 2.0),
-                                hollow=True)
+        delta = SymmetricMatrix(np.where(np.eye(4) == 1, 0.0, 2.0))
         state = minimize_stress(delta, 2, init=pts)
         assert state.coincident_points
         assert np.all(np.diff(state.stress_history) <= 1e-12)
 
     def test_deterministic(self, triangle, uniform4):
         cloud = pointmodel.sample(triangle, 60, seed=1)
-        out = perturb(SymmetricMatrix(cloud.distance_matrix(), hollow=True),
+        out = perturb(SymmetricMatrix(cloud.distance_matrix()),
                       uniform4, seed=1)
         a = minimize_stress(out["delta"], 2, init="random", seed=9)
         b = minimize_stress(out["delta"], 2, init="random", seed=9)
