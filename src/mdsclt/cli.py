@@ -17,8 +17,8 @@ import tempfile
 import numpy as np
 
 from . import clt, cmds, harness, noise as noisemod, pointmodel, rawstress, svgplot
-from .matrixcore import (ConvergenceError, blas_threads, centered, read_matrix_csv,
-                         top_eigs)
+from .matrixcore import (ConvergenceError, centered, one_blas_thread,
+                         read_matrix_csv, top_eigs)
 
 SCREE_EXTRA = 4  # eigenvalues beyond d that the embed sidecar reports
 
@@ -268,8 +268,13 @@ def _cmd_mc_run(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    try:
+        n_grid = [int(v) for v in args.n_grid.split(",")]
+    except ValueError:
+        raise ValueError(f"--n-grid must be comma-separated integers, "
+                         f"got {args.n_grid!r}") from None
     cfg = _load_config(args.config, threads=_default_threads(args.threads),
-                       n_list=[int(v) for v in args.n_grid.split(",")])
+                       n_list=n_grid)
     table = clt.bound_checks(cfg, args.replicates)
     errors = table.pop("errors")
     for n, r, reason in errors:
@@ -407,7 +412,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with blas_threads(1):
+        with one_blas_thread:
             return _COMMANDS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,8 +12,8 @@ import numpy as np
 
 from . import noise as noisemod
 from . import pointmodel
-from .matrixcore import (ConvergenceError, SymmetricMatrix, blas_threads,
-                         double_center, norms, top_eigs)
+from .matrixcore import (ConvergenceError, SymmetricMatrix, double_center, norms,
+                         one_blas_thread, top_eigs)
 
 
 def _replicate_seeds(seed: int, n: int, r: int) -> tuple:
@@ -56,8 +56,9 @@ def centered_pair(distribution: pointmodel.DistributionSpec,
 
 def run_replicates(fn, replicates: int, threads: int):
     """Call ``fn(r)`` for r = 0 .. replicates - 1 on up to ``threads`` workers,
-    each with one BLAS thread, so the results' bits do not depend on
-    ``threads`` or on the caller's BLAS thread count. Returns (results,
+    all inside ``one_blas_thread``, so the results' bits do not depend on
+    ``threads`` or on the caller's BLAS thread count; the workers' own
+    eigensolves nest in that guard and leave the count alone. Returns (results,
     errors), both indexed by r: a replicate that fails numerically has result
     None and its reason in errors; the others have error None.
     """
@@ -72,7 +73,7 @@ def run_replicates(fn, replicates: int, threads: int):
         except (ValueError, ConvergenceError) as exc:
             errors[r] = f"{type(exc).__name__}: {exc}"
 
-    with blas_threads(1):
+    with one_blas_thread:
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(work, range(replicates)))

@@ -12,13 +12,16 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from . import clt, cmds, noise as noisemod, pointmodel, rawstress
 from .matrixcore import MAX_SUPPORTED_N
 
 # Asymptotic Kolmogorov critical value at the 1% level.
-KS_CRIT_1PCT = float(scipy.stats.kstwobign.isf(0.01))
+KS_CRIT_1PCT = float(scipy.special.kolmogi(0.01))
+# Level of the Gaussian level curves ``ellipse_points`` draws, and their vertices.
+ELLIPSE_LEVEL = 0.95
+ELLIPSE_VERTICES = 128
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,9 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         n_list = tuple(self.n_list)
-        if list(n_list) != sorted(n_list):
-            raise ValueError("n_list must be ascending")
+        if not n_list or any(a >= b for a, b in zip(n_list, n_list[1:])):
+            raise ValueError(f"n_list must be non-empty and strictly ascending, "
+                             f"got {list(n_list)}")
         object.__setattr__(self, "n_list", n_list)
         if self.estimator not in ("cmds", "rawstress"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
@@ -60,7 +64,7 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown checks {unknown}: the known ones are clt "
                              "and decomposition")
-        if n_list and not 1 <= self.d <= n_list[0] - 1:
+        if not 1 <= self.d <= n_list[0] - 1:
             raise ValueError(f"embedding dimension d={self.d} must satisfy "
                              f"1 <= d <= n-1 for n={n_list[0]}")
         if self.d != self.distribution.d:
@@ -247,16 +251,27 @@ def normality_check(samples) -> dict:
         raise ValueError("singular empirical covariance")
     whiten = (v / np.sqrt(w)) @ v.T
     centered = (samples - samples.mean(axis=0)) @ whiten
-    stats = [float(scipy.stats.kstest(centered[:, j], "norm").statistic)
-             for j in range(centered.shape[1])]
+    stats = [_ks_normal(centered[:, j]) for j in range(centered.shape[1])]
     crit = KS_CRIT_1PCT / math.sqrt(m)
     return {"marginal_stats": stats, "critical_value": crit,
             "max_stat": max(stats), "pass": max(stats) < crit}
 
 
-def ellipse_points(mean, cov, level: float = 0.95, num: int = 128) -> np.ndarray:
-    """Level-curve polyline of a bivariate Gaussian: mean + r cov^{1/2} u(theta)
-    with r^2 the chi-square(2) quantile, -2 ln(1 - level)."""
+def _ks_normal(x: np.ndarray) -> float:
+    """One-sample Kolmogorov-Smirnov statistic of ``x`` against the standard
+    normal: the largest gap max(i/m - F_i, F_i - (i-1)/m) between the
+    empirical CDF of the sorted sample and F = Phi at its points."""
+    x = np.sort(x)
+    m = x.size
+    cdf = scipy.special.ndtr(x)
+    return float(max((np.arange(1.0, m + 1) / m - cdf).max(),
+                     (cdf - np.arange(0.0, m) / m).max()))
+
+
+def ellipse_points(mean, cov) -> np.ndarray:
+    """Level-curve polyline of a bivariate Gaussian, ``ELLIPSE_VERTICES``
+    points: mean + r cov^{1/2} u(theta) with r^2 the chi-square(2) quantile,
+    -2 ln(1 - ``ELLIPSE_LEVEL``)."""
     mean = np.asarray(mean, float)
     cov = np.asarray(cov, float)
     if mean.shape != (2,) or cov.shape != (2, 2):
@@ -264,8 +279,8 @@ def ellipse_points(mean, cov, level: float = 0.95, num: int = 128) -> np.ndarray
     w, v = np.linalg.eigh((cov + cov.T) / 2.0)
     if w.min() <= 0:
         raise ValueError("covariance must be positive definite")
-    r = math.sqrt(-2.0 * math.log(1.0 - level))
-    theta = np.linspace(0.0, 2.0 * np.pi, num, endpoint=True)
+    r = math.sqrt(-2.0 * math.log(1.0 - ELLIPSE_LEVEL))
+    theta = np.linspace(0.0, 2.0 * np.pi, ELLIPSE_VERTICES, endpoint=True)
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     half = (v * np.sqrt(w)) @ v.T
     return mean + r * circle @ half

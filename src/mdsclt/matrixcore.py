@@ -1,15 +1,18 @@
 """Dense symmetric matrix algebra: double centering, spectral decomposition
-and the spectral norm; also the BLAS thread count the decompositions run
-with.
+and the spectral norm; also the guard that runs them on one BLAS thread.
 
 All operations are pure and deterministic; eigenvector signs are fixed so
-repeated calls on the same matrix return bit-identical output. Matrices are
-checked where outside data enters, not where the library builds them.
+repeated calls on the same matrix return bit-identical output. Every
+eigensolve, dense or iterative, runs inside ``one_blas_thread``, so its bits
+do not depend on the caller's BLAS thread count either. Matrices are checked
+where outside data enters (``SymmetricMatrix(...)``), not where the library
+builds them (``SymmetricMatrix._unchecked``).
 
-The in-place n x n passes (distances, double centering) run over row strips
-of about ``_STRIP`` entries and read no transposed entry, since their inputs
-are exactly symmetric. The one transposed copy is ``mirror_upper``, which
-completes the noise fill block by block.
+The n x n passes (distances, noise fill, double centering) walk the row
+strips of ``row_strips``, about ``_STRIP`` entries each, and read no
+transposed entry, since their inputs are exactly symmetric. The one
+transposed copy is ``mirror_upper``, which completes the noise fill block by
+block.
 
 Above ``DENSE_EIG_CUTOFF`` the double centering of a squared-dissimilarity
 matrix is never formed: ``centered`` hands ``top_eigs`` an operator that
@@ -19,7 +22,6 @@ array is built or overwritten.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import glob
 import os
@@ -41,8 +43,10 @@ DEGENERATE_GAP_RTOL = 1e-10
 _VALUE_TOL = float(np.sqrt(np.finfo(float).eps))
 # Side of the square blocks in which ``mirror_upper`` copies the upper triangle.
 _BLOCK = 256
-# Entries per row strip of the in-place n x n passes: n <= 256 is one strip.
+# Entries per row strip of the n x n passes: n <= 256 is one strip.
 _STRIP = 1 << 16
+# Largest |a - a^T| entry, relative to max(1, max |a|), that construction accepts.
+_SYMMETRY_RTOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -53,8 +57,10 @@ class ConvergenceError(RuntimeError):
 class SymmetricMatrix:
     """Dense symmetric n x n real matrix.
 
-    The stored array is exactly symmetric: construction mirrors the upper
-    triangle onto the lower one.
+    Construction checks an outside array: it must be square and symmetric
+    within ``_SYMMETRY_RTOL`` relative to max(1, max |a|). It is stored as
+    (a + a^T) / 2, which is exactly symmetric since addition commutes, and
+    whose entries must be finite.
     """
 
     data: np.ndarray
@@ -63,9 +69,13 @@ class SymmetricMatrix:
         a = np.asarray(self.data, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite: rejected below
+            gap = np.abs(a - a.T).max(initial=0.0)
+            if gap > _SYMMETRY_RTOL * max(1.0, float(np.abs(a).max(initial=0.0))):
+                raise ValueError("matrix is not symmetric within tolerance")
+            a = (a + a.T) / 2.0
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        a = np.triu(a) + np.triu(a, 1).T  # mirror upper triangle, bit-exact symmetry
         object.__setattr__(self, "data", a)
         self.data.setflags(write=False)
 
@@ -81,18 +91,6 @@ class SymmetricMatrix:
     @property
     def n(self) -> int:
         return self.data.shape[0]
-
-    @classmethod
-    def from_array(cls, a, rtol: float = 1e-9) -> "SymmetricMatrix":
-        """Build from a nearly-symmetric array, verifying symmetry to ``rtol``
-        relative and symmetrizing by averaging."""
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-        if np.abs(a - a.T).max(initial=0.0) > rtol * scale:
-            raise ValueError("matrix is not symmetric within tolerance")
-        return cls((a + a.T) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -228,11 +226,11 @@ def _lanczos(a, k: int, which: str, vectors: bool = True):
 
     The start vector and the generator of ARPACK's restart vectors are
     fixed by n, so neither the output nor the matvec count depends on earlier
-    calls or on the calling thread; the iteration cap is 10n. The solve runs
-    on one BLAS thread whatever the caller's count, since the bits of
-    ``dsymv`` and of ARPACK's own BLAS calls depend on it. ARPACK cannot
-    start on an all-zero matrix, which gets the dense top-k solve (of the
-    formed B, for an operator).
+    calls or on the calling thread; the iteration cap is 10n. Its callers,
+    ``top_eigs`` and ``norms``, run it inside ``one_blas_thread``, since the
+    bits of ``dsymv`` and of ARPACK's own BLAS calls depend on the BLAS
+    thread count. ARPACK cannot start on an all-zero matrix, which gets the
+    dense top-k solve (of the formed B, for an operator).
 
     A solve with eigenvectors runs to machine precision (ARPACK's tol=0). An
     eigenvalue-only solve stops once each wanted Ritz residual ||r|| is at
@@ -246,11 +244,10 @@ def _lanczos(a, k: int, which: str, vectors: bool = True):
     n = a.shape[0]
     v0 = np.random.default_rng(n).uniform(-1.0, 1.0, n)
     try:
-        with _ONE_BLAS_THREAD:
-            return spla.eigsh(a, k=k, which=which, maxiter=10 * n, v0=v0,
-                              tol=0.0 if vectors else _VALUE_TOL,
-                              return_eigenvectors=vectors,
-                              rng=np.random.default_rng(n))
+        return spla.eigsh(a, k=k, which=which, maxiter=10 * n, v0=v0,
+                          tol=0.0 if vectors else _VALUE_TOL,
+                          return_eigenvectors=vectors,
+                          rng=np.random.default_rng(n))
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"eigensolver did not converge within {10 * n} iterations"
@@ -277,18 +274,16 @@ def top_eigs(m, k: int) -> SpectralPair:
 
     Small matrices, and requests for k >= n - 1 pairs, get a dense solve for
     those k pairs only (not all n); large ones requesting few pairs get
-    ARPACK (start vector fixed by n, iteration cap 10n) on one BLAS thread.
-    The dense solve is bit-stable across runs but not across BLAS thread
-    counts.
+    ARPACK (start vector fixed by n, iteration cap 10n). Either solve runs
+    inside ``one_blas_thread``, so its bits do not depend on the caller's
+    BLAS thread count.
     """
     a = m if isinstance(m, _CenteredSquares) else m.data
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    if _dense_solve(n, k):
-        w, v = _dense_top(a, k)
-    else:
-        w, v = _lanczos(a, k, "LA")
+    with one_blas_thread:
+        w, v = _dense_top(a, k) if _dense_solve(n, k) else _lanczos(a, k, "LA")
     order = np.argsort(w)[::-1][:k]
     values, vectors = w[order], v[:, order]
     vectors = _fix_signs(np.ascontiguousarray(vectors))
@@ -329,48 +324,34 @@ def _openblas_thread_controls() -> list:
 _OPENBLAS = _openblas_thread_controls()
 
 
-@contextlib.contextmanager
-def blas_threads(count: int):
-    """Run the block with ``count`` threads in every loaded OpenBLAS, restoring
-    the previous counts on exit. Does nothing where no OpenBLAS is found.
-
-    The counts are process-wide: enter this around a worker pool, not inside
-    one of its workers.
-    """
-    previous = [get() for get, _ in _OPENBLAS]
-    for _, put in _OPENBLAS:
-        put(count)
-    try:
-        yield
-    finally:
-        for (_, put), n in zip(_OPENBLAS, previous):
-            put(n)
-
-
 class _OneBlasThread:
-    """One BLAS thread while any thread is inside this context. The first
-    thread in sets the count and the last one out restores it, so solves
-    running concurrently on a worker pool never restore it under each other."""
+    """One thread in every loaded OpenBLAS while any thread is inside this
+    context. Under the lock, the first thread in saves the counts and sets
+    one, and the last one out restores them: a nested entry costs a lock and
+    a counter step, and concurrent solves never restore under each other."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._inside = 0
-        self._restore = contextlib.ExitStack()
+        self._saved = []
 
     def __enter__(self):
         with self._lock:
             if self._inside == 0:
-                self._restore.enter_context(blas_threads(1))
+                self._saved = [(put, get()) for get, put in _OPENBLAS]
+                for put, _ in self._saved:
+                    put(1)
             self._inside += 1
 
     def __exit__(self, *exc):
         with self._lock:
             self._inside -= 1
             if self._inside == 0:
-                self._restore.close()
+                for put, count in self._saved:
+                    put(count)
 
 
-_ONE_BLAS_THREAD = _OneBlasThread()
+one_blas_thread = _OneBlasThread()
 
 
 def norms(m: SymmetricMatrix) -> float:
@@ -378,18 +359,20 @@ def norms(m: SymmetricMatrix) -> float:
     eigenvalue above ``DENSE_EIG_CUTOFF``. That eigenvalue-only Lanczos solve
     stops at a sqrt(eps) relative residual (see ``_lanczos``): the value is
     within about eps of the norm, relative, unless the top |eigenvalues|
-    cluster within sqrt(eps), where it is within sqrt(eps)."""
-    if _dense_solve(m.n, 1):
-        w = np.linalg.eigvalsh(m.data)
-    else:
-        w = _lanczos(m.data, 1, "LM", vectors=False)
+    cluster within sqrt(eps), where it is within sqrt(eps). The solve runs
+    inside ``one_blas_thread``."""
+    with one_blas_thread:
+        if _dense_solve(m.n, 1):
+            w = np.linalg.eigvalsh(m.data)
+        else:
+            w = _lanczos(m.data, 1, "LM", vectors=False)
     return float(np.abs(w).max())
 
 
 def read_matrix_csv(path, hollow: bool = False) -> SymmetricMatrix:
     """Read a full square matrix from headerless comma-separated rows; with
     ``hollow``, one whose diagonal is exactly zero, as dissimilarities have."""
-    m = SymmetricMatrix.from_array(np.loadtxt(path, delimiter=",", ndmin=2))
+    m = SymmetricMatrix(np.loadtxt(path, delimiter=",", ndmin=2))
     if hollow and np.any(np.diag(m.data) != 0.0):
         raise ValueError("hollow matrix must have an exactly zero diagonal")
     return m

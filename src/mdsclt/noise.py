@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrixcore import SymmetricMatrix, mirror_upper
+from .matrixcore import SymmetricMatrix, mirror_upper, row_strips
 
 # The keys besides "model" that each noise variant reads from its JSON body.
 _MODEL_KEYS = {"model1": ("law",), "model2": ("law",), "model3": ("q",),
@@ -175,19 +175,7 @@ def _rng(seed: int, n: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, n]))
 
 
-# Entries per chunk of rows in which the noise is drawn and written.
-_CHUNK = 1 << 17
 OUTPUTS = ("delta_sq", "delta", "E")
-
-
-def _upper_chunks(n: int):
-    """(rows, mask) per chunk of rows, in row order: ``mask`` selects the
-    strict upper triangle of ``a[rows]``, whose entries a boolean index
-    visits in the row-major order of ``np.triu_indices(n, 1)``."""
-    step = max(1, _CHUNK // max(n, 1))
-    cols = np.arange(n)
-    for i in range(0, n, step):
-        yield slice(i, i + step), cols > np.arange(i, min(i + step, n))[:, None]
 
 
 def _entries(spec: NoiseSpec, rng: np.random.Generator, d: np.ndarray):
@@ -216,10 +204,11 @@ def perturb(D: SymmetricMatrix, spec: NoiseSpec, seed: int, keep=OUTPUTS,
     is every output not named in ``keep``. Negative entries of delta or
     delta_sq are passed through unchanged.
 
-    The upper triangle is drawn row chunk by row chunk, as one stream in
-    row-major order, and written straight into the output array, which is
-    then mirrored. With ``overwrite`` that array is D's own, so no second
-    n x n array is made; D must not be read afterwards.
+    The upper triangle is drawn strip by strip of ``row_strips(n)``, as one
+    stream in the row-major order of ``np.triu_indices(n, 1)``, and written
+    straight into the output array, which is then mirrored. With
+    ``overwrite`` that array is D's own, so no second n x n array is made; D
+    must not be read afterwards.
     """
     if np.any(np.diag(D.data) != 0.0):
         raise ValueError("distance matrix must be hollow")
@@ -230,14 +219,20 @@ def perturb(D: SymmetricMatrix, spec: NoiseSpec, seed: int, keep=OUTPUTS,
         d.setflags(write=True)
     m = d if overwrite else np.zeros((n, n))
     E = np.zeros((n, n)) if "E" in keep else None
-    for rows, mask in _upper_chunks(n):
-        du = d[rows][mask]
+    upper = None  # the first strip's strict upper triangle masks a[rows, i:] of each
+    for rows in row_strips(n):
+        i = rows.start
+        if upper is None:
+            upper = np.arange(n) > np.arange(min(rows.stop, n))[:, None]
+        strip = d[rows, i:]
+        mask = upper[:strip.shape[0], :strip.shape[1]]
+        du = strip[mask]
         if np.any(du < 0):
             raise ValueError("distance matrix must be non-negative")
         delta, e = _entries(spec, rng, du)
-        m[rows][mask] = delta
+        m[rows, i:][mask] = delta
         if E is not None:
-            E[rows][mask] = e + 0.0  # a drawn -0.0 becomes 0.0
+            E[rows, i:][mask] = e + 0.0  # a drawn -0.0 becomes 0.0
     mirror_upper(m)
     out = dict.fromkeys(OUTPUTS)
     if E is not None:

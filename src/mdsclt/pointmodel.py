@@ -143,13 +143,12 @@ class PopulationMoments:
         return float(np.linalg.eigvalsh(self.xi).min())
 
 
-def triangle_345(center: bool = True) -> DistributionSpec:
+def triangle_345() -> DistributionSpec:
     """Canonical three point masses with inter-point distances 3, 4, 5 and
-    mixing weights (0.2, 0.3, 0.5); translated to zero mean when ``center``."""
+    mixing weights (0.2, 0.3, 0.5), translated to zero mean."""
     locs = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
     w = np.array([0.2, 0.3, 0.5])
-    if center:
-        locs = locs - w @ locs
+    locs = locs - w @ locs
     return DistributionSpec("point_mass_mixture", locations=locs, weights=w)
 
 

@@ -43,7 +43,7 @@ def _stress(dist: np.ndarray, upper: np.ndarray, iu: tuple) -> float:
     return float(((upper - dist[iu]) ** 2).sum())
 
 
-def minimize_stress(delta: SymmetricMatrix, d: int, init="cmds", seed: int = 0,
+def minimize_stress(delta: SymmetricMatrix, d: int, init: str = "cmds", seed: int = 0,
                     max_iter: int = 500, tol: float = 1e-8) -> StressState:
     """Minimize raw stress by Guttman-transform majorization.
 
@@ -52,18 +52,14 @@ def minimize_stress(delta: SymmetricMatrix, d: int, init="cmds", seed: int = 0,
     to the transform and are flagged.
     """
     n = delta.n
-    if isinstance(init, str) and init == "cmds":
+    if init == "cmds":
         x = embed(SymmetricMatrix._unchecked(delta.data**2), d, allow_deficient=True).config
-    elif isinstance(init, str) and init == "random":
+    elif init == "random":
         rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
         scale = max(float(np.abs(delta.data).max()), 1.0)
         x = rng.standard_normal((n, d)) * scale / np.sqrt(n)
-    elif isinstance(init, str):
-        raise ValueError(f"unknown init mode {init!r}")
     else:
-        x = np.asarray(init, float).copy()
-        if x.shape != (n, d):
-            raise ValueError(f"init configuration must be {n} x {d}")
+        raise ValueError(f"unknown init mode {init!r}")
 
     iu = np.triu_indices(n, 1)
     upper = delta.data[iu]

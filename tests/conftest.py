@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdsclt import noise, pointmodel
+from mdsclt import matrixcore, noise, pointmodel
 from mdsclt.matrixcore import SymmetricMatrix
 
 
@@ -30,3 +30,21 @@ def exact_delta_sq(cloud):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def blas_count():
+    """``blas_count(count)`` sets every loaded OpenBLAS to ``count`` threads,
+    as a library caller may; ``blas_count()`` returns the counts in force.
+    The counts found at the start are restored after the test."""
+    found = [get() for get, _ in matrixcore._OPENBLAS]
+
+    def blas_count(count=None):
+        if count is not None:
+            for _, put in matrixcore._OPENBLAS:
+                put(count)
+        return [get() for get, _ in matrixcore._OPENBLAS]
+
+    yield blas_count
+    for (_, put), count in zip(matrixcore._OPENBLAS, found):
+        put(count)

@@ -215,9 +215,7 @@ def test_criterion_5_decomposition_identity():
         p = np.eye(n) - np.ones((n, n)) / n
         b = p @ z @ z.T @ p
         e = rng.standard_normal((n, n)) * rng.uniform(0.01, 2.0)
-        rep = clt.decompose(SymmetricMatrix.from_array(b, rtol=1e-6),
-                            SymmetricMatrix.from_array(b + (e + e.T) / 2,
-                                                       rtol=1e-6), d)
+        rep = clt.decompose(SymmetricMatrix(b), SymmetricMatrix(b + (e + e.T) / 2), d)
         worst = max(worst, rep.identity_residual)
     ok = worst <= 1e-7
     report_line(5, ok, f"worst identity residual {worst:.2e} (tol 1e-7), "

@@ -4,10 +4,10 @@ import threading
 import numpy as np
 import pytest
 
-from mdsclt import clt, cmds, harness, pointmodel
+from mdsclt import clt, cmds, harness, matrixcore, pointmodel
 from mdsclt.cli import dispatch
-from mdsclt.matrixcore import (ConvergenceError, blas_threads, double_center,
-                               read_matrix_csv, top_eigs)
+from mdsclt.matrixcore import (ConvergenceError, double_center, read_matrix_csv,
+                               top_eigs)
 from mdsclt.noise import NoiseLaw, NoiseSpec
 
 
@@ -137,7 +137,7 @@ class TestPerturb:
 
 
 class TestOneShotCommands:
-    def test_embed_ignores_caller_blas_threads(self, tmp_path):
+    def test_embed_ignores_caller_blas_threads(self, tmp_path, blas_count):
         """The one-shot commands run on one BLAS thread whatever count their
         caller has set: at n = 200 the dense eigensolve of ``embed`` gives
         other bits on two BLAS threads."""
@@ -149,9 +149,9 @@ class TestOneShotCommands:
         seen = []
         for count in (1, 2):
             x, side = tmp_path / f"x{count}.csv", tmp_path / f"x{count}.json"
-            with blas_threads(count):
-                assert dispatch(["embed", "--in", str(dsq), "--d", "2", "--out",
-                                 str(x), "--sidecar", str(side)]) == 0
+            blas_count(count)
+            assert dispatch(["embed", "--in", str(dsq), "--d", "2", "--out",
+                             str(x), "--sidecar", str(side)]) == 0
             seen.append((x.read_bytes(), side.read_bytes()))
         assert seen[0] == seen[1]
 
@@ -216,6 +216,23 @@ class TestMcRun:
         text = svg.read_text()
         assert text.count('class="ellipse-emp"') == 3
         assert text.count('class="ellipse-theo"') == 3
+
+    def test_one_blas_thread_set_and_restored_once(self, tmp_path, monkeypatch):
+        """mc-run on a caller's count of 3 sets one BLAS thread on entering
+        dispatch and restores 3 on leaving it, once each: the guards of the
+        runner and of every eigensolve, dense (n = 60) or iterative (n =
+        300), nest inside the command's."""
+        count, puts = [3], []
+
+        def put(n):
+            puts.append(n)
+            count[0] = n
+
+        monkeypatch.setattr(matrixcore, "_OPENBLAS", [(lambda: count[0], put)])
+        cfg = write_config(tmp_path / "cfg.json", n_list=(60, 300))
+        assert dispatch(["mc-run", "--config", str(cfg), "--threads", "2",
+                         "--out", str(tmp_path / "r.json")]) == 0
+        assert puts == [1, 3]
 
     def test_thread_count_does_not_change_output(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -322,7 +339,7 @@ class TestTheoryCovAndDiagnose:
                          "bound-ratios", "--out", str(svg)]) == 0
         assert 'class="ratio-b_perturbation"' in svg.read_text()
 
-    def test_diagnose_bit_identical_above_dense_cutoff(self, tmp_path):
+    def test_diagnose_bit_identical_above_dense_cutoff(self, tmp_path, blas_count):
         """n=300 takes the iterative solver for the spectral norm: a repeat in
         the same process, a run with one BLAS thread and runs with one and two
         workers write the same bytes."""
@@ -337,8 +354,8 @@ class TestTheoryCovAndDiagnose:
 
         first = report_bytes("a.json")
         assert report_bytes("b.json") == first
-        with blas_threads(1):
-            assert report_bytes("c.json") == first
+        blas_count(1)
+        assert report_bytes("c.json") == first
         assert report_bytes("d.json", "--threads", "1") == first
         assert report_bytes("e.json", "--threads", "2") == first
 
@@ -451,6 +468,8 @@ class TestErrorHandling:
         ({"estimator": "rawstress",
           "noise": {"model": "model1", "law": {"gaussian": {"sigma": 1.0}}}},
          "raw-stress estimation needs a dissimilarity matrix"),
+        ({"n_list": ()}, "n_list must be non-empty and strictly ascending"),
+        ({"n_list": (60, 60)}, "n_list must be non-empty and strictly ascending"),
     ])
     def test_impossible_config_exit_1(self, tmp_path, capsys, kw, reason):
         cfg = write_config(tmp_path / "cfg.json", **kw)
@@ -559,6 +578,18 @@ class TestErrorHandling:
                          "--n-grid", "50,100,10001", "--replicates", "2",
                          "--out", str(tmp_path / "diag.json")]) == 1
         assert "n=10001 is outside the supported range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, reason", [
+        ("100,200,x", "--n-grid must be comma-separated integers, got '100,200,x'"),
+        ("100,100,200", "n_list must be non-empty and strictly ascending"),
+    ])
+    def test_diagnose_bad_grid_exit_1(self, tmp_path, capsys, grid, reason):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "diag.json"
+        assert dispatch(["diagnose", "--config", str(cfg), "--n-grid", grid,
+                         "--replicates", "2", "--out", str(out)]) == 1
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
 
     def test_diagnose_grid_empty_mixture_class_exit_1(self, tmp_path, capsys):
         """--n-grid gets every n_list rule: a grid n that leaves a mixture

@@ -159,8 +159,7 @@ def random_rank_d_pair(rng, n=40, d=2, noise_scale=1.0):
     b = p @ z @ z.T @ p
     e = rng.standard_normal((n, n)) * noise_scale
     e = (e + e.T) / 2.0
-    return (SymmetricMatrix.from_array(b, rtol=1e-6),
-            SymmetricMatrix.from_array(b + e, rtol=1e-6))
+    return SymmetricMatrix(b), SymmetricMatrix(b + e)
 
 
 class TestDecompose:

@@ -1,11 +1,14 @@
 import contextlib
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from mdsclt import cli, clt, cmds, harness, matrixcore, pointmodel
 from mdsclt.harness import (ExperimentConfig, ellipse_points,
@@ -25,9 +28,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(triangle, uniform4, replicates=1)
         with pytest.raises(ValueError):
-            small_config(triangle, uniform4, n_list=(200, 100))
-        with pytest.raises(ValueError):
             small_config(triangle, uniform4, estimator="isomap")
+        # an empty or repeating n_list would report no block or a block twice
+        for n_list in ((), (200, 100), (100, 100, 200)):
+            with pytest.raises(ValueError, match="n_list must be non-empty and "
+                                                 "strictly ascending"):
+                small_config(triangle, uniform4, n_list=n_list)
         # n below dimension + 2 or above MAX_SUPPORTED_N, d outside [1, n-1]
         for kw in ({"n_list": (3,)}, {"n_list": (100, 10001)},
                    {"n_list": (4, 100), "d": 4}, {"d": 0}):
@@ -97,8 +103,7 @@ class TestRun:
         first = report_bytes(cfg1)
         assert report_bytes(cfg1) == first
         assert report_bytes(cfg2) == first
-        monkeypatch.setattr(harness.clt, "blas_threads",
-                            lambda count: contextlib.nullcontext())
+        monkeypatch.setattr(harness.clt, "one_blas_thread", contextlib.nullcontext())
         assert report_bytes(cfg2) == first
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -188,15 +193,16 @@ class TestRun:
 
     @pytest.mark.parametrize("n", [200, 256])
     def test_decomposition_check_ignores_caller_blas_threads(self, triangle,
-                                                             uniform4, n):
+                                                             uniform4, n,
+                                                             blas_count):
         """The check keeps one BLAS thread whatever count the caller runs
         with, so its residual bits do not move."""
         cfg = small_config(triangle, uniform4, n_list=(n,), replicates=2,
                            checks={"clt": False, "decomposition": True})
         seen = []
         for count in (1, 2):
-            with matrixcore.blas_threads(count):
-                seen.append(run(cfg).per_n[0]["diagnostics"])
+            blas_count(count)
+            seen.append(run(cfg).per_n[0]["diagnostics"])
         assert seen[0] == seen[1]
 
     def test_failed_decomposition_check_reported(self, triangle, uniform4,
@@ -242,16 +248,13 @@ class TestRun:
                 assert rel < 0.15
 
 
-def blas_counts():
-    return [get() for get, _ in matrixcore._OPENBLAS]
-
-
 @pytest.mark.skipif(not matrixcore._OPENBLAS,
                     reason="no bundled OpenBLAS loaded")
 class TestBlasThreads:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_blas_thread_per_worker_then_restored(self, triangle, uniform4,
-                                                      monkeypatch, threads):
+                                                      monkeypatch, threads,
+                                                      blas_count):
         """Replicates see one BLAS thread, and so does the decomposition
         check, which runs as one more replicate on the same runner, at n =
         100 and at n = 300 alike. The caller's count is restored after the
@@ -262,56 +265,57 @@ class TestBlasThreads:
             top_eigs = module.top_eigs
 
             def counted(m, k):
-                seen[module].append(blas_counts())
+                seen[module].append(blas_count())
                 return top_eigs(m, k)
             monkeypatch.setattr(module, "top_eigs", counted)
 
         spy(cmds)
         spy(harness.clt)
-        with matrixcore.blas_threads(2):
-            run(small_config(triangle, uniform4, threads=threads, n_list=(100, 300),
-                             checks={"clt": False, "decomposition": True}))
-            assert blas_counts() == [2] * len(blas_counts())
+        blas_count(2)
+        run(small_config(triangle, uniform4, threads=threads, n_list=(100, 300),
+                         checks={"clt": False, "decomposition": True}))
+        assert blas_count() == [2] * len(blas_count())
         assert len(seen[cmds]) == 12
         assert all(c == [1] * len(c) for c in seen[cmds])
-        assert seen[harness.clt] == [[1] * len(blas_counts())] * 4
+        assert seen[harness.clt] == [[1] * len(blas_count())] * 4
 
-    def test_operator_solve_ignores_caller_blas_threads(self, triangle, uniform4):
+    def test_operator_solve_ignores_caller_blas_threads(self, triangle, uniform4,
+                                                        blas_count):
         """dsymv's bits depend on the BLAS thread count, so a solve on the
         centering operator runs on one thread whatever the caller's count,
         and then restores that count."""
         _, _, out = clt.simulate(triangle, uniform4, 1000, 7, 0, keep=("delta_sq",))
         dsq = out["delta_sq"]
-        with matrixcore.blas_threads(1):
-            want = matrixcore.top_eigs(matrixcore.centered(dsq, 2), 2)
-        with matrixcore.blas_threads(2):
-            got = matrixcore.top_eigs(matrixcore.centered(dsq, 2), 2)
-            assert blas_counts() == [2] * len(blas_counts())
+        blas_count(1)
+        want = matrixcore.top_eigs(matrixcore.centered(dsq, 2), 2)
+        blas_count(2)
+        got = matrixcore.top_eigs(matrixcore.centered(dsq, 2), 2)
+        assert blas_count() == [2] * len(blas_count())
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.vectors, want.vectors)
 
     @pytest.mark.parametrize("replicates, threads", [
         (1, 1), (1, 2), (2, 2), (3, 2), (2, 5)])
-    def test_every_worker_has_one_blas_thread(self, replicates, threads):
+    def test_every_worker_has_one_blas_thread(self, replicates, threads, blas_count):
         """A thread budget beyond one worker per replicate stays unused: every
         worker runs on one BLAS thread, and the caller's count comes back."""
-        with matrixcore.blas_threads(3):
-            results, _ = harness.clt.run_replicates(lambda r: blas_counts(),
-                                                    replicates, threads)
-            assert blas_counts() == [3] * len(blas_counts())
-        assert results == [[1] * len(blas_counts())] * replicates
+        blas_count(3)
+        results, _ = harness.clt.run_replicates(lambda r: blas_count(),
+                                                replicates, threads)
+        assert blas_count() == [3] * len(blas_count())
+        assert results == [[1] * len(blas_count())] * replicates
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_restored_when_a_replicate_raises(self, triangle, uniform4,
-                                              monkeypatch, threads):
+                                              monkeypatch, threads, blas_count):
         def broken(m, k):
             raise RuntimeError("replicate bug")
 
         monkeypatch.setattr(cmds, "top_eigs", broken)
-        with matrixcore.blas_threads(2):
-            with pytest.raises(RuntimeError, match="replicate bug"):
-                run(small_config(triangle, uniform4, threads=threads))
-            assert blas_counts() == [2] * len(blas_counts())
+        blas_count(2)
+        with pytest.raises(RuntimeError, match="replicate bug"):
+            run(small_config(triangle, uniform4, threads=threads))
+        assert blas_count() == [2] * len(blas_count())
 
 
 def test_one_blas_thread_guard_under_contention(monkeypatch):
@@ -355,7 +359,7 @@ def test_blas_threads_without_openblas_is_a_no_op(monkeypatch):
     monkeypatch.setattr(matrixcore, "_OPENBLAS", matrixcore._openblas_thread_controls())
     assert matrixcore._OPENBLAS == []
     with pytest.raises(KeyError):
-        with matrixcore.blas_threads(1):
+        with matrixcore.one_blas_thread:
             raise KeyError("body still runs")
 
 
@@ -378,6 +382,16 @@ class TestNormalityCheck:
         with pytest.raises(ValueError):
             normality_check(np.zeros((50, 2)))
 
+    @pytest.mark.parametrize("m", [100, 1000, 50_000])
+    def test_statistic_is_kstest(self, m):
+        """The marginal statistics are scipy's one-sample KS statistic against
+        the standard normal, bit for bit, on normal and on uniform samples."""
+        rng = np.random.default_rng(m)
+        for x in (rng.standard_normal(m), rng.uniform(-2.0, 2.0, m)):
+            want = scipy.stats.kstest(x, "norm").statistic
+            assert harness._ks_normal(x) == want
+        assert harness.KS_CRIT_1PCT == scipy.stats.kstwobign.isf(0.01)
+
     def test_singular_covariance(self):
         rng = np.random.default_rng(2)
         samples = np.column_stack([rng.standard_normal(200),
@@ -388,7 +402,7 @@ class TestNormalityCheck:
 
 class TestEllipsePoints:
     def test_unit_circle_radius(self):
-        pts = ellipse_points([0.0, 0.0], np.eye(2), level=0.95)
+        pts = ellipse_points([0.0, 0.0], np.eye(2))
         radii = np.linalg.norm(pts, axis=1)
         want = np.sqrt(-2.0 * np.log(0.05))
         assert np.allclose(radii, want, atol=1e-10)
@@ -440,3 +454,13 @@ def test_replicate_seed_distinct():
     seeds = {s for n in (100, 200) for r in range(50)
              for s in clt._replicate_seeds(7, n, r)}
     assert len(seeds) == 200
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """scipy.stats takes about half of a command's set-up time and the CLI
+    needs none of it."""
+    code = "import sys, mdsclt.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mdsclt import clt, harness, matrixcore, noise, pointmodel
+from mdsclt import clt, harness, matrixcore, pointmodel
 from mdsclt.matrixcore import SymmetricMatrix, double_center
 from mdsclt.noise import NoiseLaw, NoiseSpec, perturb
 from mdsclt.pointmodel import DistributionSpec
@@ -81,13 +81,12 @@ def same_bits(a, b):
 
 @pytest.fixture(params=["default", "small"])
 def blocking(request, monkeypatch):
-    """Default block, strip and chunk sizes, and small ones that split n=300
-    into many ragged blocks, row strips (13 of 23 rows and a last one of one
-    row) and row chunks."""
+    """Default block and strip sizes, and small ones that split n=300 into
+    many ragged blocks and row strips (13 of 23 rows and a last one of one
+    row), which the distance, noise and centering passes all walk."""
     if request.param == "small":
         monkeypatch.setattr(matrixcore, "_BLOCK", 48)
         monkeypatch.setattr(matrixcore, "_STRIP", 7000)
-        monkeypatch.setattr(noise, "_CHUNK", 1000)
 
 
 @pytest.fixture(params=sorted(CLOUDS))

@@ -47,11 +47,14 @@ def matvec_counts(monkeypatch):
 
 
 class TestSymmetricMatrix:
-    def test_mirrors_upper_triangle_bit_exact(self):
-        a = np.array([[1.0, 2.0, 3.0], [9.0, 4.0, 5.0], [9.0, 9.0, 6.0]])
-        m = SymmetricMatrix(a)
-        assert np.array_equal(m.data, m.data.T)
-        assert m.data[1, 0] == 2.0  # lower triangle overwritten from upper
+    def test_rejects_asymmetry(self):
+        """An asymmetric array is rejected, not cut down to one triangle,
+        down to a gap of 2e-9 relative."""
+        for a in ([[1.0, 2.0, 3.0], [9.0, 4.0, 5.0], [9.0, 9.0, 6.0]],
+                  [[0.0, 1.0], [2.0, 0.0]],
+                  [[0.0, 1.0], [1.0 + 2e-9, 0.0]]):
+            with pytest.raises(ValueError, match="not symmetric"):
+                SymmetricMatrix(np.array(a))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -61,15 +64,11 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             SymmetricMatrix(np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
-    def test_from_array_rejects_asymmetry(self):
-        a = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ValueError):
-            SymmetricMatrix.from_array(a)
-
-    def test_from_array_averages_tiny_asymmetry(self):
+    def test_averages_tiny_asymmetry(self):
         a = np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]])
-        m = SymmetricMatrix.from_array(a)
-        assert m.data[0, 1] == m.data[1, 0]
+        m = SymmetricMatrix(a)
+        assert m.data[0, 1] == m.data[1, 0] == (a[0, 1] + a[1, 0]) / 2
+        assert a[1, 0] == 1.0 + 1e-12  # the caller's array is left as it is
 
     def test_data_read_only(self):
         m = SymmetricMatrix(np.eye(2))
@@ -165,7 +164,7 @@ class TestTopEigs:
         """n > dense cutoff routes through the sparse solver; answers agree."""
         z = rng.standard_normal((300, 4))
         g = centered_gram(z)
-        pair = top_eigs(SymmetricMatrix.from_array(g, rtol=1e-6), 3)
+        pair = top_eigs(SymmetricMatrix(g), 3)
         dense = np.sort(np.linalg.eigvalsh(g))[::-1][:3]
         assert np.allclose(pair.values, dense, rtol=1e-8)
         for i in range(3):
@@ -184,7 +183,7 @@ class TestTopEigs:
         """The iterative solver's start vector is fixed by n, so the answer
         does not depend on which solves ran before it."""
         z = rng.standard_normal((300, 4))
-        m = SymmetricMatrix.from_array(centered_gram(z), rtol=1e-6)
+        m = SymmetricMatrix(centered_gram(z))
         p1 = top_eigs(m, 3)
         a = rng.standard_normal((300, 300))
         top_eigs(SymmetricMatrix(a + a.T), 5)
@@ -267,7 +266,7 @@ class TestNorms:
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         w = rng.uniform(-1.0, 1.0, n)
         w[:2] = -2.0, 1.9
-        m = SymmetricMatrix.from_array((q * w) @ q.T)
+        m = SymmetricMatrix((q * w) @ q.T)
         want = np.linalg.norm(m.data, 2)
         assert want == pytest.approx(2.0, rel=1e-12)
         assert norms(m) == pytest.approx(want, rel=1e-12)
@@ -280,13 +279,13 @@ class TestNorms:
         """B_hat - B of a diagnose cell: 3-4-5 mixture, Uniform(-4, 4) model 2."""
         noise = NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))
         _, B, B_hat = clt.centered_pair(pointmodel.triangle_345(), noise, n, 2018, 0)
-        return SymmetricMatrix.from_array(B_hat.data - B.data)
+        return SymmetricMatrix(B_hat.data - B.data)
 
     @staticmethod
     def wigner(rng):
         """Gapless spectrum filling [-2, 2], n = 400."""
         a = rng.standard_normal((400, 400))
-        return SymmetricMatrix.from_array((a + a.T) / np.sqrt(2 * 800))
+        return SymmetricMatrix((a + a.T) / np.sqrt(2 * 800))
 
     @staticmethod
     def plus_minus_tie(rng):
@@ -294,7 +293,7 @@ class TestNorms:
         q, _ = np.linalg.qr(rng.standard_normal((400, 400)))
         w = rng.uniform(-1.0, 1.0, 400)
         w[:2] = 2.0, -2.0
-        return SymmetricMatrix.from_array((q * w) @ q.T)
+        return SymmetricMatrix((q * w) @ q.T)
 
     @pytest.mark.parametrize("case", ["wigner", "diagnose_difference", "plus_minus_tie"])
     def test_eigenvalue_only_solve_accuracy(self, rng, case):
@@ -339,6 +338,32 @@ def replicate_delta_sq(n):
     _, _, out = clt.simulate(pointmodel.triangle_345(), noise, n, 7, 0,
                              keep=("delta_sq",))
     return out["delta_sq"]
+
+
+@pytest.mark.skipif(not matrixcore._OPENBLAS, reason="no bundled OpenBLAS loaded")
+class TestCallerBlasCount:
+    """A library caller's BLAS thread count changes the bits of LAPACK's
+    dense solves at these sizes; the solves run on one thread whatever it is,
+    and leave it as they found it."""
+
+    def test_dense_top_eigs(self, blas_count):
+        b = double_center(replicate_delta_sq(200))
+        blas_count(1)
+        want = top_eigs(b, 2)
+        blas_count(2)
+        got = top_eigs(b, 2)
+        assert blas_count() == [2] * len(blas_count())
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.vectors, want.vectors)
+
+    def test_dense_norms(self, blas_count):
+        m = TestNorms.diagnose_difference(DENSE_EIG_CUTOFF)
+        blas_count(1)
+        want = norms(m)
+        blas_count(2)
+        got = norms(m)
+        assert blas_count() == [2] * len(blas_count())
+        assert got == want
 
 
 class TestCentered:
@@ -392,8 +417,9 @@ def test_product_norm_bound(a, b):
 @given(a=finite_mats)
 @settings(max_examples=40, deadline=None)
 def test_constructed_matrix_exactly_symmetric(a):
-    m = SymmetricMatrix(a)
+    m = SymmetricMatrix(a + a.T)
     assert np.array_equal(m.data, m.data.T)
+    assert np.array_equal(m.data, a + a.T)
 
 
 def test_csv_roundtrip(tmp_path, rng):

@@ -83,22 +83,12 @@ class TestMinimizeStress:
                    for s in range(5)]
         assert cmds_final <= max(randoms) + 1e-12
 
-    def test_explicit_init_array(self, rng):
-        pts = rng.standard_normal((8, 2))
-        delta = distances_of(pts)
-        state = minimize_stress(delta, 2, init=pts.copy())
-        assert state.stress <= raw_stress(pts, delta) + 1e-12
-
-    def test_bad_init_shape(self):
-        with pytest.raises(ValueError):
-            minimize_stress(distances_of(TRIANGLE), 2, init=np.zeros((5, 2)))
-
     def test_coincident_points_flagged(self):
-        # three coincident points plus one distant: dissimilarities demand
-        # separation the duplicate rows cannot express at start
-        pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 0.0]])
-        delta = SymmetricMatrix(np.where(np.eye(4) == 1, 0.0, 2.0))
-        state = minimize_stress(delta, 2, init=pts)
+        # a cross, +-1 on one axis and +-0.5 on the other: its one-dimensional
+        # CMDS start puts the short arm's two ends at one point, though their
+        # dissimilarity is 1
+        pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.5], [0.0, -0.5]])
+        state = minimize_stress(distances_of(pts), 1, init="cmds")
         assert state.coincident_points
         assert np.all(np.diff(state.stress_history) <= 1e-12)
 
