@@ -47,14 +47,30 @@ def matvec_counts(monkeypatch):
 
 
 class TestSymmetricMatrix:
+    def test_mirrors_upper_triangle_bit_exact(self):
+        """Within the symmetry tolerance the stored lower triangle is the
+        upper one bit for bit: both hold the mean of the two entries."""
+        a = np.array([[1.0, 2.0, 3.0],
+                      [2.0 + 1e-12, 4.0, 5.0],
+                      [3.0 - 1e-12, 5.0 + 2e-12, 6.0]])
+        m = SymmetricMatrix(a)
+        assert np.array_equal(m.data, m.data.T)
+        assert m.data[1, 0] == m.data[0, 1] == (a[0, 1] + a[1, 0]) / 2
+        assert np.array_equal(np.diag(m.data), np.diag(a))
+
     def test_rejects_asymmetry(self):
         """An asymmetric array is rejected, not cut down to one triangle,
         down to a gap of 2e-9 relative."""
         for a in ([[1.0, 2.0, 3.0], [9.0, 4.0, 5.0], [9.0, 9.0, 6.0]],
-                  [[0.0, 1.0], [2.0, 0.0]],
                   [[0.0, 1.0], [1.0 + 2e-9, 0.0]]):
             with pytest.raises(ValueError, match="not symmetric"):
                 SymmetricMatrix(np.array(a))
+
+    def test_from_array_rejects_asymmetry(self):
+        """The case the former from_array rejected; the constructor does."""
+        a = np.array([[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            SymmetricMatrix(a)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
