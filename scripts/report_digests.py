@@ -23,7 +23,8 @@ digest per samples CSV); ``theory-cov`` of the mixture under models 1, 2 and
 and with zero noise, at n=100, 200 (dense) and 300 (iterative); ``perturb``
 for each of the ``mc-run`` noise variants; ``embed --sidecar`` of a noisy
 n=300 matrix, whose sidecar scree comes from its own eigensolve; and
-``select-dim`` of the same matrix.
+``select-dim`` of the same matrix with ``--max-d`` 4 (iterative) and 299
+(the dense solve above the cutoff).
 """
 
 import hashlib
@@ -162,9 +163,9 @@ def cases(tmp) -> list:
                              "--out", path(name, "config"),
                              "--sidecar", path(name, "sidecar")],
                  ["config", "sidecar"])
-    name = "select-dim_n300"
-    lines += run(tmp, name, ["select-dim", "--in", dsq, "--max-d", "4",
-                             "--out", path(name, "report")], ["report"])
+    for name, max_d in (("select-dim_n300", "4"), ("select-dim_n300_max299", "299")):
+        lines += run(tmp, name, ["select-dim", "--in", dsq, "--max-d", max_d,
+                                 "--out", path(name, "report")], ["report"])
     return lines
 
 

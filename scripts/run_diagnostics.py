@@ -27,7 +27,7 @@ def main():
         noise=NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0)),
         n_list=tuple(int(v) for v in args.n_grid.split(",")),
         d=2, replicates=args.replicates, seed=args.seed, threads=args.threads)
-    table = clt.bound_checks(cfg, cfg.replicates)
+    table = clt.bound_checks(cfg)
     for n, r, reason in table.pop("errors"):
         print(f"n={n} replicate {r} failed: {reason}", file=sys.stderr)
 

@@ -66,18 +66,10 @@ def _load_config(path: str, **overrides) -> harness.ExperimentConfig:
 
 
 def _default_threads(value):
-    source = "--threads"
     if value is None:
-        env = os.environ.get("MDSCLT_THREADS")
-        if not env:
-            return os.cpu_count() or 1
-        source = "MDSCLT_THREADS"
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{source} must be an integer, got {env!r}") from None
+        return os.cpu_count() or 1
     if value < 1:
-        raise ValueError(f"{source} must be at least 1, got {value}")
+        raise ValueError(f"--threads must be at least 1, got {value}")
     return value
 
 
@@ -139,8 +131,8 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("diagnose", help="perturbation-bound scaling diagnostics")
     g.add_argument("--config", required=True)
-    g.add_argument("--n-grid", default="100,200,400,800")
-    g.add_argument("--replicates", type=int, default=10)
+    g.add_argument("--n-grid", help="comma-separated n, in place of the config's n_list")
+    g.add_argument("--replicates", type=int, help="in place of the config's replicates")
     g.add_argument("--out", required=True)
     g.add_argument("--threads", type=int, default=None)
 
@@ -175,7 +167,7 @@ def _cmd_perturb(args) -> int:
     if args.out_delta and spec.squared_scale:
         raise ValueError("model 1 produces squared dissimilarities only: "
                          "there is no --out-delta")
-    D = read_matrix_csv(args.inp, hollow=True)
+    D = read_matrix_csv(args.inp)
     paths = {"delta_sq": args.out_delta_sq, "delta": args.out_delta, "E": args.out_e}
     out = noisemod.perturb(D, spec, args.seed, keep=[k for k, p in paths.items() if p])
     for key, path in paths.items():
@@ -191,7 +183,7 @@ def _cmd_embed(args) -> int:
     if args.sidecar:
         # the embedding solves for d pairs only; the scree needs its own solve
         k = min(args.d + SCREE_EXTRA, m.n)
-        scree = top_eigs(centered(m, k), k)
+        scree = top_eigs(centered(m), k)
         _write_json(args.sidecar, {
             "eigenvalues": emb.eigenvalues.tolist(),
             "all_top_eigenvalues": scree.values.tolist(),
@@ -212,7 +204,7 @@ def _cmd_select_dim(args) -> int:
 
 
 def _cmd_rawstress(args) -> int:
-    m = read_matrix_csv(args.inp, hollow=True)
+    m = read_matrix_csv(args.inp)
     state = rawstress.minimize_stress(m, args.d, init=args.init, seed=args.seed,
                                       max_iter=args.max_iter, tol=args.tol)
     _write_csv(args.out, state.config)
@@ -268,19 +260,22 @@ def _cmd_mc_run(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    try:
-        n_grid = [int(v) for v in args.n_grid.split(",")]
-    except ValueError:
-        raise ValueError(f"--n-grid must be comma-separated integers, "
-                         f"got {args.n_grid!r}") from None
-    cfg = _load_config(args.config, threads=_default_threads(args.threads),
-                       n_list=n_grid)
-    table = clt.bound_checks(cfg, args.replicates)
+    overrides = {"threads": _default_threads(args.threads)}
+    if args.n_grid is not None:
+        try:
+            overrides["n_list"] = [int(v) for v in args.n_grid.split(",")]
+        except ValueError:
+            raise ValueError(f"--n-grid must be comma-separated integers, "
+                             f"got {args.n_grid!r}") from None
+    if args.replicates is not None:
+        overrides["replicates"] = args.replicates
+    cfg = _load_config(args.config, **overrides)
+    table = clt.bound_checks(cfg)
     errors = table.pop("errors")
     for n, r, reason in errors:
         print(f"n={n} replicate {r} failed: {reason}", file=sys.stderr)
     failed = [n for n, _, _ in errors]
-    empty = [n for n in cfg.n_list if failed.count(n) == args.replicates]
+    empty = [n for n in cfg.n_list if failed.count(n) == cfg.replicates]
     if empty:
         print(f"error: no replicate succeeded at n={','.join(map(str, empty))}",
               file=sys.stderr)

@@ -246,12 +246,12 @@ def _bound_cell(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
             row_err.mean() / rate)
 
 
-def bound_checks(cfg, replicates: int) -> dict:
+def bound_checks(cfg) -> dict:
     """Empirical scaling ratios for the perturbation bounds of the experiment
     ``cfg`` (a ``harness.ExperimentConfig``) over its n_list, of 3 or more n.
 
     For each grid size the listed quantities are divided by their claimed
-    rates; per-n medians over the ``replicates`` cells that succeeded are
+    rates; per-n medians over the ``cfg.replicates`` cells that succeeded are
     reported, and a ratio sequence is flagged when its median grows by more
     than a factor 2 across the grid. Constants are not estimated, only trend
     boundedness. The cells of each n run on ``cfg.threads`` workers as in
@@ -261,14 +261,12 @@ def bound_checks(cfg, replicates: int) -> dict:
     n_grid = list(cfg.n_list)
     if len(n_grid) < 3:
         raise ValueError("n_grid must have at least 3 points")
-    if replicates < 1:
-        raise ValueError("need at least 1 replicate")
     per_n = {name: [] for name in RATIO_NAMES}
     errors = []
     for n in n_grid:
         results, reasons = run_replicates(
             lambda r: _bound_cell(cfg.distribution, cfg.noise, n, cfg.seed, r),
-            replicates, cfg.threads)
+            cfg.replicates, cfg.threads)
         errors += [(n, r, e) for r, e in enumerate(reasons) if e is not None]
         cells = [c for c in results if c is not None]
         for i, name in enumerate(RATIO_NAMES):

@@ -1,9 +1,9 @@
 """Classical multidimensional scaling: double centering, truncated spectral
 decomposition and dimension selection.
 
-Above the dense-eigensolver cutoff the centered matrix is not formed: the
-eigensolver runs on ``matrixcore.centered``'s operator over the squared
-dissimilarities, which reads only their upper triangle."""
+The eigensolver runs on ``matrixcore.centered``'s operator over the squared
+dissimilarities, which reads only their upper triangle; above the
+dense-eigensolver cutoff the centered matrix is not formed."""
 
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False) -> E
 
     The configuration is U S^{1/2} from the top-d eigenpairs of the double
     centering of ``delta_sq``, which is left as it is: where that eigensolve
-    is dense (see ``matrixcore.centered``) the centered matrix is built in a
+    is dense (see ``matrixcore.top_eigs``) the centered matrix is built in a
     copy, and above the dense cutoff it is not built at all.
     Eigenvalues among the top d that are not positive beyond
     roundoff (``SpectralPair.floor``) are an error unless ``allow_deficient``,
@@ -48,7 +48,7 @@ def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False) -> E
     n = delta_sq.n
     if not 1 <= d <= n - 1:
         raise ValueError(f"embedding dimension d={d} must satisfy 1 <= d <= n-1")
-    pair = top_eigs(centered(delta_sq, d), d)
+    pair = top_eigs(centered(delta_sq), d)
     vals = pair.values
     deficient = bool(vals[-1] <= pair.floor)
     if deficient and not allow_deficient:
@@ -68,7 +68,7 @@ def select_dim(delta_sq: SymmetricMatrix, max_d: int) -> dict:
     n = delta_sq.n
     if not 1 <= max_d <= n - 1:
         raise ValueError(f"max_d={max_d} must satisfy 1 <= max_d <= n-1")
-    vals = top_eigs(centered(delta_sq, max_d), max_d).values
+    vals = top_eigs(centered(delta_sq), max_d).values
     threshold = float(n) ** (2.0 / 3.0)
     d_hat = int(np.sum(vals >= threshold))
     return {"d_hat": d_hat, "threshold": threshold, "eigenvalues": vals}

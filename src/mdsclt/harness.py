@@ -203,11 +203,11 @@ def run(cfg: ExperimentConfig) -> McReport:
             des_cov = np.cov(designated, rowvar=False, ddof=1) if len(designated) > 1 else None
             sigma = None if theory is None else theory[k]
             normality = None
-            if want_normality and len(pooled) >= 100:
+            if want_normality:
                 try:
                     normality = normality_check(pooled)
-                except ValueError:
-                    normality = None
+                except ValueError:  # under 100 samples, or a singular covariance
+                    pass
             block["per_class"].append(ClassSummary(
                 z=None if sigma is None or true_centers is None
                 else cfg.distribution.locations[k],

@@ -14,10 +14,11 @@ transposed entry, since their inputs are exactly symmetric. The one
 transposed copy is ``mirror_upper``, which completes the noise fill block by
 block.
 
-Above ``DENSE_EIG_CUTOFF`` the double centering of a squared-dissimilarity
-matrix is never formed: ``centered`` hands ``top_eigs`` an operator that
-centers implicitly and reads only the matrix's upper triangle, so no n x n
-array is built or overwritten.
+``centered`` hands ``top_eigs`` the double centering of a
+squared-dissimilarity matrix as an operator that centers implicitly and
+reads only the matrix's upper triangle. ``top_eigs`` forms the centered
+matrix, in a copy, only where it solves densely (``_dense_solve``); above
+``DENSE_EIG_CUTOFF``, for k < n - 1, no n x n array is built or overwritten.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class SymmetricMatrix:
 
     Construction checks an outside array: it must be square and symmetric
     within ``_SYMMETRY_RTOL`` relative to max(1, max |a|). It is stored as
-    (a + a^T) / 2, which is exactly symmetric since addition commutes, and
-    whose entries must be finite.
+    the mean of a and a^T, which is exactly symmetric since addition
+    commutes, and whose entries must be finite.
     """
 
     data: np.ndarray
@@ -71,9 +72,12 @@ class SymmetricMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite: rejected below
             gap = np.abs(a - a.T).max(initial=0.0)
-            if gap > _SYMMETRY_RTOL * max(1.0, float(np.abs(a).max(initial=0.0))):
+            big = float(np.abs(a).max(initial=0.0))
+            if gap > _SYMMETRY_RTOL * max(1.0, big):
                 raise ValueError("matrix is not symmetric within tolerance")
-            a = (a + a.T) / 2.0
+            # Halving first cannot overflow but rounds a subnormal entry, so
+            # only entries near the float maximum are halved before the sum.
+            a = a / 2.0 + a.T / 2.0 if big > np.finfo(float).max / 2 else (a + a.T) / 2.0
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "data", a)
@@ -105,10 +109,6 @@ class SpectralPair:
     values: np.ndarray
     vectors: np.ndarray
     degenerate: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=float))
 
     @property
     def floor(self) -> float:
@@ -210,12 +210,10 @@ class _CenteredSquares(spla.LinearOperator):
         return y
 
 
-def centered(sq: SymmetricMatrix, k: int):
-    """B = -1/2 P A P for A = ``sq``, in the form ``top_eigs(B, k)`` solves:
-    ``double_center``'s matrix, in a copy, where that solve is dense, else an
-    operator that forms no n x n array. ``sq`` is left as it is."""
-    if _dense_solve(sq.n, k):
-        return double_center(sq)
+def centered(sq: SymmetricMatrix) -> _CenteredSquares:
+    """B = -1/2 P A P for A = ``sq`` as an operator that forms no n x n array
+    and leaves ``sq`` as it is; ``top_eigs`` forms B with ``double_center``
+    where it solves densely."""
     return _CenteredSquares(sq)
 
 
@@ -253,11 +251,16 @@ def _lanczos(a, k: int, which: str, vectors: bool = True):
             f"eigensolver did not converge within {10 * n} iterations"
         ) from exc
     except spla.ArpackError:
-        if isinstance(a, _CenteredSquares):
-            a = double_center(a.sq).data
+        a = _formed(a)
         if a.any():
             raise
         return _dense_top(a, k, vectors)
+
+
+def _formed(a) -> np.ndarray:
+    """The symmetric array ``a`` itself, or the B that the ``centered``
+    operator ``a`` applies, formed by ``double_center``."""
+    return double_center(a.sq).data if isinstance(a, _CenteredSquares) else a
 
 
 def _dense_top(a: np.ndarray, k: int, vectors: bool = True):
@@ -270,11 +273,12 @@ def _dense_top(a: np.ndarray, k: int, vectors: bool = True):
 
 def top_eigs(m, k: int) -> SpectralPair:
     """Return the k algebraically largest eigenpairs of ``m``, a
-    ``SymmetricMatrix`` or the result of ``centered(..., k)``.
+    ``SymmetricMatrix`` or the operator of ``centered``.
 
     Small matrices, and requests for k >= n - 1 pairs, get a dense solve for
-    those k pairs only (not all n); large ones requesting few pairs get
-    ARPACK (start vector fixed by n, iteration cap 10n). Either solve runs
+    those k pairs only (not all n), of the formed B for an operator; large
+    ones requesting few pairs get ARPACK (start vector fixed by n, iteration
+    cap 10n), which applies an operator without forming it. Either solve runs
     inside ``one_blas_thread``, so its bits do not depend on the caller's
     BLAS thread count.
     """
@@ -283,7 +287,7 @@ def top_eigs(m, k: int) -> SpectralPair:
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     with one_blas_thread:
-        w, v = _dense_top(a, k) if _dense_solve(n, k) else _lanczos(a, k, "LA")
+        w, v = _dense_top(_formed(a), k) if _dense_solve(n, k) else _lanczos(a, k, "LA")
     order = np.argsort(w)[::-1][:k]
     values, vectors = w[order], v[:, order]
     vectors = _fix_signs(np.ascontiguousarray(vectors))
@@ -369,10 +373,6 @@ def norms(m: SymmetricMatrix) -> float:
     return float(np.abs(w).max())
 
 
-def read_matrix_csv(path, hollow: bool = False) -> SymmetricMatrix:
-    """Read a full square matrix from headerless comma-separated rows; with
-    ``hollow``, one whose diagonal is exactly zero, as dissimilarities have."""
-    m = SymmetricMatrix(np.loadtxt(path, delimiter=",", ndmin=2))
-    if hollow and np.any(np.diag(m.data) != 0.0):
-        raise ValueError("hollow matrix must have an exactly zero diagonal")
-    return m
+def read_matrix_csv(path) -> SymmetricMatrix:
+    """Read a full square matrix from headerless comma-separated rows."""
+    return SymmetricMatrix(np.loadtxt(path, delimiter=",", ndmin=2))

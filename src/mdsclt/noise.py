@@ -197,7 +197,8 @@ def _entries(spec: NoiseSpec, rng: np.random.Generator, d: np.ndarray):
 
 def perturb(D: SymmetricMatrix, spec: NoiseSpec, seed: int, keep=OUTPUTS,
             overwrite: bool = False) -> dict:
-    """Apply the noise mechanism to distance matrix D.
+    """Apply the noise mechanism to distance matrix D, which must be
+    non-negative with an exactly zero diagonal.
 
     Returns {"delta_sq", "delta", "E"}; ``delta`` is None for model 1, whose
     noise lives on the squared scale (a square root need not exist), and so
@@ -211,7 +212,7 @@ def perturb(D: SymmetricMatrix, spec: NoiseSpec, seed: int, keep=OUTPUTS,
     must not be read afterwards.
     """
     if np.any(np.diag(D.data) != 0.0):
-        raise ValueError("distance matrix must be hollow")
+        raise ValueError("distance matrix must have an exactly zero diagonal")
     n = D.n
     rng = _rng(seed, n)
     d = D.data

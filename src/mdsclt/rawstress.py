@@ -47,10 +47,13 @@ def minimize_stress(delta: SymmetricMatrix, d: int, init: str = "cmds", seed: in
                     max_iter: int = 500, tol: float = 1e-8) -> StressState:
     """Minimize raw stress by Guttman-transform majorization.
 
+    ``delta`` must have an exactly zero diagonal, as dissimilarities have.
     ``init`` is "cmds" or "random"; stops when the relative stress decrease
     drops below ``tol`` or at ``max_iter``. Coincident points contribute 0
     to the transform and are flagged.
     """
+    if np.any(np.diag(delta.data) != 0.0):
+        raise ValueError("dissimilarity matrix must have an exactly zero diagonal")
     n = delta.n
     if init == "cmds":
         x = embed(SymmetricMatrix._unchecked(delta.data**2), d, allow_deficient=True).config

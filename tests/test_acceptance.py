@@ -228,7 +228,7 @@ def test_criterion_6_scaling_diagnostics():
     n in {100, 200, 400, 800}."""
     cfg = ExperimentConfig(distribution=TRIANGLE, noise=UNIFORM4,
                            n_list=(100, 200, 400, 800), d=2, replicates=8, seed=6)
-    out = clt.bound_checks(cfg, replicates=8)
+    out = clt.bound_checks(cfg)
     watched = ("b_perturbation", "procrustes_residual", "lambda_d_over_n",
                "sup_row_error")
     spreads = {}

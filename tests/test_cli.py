@@ -339,6 +339,33 @@ class TestTheoryCovAndDiagnose:
                          "bound-ratios", "--out", str(svg)]) == 0
         assert 'class="ratio-b_perturbation"' in svg.read_text()
 
+    def test_diagnose_runs_the_config_unless_a_flag_overrides_it(self, tmp_path):
+        """Without flags diagnose runs the config's n_list and replicates;
+        --n-grid and --replicates each replace the config's value."""
+        cfg = write_config(tmp_path / "cfg.json", n_list=(50, 100, 200), replicates=3)
+
+        def report_bytes(name, *flags):
+            out = tmp_path / name
+            assert dispatch(["diagnose", "--config", str(cfg), "--out", str(out),
+                             *flags]) == 0
+            return out.read_bytes()
+
+        as_written = report_bytes("a.json")
+        assert json.loads(as_written)["n_grid"] == [50, 100, 200]
+        assert report_bytes("b.json", "--n-grid", "50,100,200",
+                            "--replicates", "3") == as_written
+        assert report_bytes("c.json", "--replicates", "2") != as_written
+        assert json.loads(report_bytes("d.json", "--n-grid", "60,100,200"))["n_grid"] == [
+            60, 100, 200]
+
+    def test_diagnose_one_replicate_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", n_list=(50, 100, 200))
+        out = tmp_path / "diag.json"
+        assert dispatch(["diagnose", "--config", str(cfg), "--replicates", "1",
+                         "--out", str(out)]) == 1
+        assert "need at least 2 replicates" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diagnose_bit_identical_above_dense_cutoff(self, tmp_path, blas_count):
         """n=300 takes the iterative solver for the spectral norm: a repeat in
         the same process, a run with one BLAS thread and runs with one and two
@@ -396,26 +423,6 @@ class TestErrorHandling:
         assert dispatch([command, "--config", str(cfg), "--threads", threads,
                          "--out", str(out)]) == 1
         assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["mc-run", "diagnose"])
-    def test_env_thread_count_below_1_exit_1(self, tmp_path, capsys, monkeypatch,
-                                             command):
-        monkeypatch.setenv("MDSCLT_THREADS", "0")
-        cfg = write_config(tmp_path / "cfg.json")
-        out = tmp_path / "o.json"
-        assert dispatch([command, "--config", str(cfg), "--out", str(out)]) == 1
-        assert "MDSCLT_THREADS must be at least 1, got 0" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["mc-run", "diagnose"])
-    def test_env_thread_count_not_an_integer_exit_1(self, tmp_path, capsys, monkeypatch,
-                                                    command):
-        monkeypatch.setenv("MDSCLT_THREADS", "abc")
-        cfg = write_config(tmp_path / "cfg.json")
-        out = tmp_path / "o.json"
-        assert dispatch([command, "--config", str(cfg), "--out", str(out)]) == 1
-        assert "MDSCLT_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_deficient_embed_exit_1(self, tmp_path):

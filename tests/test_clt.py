@@ -17,11 +17,12 @@ GAUSS_I2 = DistributionSpec("gaussian", mean=[0.0, 0.0],
                             covariance=[[1.0, 0.0], [0.0, 1.0]])
 
 
-def grid_config(spec, noise, n_grid, seed, threads=1):
-    """The experiment config ``bound_checks`` reads its grid, seed and
-    threads from; its own replicate count is not used there."""
+def grid_config(spec, noise, n_grid, seed, threads=1, replicates=2):
+    """The experiment config ``bound_checks`` reads its grid, replicate
+    count, seed and threads from."""
     return harness.ExperimentConfig(distribution=spec, noise=noise, n_list=n_grid,
-                                    d=spec.d, replicates=2, seed=seed, threads=threads)
+                                    d=spec.d, replicates=replicates, seed=seed,
+                                    threads=threads)
 
 
 class TestTheoryCov:
@@ -208,8 +209,7 @@ class TestDecompose:
 class TestBoundChecks:
     def test_zero_noise_ratios(self, triangle):
         noise = NoiseSpec("model2", law=NoiseLaw("uniform", a=0.0))
-        out = clt.bound_checks(grid_config(triangle, noise, [50, 100, 200, 300], 0),
-                               replicates=2)
+        out = clt.bound_checks(grid_config(triangle, noise, [50, 100, 200, 300], 0))
         for name in ("b_perturbation", "procrustes_residual",
                      "sup_row_error", "mean_row_error"):
             assert max(out["ratios"][name]["median_per_n"]) <= 1e-9
@@ -219,21 +219,21 @@ class TestBoundChecks:
 
     def test_grid_validation(self, triangle, uniform4):
         with pytest.raises(ValueError):
-            clt.bound_checks(grid_config(triangle, uniform4, [100, 50, 200], 0), 2)
+            clt.bound_checks(grid_config(triangle, uniform4, [100, 50, 200], 0))
         with pytest.raises(ValueError):
-            clt.bound_checks(grid_config(triangle, uniform4, [100, 200], 0), 2)
+            clt.bound_checks(grid_config(triangle, uniform4, [100, 200], 0))
         with pytest.raises(ValueError, match="n=3 is outside"):
-            clt.bound_checks(grid_config(triangle, uniform4, [3, 50, 100], 0), 2)
+            clt.bound_checks(grid_config(triangle, uniform4, [3, 50, 100], 0))
         with pytest.raises(ValueError, match="n=10001 is outside"):
-            clt.bound_checks(grid_config(triangle, uniform4, [50, 100, 10001], 0), 2)
-        for replicates in (0, -1):
-            with pytest.raises(ValueError, match="at least 1 replicate"):
-                clt.bound_checks(grid_config(triangle, uniform4, [50, 100, 200], 0),
-                                 replicates)
+            clt.bound_checks(grid_config(triangle, uniform4, [50, 100, 10001], 0))
+        for replicates in (1, 0, -1):
+            with pytest.raises(ValueError, match="need at least 2 replicates"):
+                clt.bound_checks(grid_config(triangle, uniform4, [50, 100, 200], 0,
+                                             replicates=replicates))
         for threads in (0, -2):
             with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
                 clt.bound_checks(grid_config(triangle, uniform4, [50, 100, 200], 0,
-                                             threads=threads), 2)
+                                             threads=threads))
 
     def test_deficient_cell_counted_as_failed(self, triangle, uniform4, monkeypatch):
         """A cell whose B_hat has a non-positive d-th eigenvalue fails with a
@@ -256,8 +256,8 @@ class TestBoundChecks:
 
         monkeypatch.setattr(clt, "top_eigs", deficient_at_n50_r1)
         monkeypatch.setattr(clt, "centered_pair", recorded)
-        cfg = grid_config(triangle, uniform4, [50, 100, 200], 3)
-        out = clt.bound_checks(cfg, replicates=3)
+        cfg = grid_config(triangle, uniform4, [50, 100, 200], 3, replicates=3)
+        out = clt.bound_checks(cfg)
         [(n, r, reason)] = out["errors"]
         assert (n, r) == (50, 1)
         assert reason.startswith("ValueError: the top-2 eigenvalues of B and B_hat "
@@ -265,15 +265,14 @@ class TestBoundChecks:
         assert reason.endswith(" and 0.000e+00")
         monkeypatch.undo()
         cells = [clt._bound_cell(triangle, uniform4, 50, 3, r) for r in (0, 2)]
-        whole = clt.bound_checks(cfg, replicates=3)
+        whole = clt.bound_checks(cfg)
         for i, name in enumerate(clt.RATIO_NAMES):
             meds = out["ratios"][name]["median_per_n"]
             assert meds[0] == float(np.median([c[i] for c in cells]))
             assert meds[1:] == whole["ratios"][name]["median_per_n"][1:]
 
     def test_reports_all_ratios(self, triangle, uniform4):
-        out = clt.bound_checks(grid_config(triangle, uniform4, [50, 100, 200], 3),
-                               replicates=2)
+        out = clt.bound_checks(grid_config(triangle, uniform4, [50, 100, 200], 3))
         assert set(out["ratios"]) == set(clt.RATIO_NAMES)
         for entry in out["ratios"].values():
             assert len(entry["median_per_n"]) == 3

@@ -287,9 +287,9 @@ class TestBlasThreads:
         _, _, out = clt.simulate(triangle, uniform4, 1000, 7, 0, keep=("delta_sq",))
         dsq = out["delta_sq"]
         blas_count(1)
-        want = matrixcore.top_eigs(matrixcore.centered(dsq, 2), 2)
+        want = matrixcore.top_eigs(matrixcore.centered(dsq), 2)
         blas_count(2)
-        got = matrixcore.top_eigs(matrixcore.centered(dsq, 2), 2)
+        got = matrixcore.top_eigs(matrixcore.centered(dsq), 2)
         assert blas_count() == [2] * len(blas_count())
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.vectors, want.vectors)

@@ -191,7 +191,7 @@ def test_two_matrix_checks_peak_memory(spec, check):
     tracemalloc.start()
     try:
         if check == "diagnose_cell":
-            clt.bound_checks(dataclasses.replace(cfg, n_list=(50, 100, n)), 1)
+            clt.bound_checks(dataclasses.replace(cfg, n_list=(50, 100, n)))
         else:
             harness._decomposition_summary(cfg, n)
         peak = tracemalloc.get_traced_memory()[1]

@@ -80,6 +80,13 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             SymmetricMatrix(np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
+    def test_keeps_entries_near_the_float_maximum(self):
+        """The mean of two equal entries is that entry, also where their sum
+        would overflow and where halving would round a subnormal."""
+        for entry in (1e308, np.finfo(float).max, 5e-324):
+            a = np.array([[0.0, entry], [entry, 0.0]])
+            assert np.array_equal(SymmetricMatrix(a).data, a)
+
     def test_averages_tiny_asymmetry(self):
         a = np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]])
         m = SymmetricMatrix(a)
@@ -385,20 +392,29 @@ class TestCallerBlasCount:
 class TestCentered:
     @pytest.mark.parametrize("n, k, dense", [
         (DENSE_EIG_CUTOFF, 2, True), (DENSE_EIG_CUTOFF + 1, 2, False),
-        (300, 299, True), (300, 298, False)])
-    def test_dense_exactly_where_top_eigs_solves_densely(self, n, k, dense):
-        dsq = SymmetricMatrix(np.zeros((n, n)))
-        b = centered(dsq, k)
-        assert isinstance(b, SymmetricMatrix) == dense
+        (300, 299, True), (300, 298, False), (300, 2, False)])
+    def test_dense_exactly_where_top_eigs_solves_densely(self, n, k, dense,
+                                                         matvec_counts):
+        """``top_eigs`` on the operator calls ARPACK exactly where it does on
+        the formed B_hat; elsewhere it forms B_hat and returns its dense
+        pairs bit for bit."""
+        dsq = replicate_delta_sq(n)
+        got = top_eigs(centered(dsq), k)
+        want = top_eigs(double_center(dsq), k)
+        assert len(matvec_counts) == (0 if dense else 2)
         if dense:
-            assert np.array_equal(b.data, double_center(dsq).data)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.vectors, want.vectors)
+        else:
+            scale = np.abs(want.values).max()
+            assert np.abs(got.values - want.values).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("n", [257, 300, 1000])
     def test_operator_matches_dense_centering(self, n, matvec_counts):
         """Above the cutoff the operator over Delta^2 gives the eigenpairs of
         the formed B_hat, in as many matvecs."""
         dsq = replicate_delta_sq(n)
-        got = top_eigs(centered(dsq, 2), 2)
+        got = top_eigs(centered(dsq), 2)
         want = top_eigs(double_center(dsq), 2)
         assert matvec_counts[0] == matvec_counts[1]
         assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
@@ -410,8 +426,8 @@ class TestCentered:
         dsq = replicate_delta_sq(300)
         a = dsq.data.copy()
         a[np.tril_indices(300, -1)] = np.nan
-        got = top_eigs(centered(SymmetricMatrix._unchecked(a), 2), 2)
-        want = top_eigs(centered(dsq, 2), 2)
+        got = top_eigs(centered(SymmetricMatrix._unchecked(a)), 2)
+        want = top_eigs(centered(dsq), 2)
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.vectors, want.vectors)
 
@@ -454,11 +470,9 @@ def test_csv_reader_rejects_asymmetric(tmp_path):
         read_matrix_csv(path)
 
 
-def test_csv_reader_hollow_rejects_nonzero_diagonal(tmp_path):
+def test_csv_reader_keeps_nonzero_diagonal(tmp_path):
+    """The reader checks symmetry only; the consumers of dissimilarities
+    (``perturb``, ``minimize_stress``) check their diagonal."""
     path = tmp_path / "m.csv"
     path.write_text("1,2\n2,0\n")
-    assert read_matrix_csv(path).data[0, 0] == 1.0
-    with pytest.raises(ValueError, match="exactly zero diagonal"):
-        read_matrix_csv(path, hollow=True)
-    path.write_text("0,2\n2,0\n")
-    assert read_matrix_csv(path, hollow=True).n == 2
+    assert np.array_equal(read_matrix_csv(path).data, [[1.0, 2.0], [2.0, 0.0]])

@@ -182,7 +182,7 @@ class TestPerturb:
         assert np.array_equal(a["delta"].data, b["delta"].data)
 
     def test_rejects_non_hollow(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly zero diagonal"):
             perturb(SymmetricMatrix(np.eye(3)),
                     NoiseSpec("model3", q=0.5), seed=0)
 

@@ -57,6 +57,15 @@ class TestMinimizeStress:
         assert state.converged
         assert state.stress <= 1e-10 * (delta.data**2).sum()
 
+    @pytest.mark.parametrize("init", ["cmds", "random"])
+    def test_rejects_nonzero_diagonal(self, init):
+        """A matrix with a non-zero diagonal is not a dissimilarity matrix,
+        whichever start is asked for."""
+        delta = SymmetricMatrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.5, 1.0],
+                                          [2.0, 1.0, 0.0]]))
+        with pytest.raises(ValueError, match="exactly zero diagonal"):
+            minimize_stress(delta, 1, init=init)
+
     def test_monotone_history_exact_input(self, rng):
         pts = rng.standard_normal((30, 2))
         state = minimize_stress(distances_of(pts), 2, init="random", seed=3)
