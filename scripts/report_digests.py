@@ -50,8 +50,8 @@ NOISES = {
 GAUSSIAN = {"gaussian": {"mean": [0.5, -1.0],
                          "covariance": [[2.0, 0.3], [0.3, 1.0]]}}
 UNIFORM_BOX = {"uniform_box": {"lo": [-1.0, 0.0], "hi": [2.0, 1.0]}}
-# B_hat = B exactly: the spectral norm of an all-zero difference, on both
-# sides of the dense-eigensolver cutoff.
+# B_hat = B up to roundoff: the spectral norm of a roundoff-sized difference,
+# on both sides of the dense-eigensolver cutoff.
 ZERO_NOISE = {"model": "model2", "law": {"uniform": {"a": 0.0}}}
 
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from . import noise as noisemod
 from . import pointmodel
-from .matrixcore import (ConvergenceError, SymmetricMatrix, double_center, norms,
-                         one_blas_thread, top_eigs)
+from .matrixcore import (ConvergenceError, SymmetricMatrix, centered, gram_top_eigs,
+                         minus_gram, norms, one_blas_thread, top_eigs)
 
 
 def _replicate_seeds(seed: int, n: int, r: int) -> tuple:
@@ -39,19 +39,6 @@ def simulate(distribution: pointmodel.DistributionSpec, noise: noisemod.NoiseSpe
     D = SymmetricMatrix._unchecked(cloud.distance_matrix())
     out = noisemod.perturb(D, noise, noise_seed, keep, overwrite="D" not in keep)
     return cloud, (D if "D" in keep else None), out
-
-
-def centered_pair(distribution: pointmodel.DistributionSpec,
-                  noise: noisemod.NoiseSpec, n: int, seed: int, r: int):
-    """Replicate r as in ``simulate``, double-centered: returns (cloud, B,
-    B_hat) with B from D^2, built in D's array, and B_hat from Delta^2, built
-    in its own, so the pair holds two n x n matrices."""
-    cloud, D, out = simulate(distribution, noise, n, seed, r, keep=("D", "delta_sq"))
-    sq = D.data
-    sq.setflags(write=True)
-    np.square(sq, out=sq)
-    B = double_center(SymmetricMatrix._unchecked(sq), overwrite=True)
-    return cloud, B, double_center(out["delta_sq"], overwrite=True)
 
 
 def run_replicates(fn, replicates: int, threads: int):
@@ -90,11 +77,13 @@ class DecompositionReport:
     ``term_row_norms[t]`` holds the sqrt(n)-scaled row norms of term t;
     term 0 carries the limit law. Terms 1-5 vanish as n grows when the mean
     of B_hat - B stays bounded in norm, as under models 1 and 2. The split
-    is taken against B, not E[B_hat]: where E[B_hat] = cB with c != 1 (q
-    under model 3, 4/3 under model2_hetero), B_hat - B carries (c - 1)B and
-    some of terms 1-5 grow with sqrt(n). ``identity_residual`` is the
-    relative Frobenius gap between the term sum and the actual embedding
-    deviation (an exact identity up to roundoff).
+    is taken against the B = X_c X_c^T of the factor handed to
+    ``decompose``: the harness hands the points scaled by the noise's
+    ``center_scale``, so under model 3 B is E[B_hat] = q X_c X_c^T. Under
+    model2_hetero E[B_hat] = 4/3 B: B_hat - B carries B/3, and some of terms
+    1-5 grow with sqrt(n). ``identity_residual`` is the relative Frobenius
+    gap between the term sum and the actual embedding deviation (an exact
+    identity up to roundoff).
     """
 
     term_row_norms: list
@@ -162,37 +151,34 @@ def rotation_match(emp, target) -> dict:
     return {"R": rs[best], "max_rel_entry_error": float(errs[best])}
 
 
-def _perturbation(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int) -> tuple:
-    """The top-d eigenpairs of B and of B_hat, W* = align(U, U_hat) and B_hat - B
-    built in B_hat's array, which must not be read afterwards. Raises
-    ValueError when either d-th eigenvalue is at or below its roundoff floor,
-    the rule by which ``cmds.embed`` calls an embedding deficient."""
-    if B.n != B_hat.n:
-        raise ValueError("matrices must have matching dimension")
-    pb = top_eigs(B, d)
+def _perturbation(points, B_hat, d: int) -> tuple:
+    """The top-d eigenpairs of B = X_c X_c^T, X_c the centered ``points``, and
+    of B_hat (a ``SymmetricMatrix`` or ``matrixcore.centered`` operator), W* =
+    align(U, U_hat) and B_hat - B as a ``matrixcore.minus_gram`` operator.
+    Raises ValueError when either d-th eigenvalue is at or below its roundoff
+    floor, the rule by which ``cmds.embed`` calls an embedding deficient."""
+    x = np.asarray(points, float)
+    x = x - x.mean(axis=0)
+    diff = minus_gram(B_hat, x)
+    pb = gram_top_eigs(x, d)
     ph = top_eigs(B_hat, d)
     if pb.values[-1] <= pb.floor or ph.values[-1] <= ph.floor:
         raise ValueError(f"the top-{d} eigenvalues of B and B_hat must be positive; "
                          f"eigenvalue {d} is {pb.values[-1]:.3e} and {ph.values[-1]:.3e}")
-    wstar = align(pb.vectors, ph.vectors)
-    diff = B_hat.data
-    diff.setflags(write=True)
-    diff -= B.data
-    return pb, ph, wstar, diff
+    return pb, ph, align(pb.vectors, ph.vectors), diff
 
 
-def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int,
-              overwrite: bool = False) -> DecompositionReport:
-    """Evaluate the six-term identity for X_hat - U S^{1/2} W*.
+def decompose(points, B_hat, d: int) -> DecompositionReport:
+    """Evaluate the six-term identity for X_hat - U S^{1/2} W*, with U S U^T
+    = B = X_c X_c^T for the centered n x p ``points`` X_c, and X_hat from
+    B_hat, a ``SymmetricMatrix`` or ``matrixcore.centered`` operator.
 
-    Exact (up to roundoff) whenever B has rank at most d and the top-d
-    eigenvalues of B_hat are positive. With ``overwrite`` B_hat - B is built
-    in ``B_hat``'s own array after both eigensolves, and ``B_hat`` must not be
-    read afterwards; otherwise in a copy.
+    Exact (up to roundoff) whenever p <= d and the top-d eigenvalues of B and
+    B_hat are positive. B comes from the thin SVD of X_c and B_hat - B is
+    applied as an operator, so no n x n array is formed beyond B_hat's own
+    (and the copy a dense eigensolve forms).
     """
-    if not overwrite:
-        B_hat = SymmetricMatrix._unchecked(B_hat.data.copy())
-    pb, ph, wstar, diff = _perturbation(B, B_hat, d)
+    pb, ph, wstar, diff = _perturbation(points, B_hat, d)
     ub, sb = pb.vectors, pb.values
     uh, sh = ph.vectors, ph.values
     sb_h, sh_h = np.sqrt(sb), np.sqrt(sh)
@@ -212,7 +198,7 @@ def decompose(B: SymmetricMatrix, B_hat: SymmetricMatrix, d: int,
     scale = max(float(np.linalg.norm(x_hat, "fro")), 1e-300)
     residual = float(np.linalg.norm(total - lhs, "fro")) / scale
     terms = [t1, t2, t3, t4, t5, t6]
-    row_norms = [np.sqrt(B.n) * np.linalg.norm(t, axis=1) for t in terms]
+    row_norms = [np.sqrt(len(ub)) * np.linalg.norm(t, axis=1) for t in terms]
     return DecompositionReport(term_row_norms=row_norms, identity_residual=residual)
 
 
@@ -223,19 +209,22 @@ RATIO_NAMES = ("b_perturbation", "procrustes_residual", "lambda_d_over_n",
 
 def _bound_cell(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
                 n: int, seed: int, r: int) -> tuple:
-    """The ratios of one (n, replicate) cell, in ``RATIO_NAMES`` order. B_hat - B
-    is built in B_hat's array after both eigensolves, so the cell holds two
-    n x n matrices. A cell whose B or B_hat has a d-th eigenvalue at or below
-    its roundoff floor raises ValueError, as ``decompose`` does."""
-    cloud, B, B_hat = centered_pair(spec, noise, n, seed, r)
+    """The ratios of one (n, replicate) cell, in ``RATIO_NAMES`` order, with B
+    from the points scaled by the noise's ``center_scale``, as in the
+    decomposition check. B_hat is the centered operator over Delta^2, built
+    in D's array, so the cell holds one n x n matrix. A cell whose B or B_hat
+    has a d-th eigenvalue at or below its roundoff floor raises ValueError,
+    as ``decompose`` does."""
+    cloud, _, out = simulate(spec, noise, n, seed, r, keep=("delta_sq",))
     logn = np.log(n)
-    pb, ph, wstar, diff = _perturbation(B, B_hat, spec.d)
-    b_perturbation = norms(SymmetricMatrix._unchecked(diff)) / np.sqrt(n * logn)
+    pb, ph, wstar, diff = _perturbation(noise.center_scale * cloud.points,
+                                        centered(out["delta_sq"]), spec.d)
+    b_perturbation = norms(diff) / np.sqrt(n * logn)
 
     sb, sh = pb.values, ph.values
     sb_h, sh_h = np.sqrt(sb), np.sqrt(sh)
-    aligned, centered = align_to_points(ph.vectors * sh_h, cloud, noise)
-    row_err = np.linalg.norm(aligned - centered, axis=1)
+    aligned, target = align_to_points(ph.vectors * sh_h, cloud, noise)
+    row_err = np.linalg.norm(aligned - target, axis=1)
     rate = np.sqrt(logn / n)
     return (b_perturbation,
             np.linalg.norm(pb.vectors.T @ ph.vectors - wstar, 2) / (logn / n),

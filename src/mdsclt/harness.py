@@ -15,7 +15,7 @@ import numpy as np
 import scipy.special
 
 from . import clt, cmds, noise as noisemod, pointmodel, rawstress
-from .matrixcore import MAX_SUPPORTED_N
+from .matrixcore import MAX_SUPPORTED_N, centered
 
 # Asymptotic Kolmogorov critical value at the 1% level.
 KS_CRIT_1PCT = float(scipy.special.kolmogi(0.01))
@@ -157,10 +157,12 @@ def run(cfg: ExperimentConfig) -> McReport:
     Deterministic for a given config regardless of thread count: replicate
     seeds are derived independently, aggregation is replicate-ordered, and
     ``clt.run_replicates`` runs the replicates on ``cfg.threads`` workers with
-    one BLAS thread each; the decomposition check runs on it as one more
-    replicate. A replicate that fails numerically is counted in its n's
-    ``failed`` and listed with its reason in ``errors``; a failed
-    decomposition check reports ``{"error": reason}`` in place of its summary.
+    one BLAS thread each. The decomposition check of an n runs in the same
+    call, as its first task, beside that n's replicates. A replicate that
+    fails numerically is counted in its n's ``failed`` and listed with its
+    reason in ``errors``; a failed decomposition check reports ``{"error":
+    reason}`` in place of its summary and counts toward neither ``failed``
+    nor ``invalid``.
     """
     try:
         theory = clt.theory_cov(cfg.distribution, cfg.noise)
@@ -171,12 +173,17 @@ def run(cfg: ExperimentConfig) -> McReport:
         mu = pointmodel.moments(cfg.distribution).mu
         true_centers = cfg.noise.center_scale * (cfg.distribution.locations - mu)
     want_normality = bool(cfg.checks.get("clt", True))
+    check = int(bool(cfg.checks.get("decomposition")))  # tasks before the replicates
     per_n = []
     invalid = False
     for n in cfg.n_list:
         results = None  # free the last n's results before this n's replicates run
-        results, errors = clt.run_replicates(lambda r: _one_replicate(cfg, n, r),
-                                             cfg.replicates, cfg.threads)
+        results, errors = clt.run_replicates(
+            lambda i: (_decomposition_summary(cfg, n) if i < check
+                       else _one_replicate(cfg, n, i - check)),
+            check + cfg.replicates, cfg.threads)
+        if check:
+            summary, error = results.pop(0), errors.pop(0)
         ok = [r for r, res in enumerate(results) if res is not None]
         failed = cfg.replicates - len(ok)
         reasons = [(r, e) for r, e in enumerate(errors) if e is not None]
@@ -187,6 +194,8 @@ def run(cfg: ExperimentConfig) -> McReport:
         dev = np.array([results[r][2] for r in ok]).reshape(len(ok), len(labels), cfg.d)
         block = {"n": n, "per_class": [], "failed": failed, "errors": reasons,
                  "replicates": ok, "labels": labels, "deviations": dev}
+        if check:
+            block["diagnostics"] = {"decomposition": summary or {"error": error}}
         per_n.append(block)
         if not ok:
             continue
@@ -219,17 +228,18 @@ def run(cfg: ExperimentConfig) -> McReport:
                 designated_cov=des_cov, cov_entry_variances=cov_var,
                 theoretical_cov=sigma, normality=normality,
                 count=len(pooled)))
-        if cfg.checks.get("decomposition"):
-            (summary,), (error,) = clt.run_replicates(
-                lambda r: _decomposition_summary(cfg, n), 1, cfg.threads)
-            block["diagnostics"] = {"decomposition": summary or {"error": error}}
     return McReport(config=cfg.to_json(), per_n=per_n,
                     center_scale=cfg.noise.center_scale, invalid=invalid)
 
 
 def _decomposition_summary(cfg: ExperimentConfig, n: int) -> dict:
-    _, B, B_hat = clt.centered_pair(cfg.distribution, cfg.noise, n, cfg.seed, 0)
-    rep = clt.decompose(B, B_hat, cfg.d, overwrite=True)
+    """The six-term split of replicate 0 of n, against B from the points scaled
+    by the noise's ``center_scale`` (E[B_hat] under model 3), with B_hat the
+    centered operator over Delta^2: it holds one n x n matrix."""
+    cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, 0,
+                                 keep=("delta_sq",))
+    rep = clt.decompose(cfg.noise.center_scale * cloud.points,
+                        centered(out["delta_sq"]), cfg.d)
     return {"identity_residual": rep.identity_residual,
             "median_row_norms": [float(np.median(t)) for t in rep.term_row_norms]}
 

@@ -16,9 +16,12 @@ block.
 
 ``centered`` hands ``top_eigs`` the double centering of a
 squared-dissimilarity matrix as an operator that centers implicitly and
-reads only the matrix's upper triangle. ``top_eigs`` forms the centered
-matrix, in a copy, only where it solves densely (``_dense_solve``); above
-``DENSE_EIG_CUTOFF``, for k < n - 1, no n x n array is built or overwritten.
+reads only the matrix's upper triangle; ``minus_gram`` subtracts a rank-p
+Gram matrix X X^T from a matrix or such an operator, again without forming
+it. ``top_eigs`` and ``norms`` form an operator, in a copy, only where they
+solve densely (``_dense_solve``); above ``DENSE_EIG_CUTOFF``, for k < n - 1,
+no n x n array is built or overwritten. ``gram_top_eigs`` takes the top
+eigenpairs of X X^T from the thin SVD of X, forming no n x n array either.
 """
 
 from __future__ import annotations
@@ -209,6 +212,9 @@ class _CenteredSquares(spla.LinearOperator):
         y -= y.mean()
         return y
 
+    def formed(self) -> np.ndarray:
+        return double_center(self.sq).data
+
 
 def centered(sq: SymmetricMatrix) -> _CenteredSquares:
     """B = -1/2 P A P for A = ``sq`` as an operator that forms no n x n array
@@ -217,10 +223,44 @@ def centered(sq: SymmetricMatrix) -> _CenteredSquares:
     return _CenteredSquares(sq)
 
 
+class _MinusGram(spla.LinearOperator):
+    """A - X X^T for a symmetric array or operator A and an n x p array X,
+    applied without forming it: v -> A v - X (X^T v)."""
+
+    def __init__(self, a, x: np.ndarray):
+        super().__init__(np.float64, a.shape)
+        self.a, self.x = a, x
+
+    def _matvec(self, v):
+        v = v.reshape(-1)
+        return self.a @ v - self.x @ (self.x.T @ v)
+
+    def formed(self) -> np.ndarray:
+        return _formed(self.a) - self.x @ self.x.T
+
+
+def minus_gram(m, x) -> _MinusGram:
+    """m - X X^T for ``m`` a ``SymmetricMatrix`` or the operator of
+    ``centered``, and X an n x p array, as an operator that forms no n x n
+    array and leaves ``m`` as it is; ``top_eigs`` and ``norms`` form it where
+    they solve densely."""
+    a = _operand(m)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != a.shape[0]:
+        raise ValueError(f"the factor must have one row per row of the "
+                         f"{a.shape[0]} x {a.shape[0]} matrix, got shape {x.shape}")
+    return _MinusGram(a, x)
+
+
+def _operand(m):
+    """The array of a ``SymmetricMatrix``, or the operator ``m`` itself."""
+    return m if isinstance(m, spla.LinearOperator) else m.data
+
+
 def _lanczos(a, k: int, which: str, vectors: bool = True):
-    """ARPACK's k eigenvalues of the symmetric array or ``centered`` operator
-    ``a`` selected by ``which`` (with eigenvectors if ``vectors``), in
-    ``spla.eigsh``'s form.
+    """ARPACK's k eigenvalues of the symmetric array or operator ``a`` (of
+    ``centered`` or ``minus_gram``) selected by ``which`` (with eigenvectors
+    if ``vectors``), in ``spla.eigsh``'s form.
 
     The start vector and the generator of ARPACK's restart vectors are
     fixed by n, so neither the output nor the matvec count depends on earlier
@@ -228,7 +268,7 @@ def _lanczos(a, k: int, which: str, vectors: bool = True):
     ``top_eigs`` and ``norms``, run it inside ``one_blas_thread``, since the
     bits of ``dsymv`` and of ARPACK's own BLAS calls depend on the BLAS
     thread count. ARPACK cannot start on an all-zero matrix, which gets the
-    dense top-k solve (of the formed B, for an operator).
+    dense top-k solve (of the formed matrix, for an operator).
 
     A solve with eigenvectors runs to machine precision (ARPACK's tol=0). An
     eigenvalue-only solve stops once each wanted Ritz residual ||r|| is at
@@ -258,9 +298,9 @@ def _lanczos(a, k: int, which: str, vectors: bool = True):
 
 
 def _formed(a) -> np.ndarray:
-    """The symmetric array ``a`` itself, or the B that the ``centered``
-    operator ``a`` applies, formed by ``double_center``."""
-    return double_center(a.sq).data if isinstance(a, _CenteredSquares) else a
+    """The symmetric array ``a`` itself, or the matrix that the operator ``a``
+    (of ``centered`` or ``minus_gram``) applies, formed in a new array."""
+    return a.formed() if isinstance(a, spla.LinearOperator) else a
 
 
 def _dense_top(a: np.ndarray, k: int, vectors: bool = True):
@@ -273,7 +313,7 @@ def _dense_top(a: np.ndarray, k: int, vectors: bool = True):
 
 def top_eigs(m, k: int) -> SpectralPair:
     """Return the k algebraically largest eigenpairs of ``m``, a
-    ``SymmetricMatrix`` or the operator of ``centered``.
+    ``SymmetricMatrix`` or the operator of ``centered`` or ``minus_gram``.
 
     Small matrices, and requests for k >= n - 1 pairs, get a dense solve for
     those k pairs only (not all n), of the formed B for an operator; large
@@ -282,18 +322,36 @@ def top_eigs(m, k: int) -> SpectralPair:
     inside ``one_blas_thread``, so its bits do not depend on the caller's
     BLAS thread count.
     """
-    a = m if isinstance(m, _CenteredSquares) else m.data
+    a = _operand(m)
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     with one_blas_thread:
         w, v = _dense_top(_formed(a), k) if _dense_solve(n, k) else _lanczos(a, k, "LA")
     order = np.argsort(w)[::-1][:k]
-    values, vectors = w[order], v[:, order]
+    return _spectral_pair(w[order], v[:, order])
+
+
+def gram_top_eigs(x, k: int) -> SpectralPair:
+    """Return the k top eigenpairs of X X^T for an n x p array X, from the
+    thin SVD X = U S V^T: values s^2, vectors U, with the signs and the
+    ``degenerate`` flag of ``top_eigs``. Forms no n x n array; the SVD runs
+    inside ``one_blas_thread``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or not 1 <= k <= min(x.shape):
+        raise ValueError(f"k={k} out of range for a factor of shape {x.shape}")
+    with one_blas_thread:
+        u, s, _ = np.linalg.svd(x, full_matrices=False)
+    return _spectral_pair(s[:k] ** 2, u[:, :k])
+
+
+def _spectral_pair(values: np.ndarray, vectors: np.ndarray) -> SpectralPair:
+    """The pair of descending ``values`` and their eigenvectors, signs fixed
+    and near-ties flagged."""
     vectors = _fix_signs(np.ascontiguousarray(vectors))
     scale = float(np.abs(values).max(initial=0.0))
     gaps = -np.diff(values)
-    degenerate = bool(k > 1 and np.any(gaps < DEGENERATE_GAP_RTOL * max(scale, 1e-300)))
+    degenerate = bool(np.any(gaps < DEGENERATE_GAP_RTOL * max(scale, 1e-300)))
     return SpectralPair(values=values, vectors=vectors, degenerate=degenerate)
 
 
@@ -358,18 +416,21 @@ class _OneBlasThread:
 one_blas_thread = _OneBlasThread()
 
 
-def norms(m: SymmetricMatrix) -> float:
-    """Spectral norm of ``m``: its largest |eigenvalue|, from one extremal
-    eigenvalue above ``DENSE_EIG_CUTOFF``. That eigenvalue-only Lanczos solve
-    stops at a sqrt(eps) relative residual (see ``_lanczos``): the value is
-    within about eps of the norm, relative, unless the top |eigenvalues|
-    cluster within sqrt(eps), where it is within sqrt(eps). The solve runs
-    inside ``one_blas_thread``."""
+def norms(m) -> float:
+    """Spectral norm of ``m``, a ``SymmetricMatrix`` or the operator of
+    ``centered`` or ``minus_gram``: its largest |eigenvalue|, from a dense
+    solve of the formed matrix up to ``DENSE_EIG_CUTOFF`` and from one
+    extremal eigenvalue of ``m`` as it is above. That eigenvalue-only Lanczos
+    solve stops at a sqrt(eps) relative residual (see ``_lanczos``): the
+    value is within about eps of the norm, relative, unless the top
+    |eigenvalues| cluster within sqrt(eps), where it is within sqrt(eps).
+    The solve runs inside ``one_blas_thread``."""
+    a = _operand(m)
     with one_blas_thread:
-        if _dense_solve(m.n, 1):
-            w = np.linalg.eigvalsh(m.data)
+        if _dense_solve(a.shape[0], 1):
+            w = np.linalg.eigvalsh(_formed(a))
         else:
-            w = _lanczos(m.data, 1, "LM", vectors=False)
+            w = _lanczos(a, 1, "LM", vectors=False)
     return float(np.abs(w).max())
 
 

@@ -257,8 +257,9 @@ class TestMcRun:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_decomposition_check_ignores_thread_count(self, tmp_path):
-        """The decomposition check is a lone replicate; above the dense cutoff,
-        too, it keeps one BLAS thread, so --threads does not move its bits."""
+        """The decomposition check runs on the replicates' workers, as their
+        first task; above the dense cutoff, too, it keeps one BLAS thread, so
+        --threads does not move the report's bits."""
         cfg = write_config(tmp_path / "cfg.json", n_list=(300, 1000), replicates=2,
                            noise={"model": "model3", "q": 0.7},
                            checks={"clt": False, "decomposition": True})
@@ -619,18 +620,18 @@ class TestErrorHandling:
         """Make the eigensolves of the diagnose cells ``cells``, (n, replicate)
         pairs, raise ConvergenceError."""
         current = threading.local()
-        centered_pair, top_eigs = clt.centered_pair, clt.top_eigs
+        simulate, top_eigs = clt.simulate, clt.top_eigs
 
-        def pair(spec, noise, n, seed, r):
+        def recorded(spec, noise, n, seed, r, keep):
             current.cell = (n, r)
-            return centered_pair(spec, noise, n, seed, r)
+            return simulate(spec, noise, n, seed, r, keep)
 
         def failing_top_eigs(m, k):
             if current.cell in cells:
                 raise ConvergenceError("no convergence")
             return top_eigs(m, k)
 
-        monkeypatch.setattr(clt, "centered_pair", pair)
+        monkeypatch.setattr(clt, "simulate", recorded)
         monkeypatch.setattr(clt, "top_eigs", failing_top_eigs)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -664,10 +665,10 @@ class TestErrorHandling:
         the report carries its reason there and the other n's summary."""
         decompose = clt.decompose
 
-        def deficient_at_60(B, B_hat, d, overwrite=False):
-            if B.n == 60:
+        def deficient_at_60(points, B_hat, d):
+            if len(points) == 60:
                 raise ValueError("deficient")
-            return decompose(B, B_hat, d, overwrite)
+            return decompose(points, B_hat, d)
 
         monkeypatch.setattr(clt, "decompose", deficient_at_60)
         cfg = write_config(tmp_path / "cfg.json", n_list=(60, 80),

@@ -1,3 +1,4 @@
+import threading
 import time
 
 import numpy as np
@@ -8,13 +9,14 @@ from hypothesis.extra.numpy import arrays
 
 from mdsclt import clt, harness, pointmodel
 from mdsclt.matrixcore import (ConvergenceError, SpectralPair, SymmetricMatrix,
-                               double_center)
+                               centered, double_center, gram_top_eigs, top_eigs)
 from mdsclt.noise import NoiseLaw, NoiseSpec, perturb
 from mdsclt.pointmodel import DistributionSpec
 
 
 GAUSS_I2 = DistributionSpec("gaussian", mean=[0.0, 0.0],
                             covariance=[[1.0, 0.0], [0.0, 1.0]])
+BOX = DistributionSpec("uniform_box", lo=[-1.0, 0.0], hi=[2.0, 1.0])
 
 
 def grid_config(spec, noise, n_grid, seed, threads=1, replicates=2):
@@ -153,57 +155,90 @@ def test_rotation_match_equals_loop(rng):
 
 
 def random_rank_d_pair(rng, n=40, d=2, noise_scale=1.0):
-    """B = centered Gram of a random configuration (exact rank d) and a
-    symmetric perturbation of it."""
+    """A random configuration z, n x d, and a symmetric perturbation of its
+    centered Gram matrix B = p z z^T p (exact rank d)."""
     z = rng.standard_normal((n, d)) * 3.0
     p = np.eye(n) - np.ones((n, n)) / n
     b = p @ z @ z.T @ p
     e = rng.standard_normal((n, n)) * noise_scale
     e = (e + e.T) / 2.0
-    return SymmetricMatrix(b), SymmetricMatrix(b + e)
+    return z, SymmetricMatrix(b + e)
 
 
 class TestDecompose:
     def test_no_perturbation_all_zero(self, rng):
-        b, _ = random_rank_d_pair(rng, noise_scale=0.0)
-        rep = clt.decompose(b, b, 2)
+        z, b = random_rank_d_pair(rng, noise_scale=0.0)
+        rep = clt.decompose(z, b, 2)
         assert rep.identity_residual <= 1e-12
         for t in rep.term_row_norms:
             assert np.abs(t).max() <= 1e-8
 
     def test_identity_on_random_pairs(self, rng):
         for _ in range(20):
-            b, bh = random_rank_d_pair(rng)
-            rep = clt.decompose(b, bh, 2)
+            z, bh = random_rank_d_pair(rng)
+            rep = clt.decompose(z, bh, 2)
             assert rep.identity_residual <= 1e-7
 
     def test_remainder_terms_shrink_with_n(self, triangle, uniform4):
         """Median sqrt(n)-scaled row norms of the five remainder terms
         decrease as n grows."""
-        from mdsclt.noise import perturb
-
         def remainder_median(n):
             cloud = pointmodel.sample(triangle, n, seed=5)
             D = SymmetricMatrix(cloud.distance_matrix())
             out = perturb(D, uniform4, seed=5)
-            B = double_center(SymmetricMatrix(D.data**2))
-            Bh = double_center(out["delta_sq"])
-            rep = clt.decompose(B, Bh, 2)
+            rep = clt.decompose(cloud.points, double_center(out["delta_sq"]), 2)
             return [float(np.median(t)) for t in rep.term_row_norms[1:]]
 
         small, large = remainder_median(100), remainder_median(500)
         assert sum(l < s for s, l in zip(small, large)) >= 4
 
+    def test_model3_remainder_terms_shrink_with_n(self, triangle):
+        """Against E[B_hat] = qB, the Gram matrix of the sqrt(q)-scaled points
+        that the decomposition check hands over, each model-3 remainder
+        median, averaged over replicates 0-3, shrinks from n = 200 to 800.
+        (Against B, B_hat - B carries (q - 1)B and they grow.) One
+        replicate's term 2 is too noisy to order."""
+        noise = NoiseSpec("model3", q=0.49)
+
+        def remainder_medians(n):
+            meds = []
+            for r in range(4):
+                cloud, _, out = clt.simulate(triangle, noise, n, 5, r, keep=("delta_sq",))
+                rep = clt.decompose(noise.center_scale * cloud.points,
+                                    centered(out["delta_sq"]), 2)
+                meds.append([np.median(t) for t in rep.term_row_norms[1:]])
+            return np.mean(meds, axis=0)
+
+        small, large = remainder_medians(200), remainder_medians(800)
+        assert np.all(large < small), (small, large)
+
     def test_size_mismatch(self, rng):
-        b, _ = random_rank_d_pair(rng, n=10)
-        b2, _ = random_rank_d_pair(rng, n=12)
-        with pytest.raises(ValueError):
-            clt.decompose(b, b2, 2)
+        z, _ = random_rank_d_pair(rng, n=10)
+        _, b2 = random_rank_d_pair(rng, n=12)
+        with pytest.raises(ValueError, match="one row per row"):
+            clt.decompose(z, b2, 2)
 
     def test_nonpositive_top_eigenvalues_rejected(self):
-        b = SymmetricMatrix(-np.eye(4))
-        with pytest.raises(ValueError):
-            clt.decompose(b, b, 2)
+        """Collinear points give B a zero second eigenvalue, and B_hat = -I
+        has no positive one."""
+        points = np.outer(np.arange(4.0), [1.0, 2.0])
+        with pytest.raises(ValueError, match="must be positive"):
+            clt.decompose(points, SymmetricMatrix(-np.eye(4)), 2)
+
+    @pytest.mark.parametrize("dist", [pointmodel.triangle_345(), GAUSS_I2, BOX],
+                             ids=["point_mass_mixture", "gaussian", "uniform_box"])
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_factor_pair_matches_formed_B(self, dist, n):
+        """B's top-d pair from the thin SVD of the centered points matches the
+        eigensolve of the formed B = double_center(D^2) within 1e-12,
+        relative to lambda_1, on both sides of the dense cutoff."""
+        cloud = pointmodel.sample(dist, n, seed=9)
+        want = top_eigs(double_center(SymmetricMatrix(cloud.distance_matrix() ** 2)),
+                        dist.d)
+        got = gram_top_eigs(cloud.points - cloud.points.mean(axis=0), dist.d)
+        assert np.abs(got.values - want.values).max() <= 1e-12 * want.values[0]
+        # unit columns: the gap of each is relative to its norm
+        assert np.linalg.norm(got.vectors - want.vectors, axis=0).max() <= 1e-12
 
 
 class TestBoundChecks:
@@ -238,24 +273,22 @@ class TestBoundChecks:
     def test_deficient_cell_counted_as_failed(self, triangle, uniform4, monkeypatch):
         """A cell whose B_hat has a non-positive d-th eigenvalue fails with a
         reason, and its n's medians come from the other cells."""
-        top_eigs = clt.top_eigs
-        cell = {}
+        top_eigs, simulate = clt.top_eigs, clt.simulate
+        cell = threading.local()
+
+        def recorded(spec, noise, n, seed, r, keep):
+            cell.id = (n, r)
+            return simulate(spec, noise, n, seed, r, keep)
 
         def deficient_at_n50_r1(m, k):
+            # B's pair comes from the points, so every eigensolve is B_hat's
             pair = top_eigs(m, k)
-            if cell.get("id") == (50, 1) and m is cell.get("B_hat"):
+            if cell.id == (50, 1):
                 return SpectralPair(np.append(pair.values[:-1], 0.0), pair.vectors)
             return pair
 
-        centered_pair = clt.centered_pair
-
-        def recorded(spec, noise, n, seed, r):
-            out = centered_pair(spec, noise, n, seed, r)
-            cell.update(id=(n, r), B_hat=out[2])
-            return out
-
         monkeypatch.setattr(clt, "top_eigs", deficient_at_n50_r1)
-        monkeypatch.setattr(clt, "centered_pair", recorded)
+        monkeypatch.setattr(clt, "simulate", recorded)
         cfg = grid_config(triangle, uniform4, [50, 100, 200], 3, replicates=3)
         out = clt.bound_checks(cfg)
         [(n, r, reason)] = out["errors"]

@@ -223,6 +223,33 @@ class TestRun:
             assert block["failed"] == 0
             assert np.array_equal(block["deviations"], want["deviations"])
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_check_on_the_pool_counts_toward_nothing(self, triangle, uniform4,
+                                                            monkeypatch, threads):
+        """The check shares the replicates' runner but not their tally: with
+        replicate 1 failing as well, ``failed`` is 1, the run stays valid, and
+        the failure keeps its replicate index."""
+        one_replicate = harness._one_replicate
+
+        def fails_at_1(cfg, n, r):
+            if r == 1:
+                raise matrixcore.ConvergenceError("replicate 1")
+            return one_replicate(cfg, n, r)
+
+        def diverged(cfg, n):
+            raise matrixcore.ConvergenceError("no convergence")
+
+        monkeypatch.setattr(harness, "_one_replicate", fails_at_1)
+        monkeypatch.setattr(harness, "_decomposition_summary", diverged)
+        report = run(small_config(triangle, uniform4, threads=threads,
+                                  checks={"clt": False, "decomposition": True}))
+        [block] = report.per_n
+        assert block["diagnostics"] == {
+            "decomposition": {"error": "ConvergenceError: no convergence"}}
+        assert block["failed"] == 1 and not report.invalid
+        assert block["errors"] == [(1, "ConvergenceError: replicate 1")]
+        assert block["replicates"] == [0, 2, 3, 4, 5]
+
     def test_deviation_stack(self, triangle, uniform4):
         """Each n's block keeps the deviation rows of its successful
         replicates as one (replicates, n, d) array, with the row labels."""
@@ -256,9 +283,9 @@ class TestBlasThreads:
                                                       monkeypatch, threads,
                                                       blas_count):
         """Replicates see one BLAS thread, and so does the decomposition
-        check, which runs as one more replicate on the same runner, at n =
-        100 and at n = 300 alike. The caller's count is restored after the
-        run."""
+        check, which runs on the same runner as their first task, at n = 100
+        and at n = 300 alike; its one eigensolve is B_hat's, as B comes from
+        the points. The caller's count is restored after the run."""
         seen = {cmds: [], harness.clt: []}
 
         def spy(module):
@@ -277,7 +304,7 @@ class TestBlasThreads:
         assert blas_count() == [2] * len(blas_count())
         assert len(seen[cmds]) == 12
         assert all(c == [1] * len(c) for c in seen[cmds])
-        assert seen[harness.clt] == [[1] * len(blas_count())] * 4
+        assert seen[harness.clt] == [[1] * len(blas_count())] * 2
 
     def test_operator_solve_ignores_caller_blas_threads(self, triangle, uniform4,
                                                         blas_count):

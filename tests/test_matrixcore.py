@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from mdsclt import clt, matrixcore, pointmodel
 from mdsclt.matrixcore import (DENSE_EIG_CUTOFF, SymmetricMatrix, _fix_signs,
-                               centered, double_center, norms, read_matrix_csv,
-                               top_eigs)
+                               centered, double_center, gram_top_eigs, minus_gram,
+                               norms, read_matrix_csv, top_eigs)
 from mdsclt.noise import NoiseLaw, NoiseSpec
 
 
@@ -299,10 +299,9 @@ class TestNorms:
 
     @staticmethod
     def diagnose_difference(n):
-        """B_hat - B of a diagnose cell: 3-4-5 mixture, Uniform(-4, 4) model 2."""
-        noise = NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))
-        _, B, B_hat = clt.centered_pair(pointmodel.triangle_345(), noise, n, 2018, 0)
-        return SymmetricMatrix(B_hat.data - B.data)
+        """B_hat - B of a diagnose cell, as the operator the cell solves: 3-4-5
+        mixture, Uniform(-4, 4) model 2."""
+        return diagnose_difference(n, 2018)
 
     @staticmethod
     def wigner(rng):
@@ -324,8 +323,9 @@ class TestNorms:
         sqrt(eps) residual, and the norm still matches a dense solve to 1e-12."""
         m = (self.diagnose_difference(500) if case == "diagnose_difference"
              else getattr(self, case)(rng))
-        assert m.n > DENSE_EIG_CUTOFF
-        want = float(np.abs(scipy.linalg.eigvalsh(m.data)).max())
+        a = matrixcore._formed(matrixcore._operand(m))
+        assert a.shape[0] > DENSE_EIG_CUTOFF
+        want = float(np.abs(scipy.linalg.eigvalsh(a)).max())
         assert norms(m) == pytest.approx(want, rel=1e-12)
 
     def test_eigenvalue_only_solve_saves_matvecs(self, monkeypatch, matvec_counts):
@@ -342,16 +342,27 @@ class TestNorms:
         assert value == pytest.approx(exact, rel=1e-12)
 
     def test_restart_vectors_fixed_by_n(self, matvec_counts):
-        """The noiseless B of a diagnose cell has rank 2, so ARPACK's Krylov
-        space runs out and it draws restart vectors. They come from a
-        generator fixed by n: five solves in one process take the same number
-        of matvecs and return the same bits."""
-        noise = NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))
-        _, B, _ = clt.centered_pair(pointmodel.triangle_345(), noise, 500, 601, 0)
+        """The noiseless B = -1/2 P D^2 P of a 3-4-5 mixture has rank 2, so
+        ARPACK's Krylov space runs out and it draws restart vectors. They come
+        from a generator fixed by n: five solves in one process take the same
+        number of matvecs and return the same bits."""
+        cloud = pointmodel.sample(pointmodel.triangle_345(), 500, 601)
+        B = centered(SymmetricMatrix._unchecked(cloud.distance_matrix() ** 2))
         pairs = [top_eigs(B, 2) for _ in range(5)]
         assert len(set(matvec_counts)) == 1, matvec_counts
         assert all(np.array_equal(p.values, pairs[0].values)
                    and np.array_equal(p.vectors, pairs[0].vectors) for p in pairs)
+
+
+def diagnose_difference(n, seed):
+    """B_hat - B of replicate 0 of the Table-1 noise at n (3-4-5 mixture,
+    Uniform(-4, 4) model 2), as a diagnose cell solves it: B_hat the centered
+    operator over Delta^2, minus the Gram matrix of the centered points."""
+    noise = NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))
+    cloud, _, out = clt.simulate(pointmodel.triangle_345(), noise, n, seed, 0,
+                                 keep=("delta_sq",))
+    points = cloud.points - cloud.points.mean(axis=0)
+    return minus_gram(centered(out["delta_sq"]), points)
 
 
 def replicate_delta_sq(n):
@@ -430,6 +441,63 @@ class TestCentered:
         want = top_eigs(centered(dsq), 2)
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.vectors, want.vectors)
+
+
+class TestMinusGram:
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_operator_applies_the_formed_difference(self, n):
+        """B_hat - X X^T applied as an operator agrees with the formed
+        difference, and so does the matrix it forms."""
+        m = diagnose_difference(n, 7)
+        want = double_center(m.a.sq).data - m.x @ m.x.T
+        assert np.array_equal(m.formed(), want)
+        v = np.random.default_rng(n).standard_normal((n, 3))
+        assert np.abs(m @ v - want @ v).max() <= 1e-12 * np.abs(want @ v).max()
+
+    @pytest.mark.parametrize("n, dense", [(DENSE_EIG_CUTOFF, True),
+                                          (DENSE_EIG_CUTOFF + 1, False), (500, False)])
+    def test_norms_forms_only_where_it_solves_densely(self, n, dense, monkeypatch,
+                                                      matvec_counts):
+        """``norms`` of the operator forms it exactly where it solves densely,
+        and matches the norm of the formed difference to 1e-12 either side."""
+        m = diagnose_difference(n, 7)
+        want = float(np.abs(scipy.linalg.eigvalsh(m.formed())).max())
+        formed, form = [], type(m).formed
+        monkeypatch.setattr(type(m), "formed", lambda self: formed.append(n) or form(self))
+        assert norms(m) == pytest.approx(want, rel=1e-12)
+        assert (formed, len(matvec_counts)) == (([n], 0) if dense else ([], 1))
+
+    def test_over_a_symmetric_matrix(self, rng):
+        """Over a ``SymmetricMatrix`` the operator subtracts X X^T from its
+        array, and ``top_eigs`` solves it as it solves the formed matrix."""
+        a = rng.standard_normal((300, 300))
+        m = SymmetricMatrix(a + a.T)
+        x = rng.standard_normal((300, 2))
+        op = minus_gram(m, x)
+        assert np.array_equal(op.formed(), m.data - x @ x.T)
+        got = top_eigs(op, 2)
+        want = top_eigs(SymmetricMatrix(m.data - x @ x.T), 2)
+        assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+
+    def test_rejects_a_factor_of_other_length(self):
+        with pytest.raises(ValueError, match="one row per row"):
+            minus_gram(SymmetricMatrix(np.eye(4)), np.ones((5, 2)))
+
+
+class TestGramTopEigs:
+    def test_matches_the_formed_gram_matrix(self, rng):
+        x = rng.standard_normal((50, 3))
+        got = gram_top_eigs(x, 2)
+        want = top_eigs(SymmetricMatrix(x @ x.T), 2)
+        assert np.abs(got.values - want.values).max() <= 1e-12 * want.values[0]
+        assert np.abs(got.vectors - want.vectors).max() <= 1e-12
+        assert not got.degenerate
+
+    def test_k_out_of_range(self):
+        x = np.ones((5, 2))
+        for k in (0, 3):
+            with pytest.raises(ValueError, match=f"k={k} out of range"):
+                gram_top_eigs(x, k)
 
 
 finite_mats = arrays(np.float64, (4, 4),
