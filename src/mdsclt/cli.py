@@ -185,9 +185,9 @@ def _cmd_embed(args) -> int:
         k = min(args.d + SCREE_EXTRA, m.n)
         scree = top_eigs(centered(m), k)
         _write_json(args.sidecar, {
-            "eigenvalues": emb.eigenvalues.tolist(),
+            "eigenvalues": emb.pair.values.tolist(),
             "all_top_eigenvalues": scree.values.tolist(),
-            "flags": {"deficient": emb.deficient, "degenerate": scree.degenerate}})
+            "flags": {"deficient": emb.pair.deficient, "degenerate": scree.degenerate}})
     return 0
 
 

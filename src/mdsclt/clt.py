@@ -1,7 +1,8 @@
-"""The simulation pipeline (generate, distances, perturb), limiting
-covariances for the three noise mechanisms, orthogonal alignment between
-configurations, the exact six-term perturbation decomposition, and empirical
-scaling diagnostics for the perturbation bounds."""
+"""The simulation pipeline (generate, distances, perturb, and for a cmds
+replicate embed and align), limiting covariances for the three noise
+mechanisms, orthogonal alignment between configurations, the exact six-term
+perturbation decomposition, and empirical scaling diagnostics for the
+perturbation bounds."""
 
 from __future__ import annotations
 
@@ -10,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import noise as noisemod
-from . import pointmodel
+from . import cmds, noise as noisemod, pointmodel
 from .matrixcore import (ConvergenceError, SymmetricMatrix, centered, gram_top_eigs,
-                         minus_gram, norms, one_blas_thread, top_eigs)
+                         minus_gram, norms, one_blas_thread)
 
 
 def _replicate_seeds(seed: int, n: int, r: int) -> tuple:
@@ -41,6 +41,28 @@ def simulate(distribution: pointmodel.DistributionSpec, noise: noisemod.NoiseSpe
     return cloud, (D if "D" in keep else None), out
 
 
+def replicate(distribution: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
+              n: int, seed: int, r: int, d: int) -> tuple:
+    """Replicate r of a cmds experiment: ``simulate`` keeping Delta^2 alone,
+    ``cmds.embed`` (one eigensolve of B_hat = ``centered(Delta^2)``) and
+    ``align_to_points``. Returns (cloud, B_hat, B_hat's top-d pair, aligned,
+    target); B_hat holds Delta^2, in D's array."""
+    cloud, _, out = simulate(distribution, noise, n, seed, r, keep=("delta_sq",))
+    emb = cmds.embed(out["delta_sq"], d)
+    aligned, target = align_to_points(emb.config, cloud, noise)
+    return cloud, centered(out["delta_sq"]), emb.pair, aligned, target
+
+
+def attempt(fn, *args) -> tuple:
+    """(fn(*args), None), or (None, reason) when it fails numerically, with a
+    ValueError (as DeficientEmbeddingError and LinAlgError are) or a
+    ConvergenceError."""
+    try:
+        return fn(*args), None
+    except (ValueError, ConvergenceError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def run_replicates(fn, replicates: int, threads: int):
     """Call ``fn(r)`` for r = 0 .. replicates - 1 on up to ``threads`` workers,
     all inside ``one_blas_thread``, so the results' bits do not depend on
@@ -49,25 +71,12 @@ def run_replicates(fn, replicates: int, threads: int):
     errors), both indexed by r: a replicate that fails numerically has result
     None and its reason in errors; the others have error None.
     """
-    results = [None] * replicates
-    errors = [None] * replicates
     workers = max(1, min(threads, replicates))
-
-    def work(r):
-        # ValueError covers DeficientEmbeddingError and np.linalg.LinAlgError
-        try:
-            results[r] = fn(r)
-        except (ValueError, ConvergenceError) as exc:
-            errors[r] = f"{type(exc).__name__}: {exc}"
-
-    with one_blas_thread:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(work, range(replicates)))
-        else:
-            for r in range(replicates):
-                work(r)
-    return results, errors
+    # the pool starts no thread until asked: one worker is the calling thread
+    with one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
+        done = list((pool.map if workers > 1 else map)(lambda r: attempt(fn, r),
+                                                        range(replicates)))
+    return [result for result, _ in done], [error for _, error in done]
 
 
 @dataclass(frozen=True)
@@ -78,12 +87,12 @@ class DecompositionReport:
     term 0 carries the limit law. Terms 1-5 vanish as n grows when the mean
     of B_hat - B stays bounded in norm, as under models 1 and 2. The split
     is taken against the B = X_c X_c^T of the factor handed to
-    ``decompose``: the harness hands the points scaled by the noise's
-    ``center_scale``, so under model 3 B is E[B_hat] = q X_c X_c^T. Under
-    model2_hetero E[B_hat] = 4/3 B: B_hat - B carries B/3, and some of terms
-    1-5 grow with sqrt(n). ``identity_residual`` is the relative Frobenius
-    gap between the term sum and the actual embedding deviation (an exact
-    identity up to roundoff).
+    ``decompose``: replicate 0 of each ``mc-run`` n hands its points scaled
+    by the noise's ``center_scale``, so under model 3 B is E[B_hat] =
+    q X_c X_c^T. Under model2_hetero E[B_hat] = 4/3 B: B_hat - B carries
+    B/3, and some of terms 1-5 grow with sqrt(n). ``identity_residual`` is
+    the relative Frobenius gap between the term sum and the actual embedding
+    deviation (an exact identity up to roundoff).
     """
 
     term_row_norms: list
@@ -151,36 +160,36 @@ def rotation_match(emp, target) -> dict:
     return {"R": rs[best], "max_rel_entry_error": float(errs[best])}
 
 
-def _perturbation(points, B_hat, d: int) -> tuple:
-    """The top-d eigenpairs of B = X_c X_c^T, X_c the centered ``points``, and
-    of B_hat (a ``SymmetricMatrix`` or ``matrixcore.centered`` operator), W* =
-    align(U, U_hat) and B_hat - B as a ``matrixcore.minus_gram`` operator.
-    Raises ValueError when either d-th eigenvalue is at or below its roundoff
-    floor, the rule by which ``cmds.embed`` calls an embedding deficient."""
+def _perturbation(points, B_hat, ph) -> tuple:
+    """The top-d eigenpairs of B = X_c X_c^T, X_c the centered ``points``,
+    W* = align(U, U_hat) for ``ph``, B_hat's top-d pair, and B_hat - B as a
+    ``matrixcore.minus_gram`` operator. Raises ValueError when either pair is
+    deficient."""
+    d = len(ph.values)
     x = np.asarray(points, float)
     x = x - x.mean(axis=0)
     diff = minus_gram(B_hat, x)
     pb = gram_top_eigs(x, d)
-    ph = top_eigs(B_hat, d)
-    if pb.values[-1] <= pb.floor or ph.values[-1] <= ph.floor:
+    if pb.deficient or ph.deficient:
         raise ValueError(f"the top-{d} eigenvalues of B and B_hat must be positive; "
                          f"eigenvalue {d} is {pb.values[-1]:.3e} and {ph.values[-1]:.3e}")
-    return pb, ph, align(pb.vectors, ph.vectors), diff
+    return pb, align(pb.vectors, ph.vectors), diff
 
 
-def decompose(points, B_hat, d: int) -> DecompositionReport:
+def decompose(points, B_hat, pair) -> DecompositionReport:
     """Evaluate the six-term identity for X_hat - U S^{1/2} W*, with U S U^T
     = B = X_c X_c^T for the centered n x p ``points`` X_c, and X_hat from
-    B_hat, a ``SymmetricMatrix`` or ``matrixcore.centered`` operator.
+    ``pair``, the top-d eigenpairs of B_hat (a ``SymmetricMatrix`` or
+    ``matrixcore.centered`` operator).
 
     Exact (up to roundoff) whenever p <= d and the top-d eigenvalues of B and
     B_hat are positive. B comes from the thin SVD of X_c and B_hat - B is
-    applied as an operator, so no n x n array is formed beyond B_hat's own
-    (and the copy a dense eigensolve forms).
+    applied as an operator, so no eigensolve runs on B_hat and no n x n array
+    is formed beyond B_hat's own.
     """
-    pb, ph, wstar, diff = _perturbation(points, B_hat, d)
+    pb, wstar, diff = _perturbation(points, B_hat, pair)
     ub, sb = pb.vectors, pb.values
-    uh, sh = ph.vectors, ph.values
+    uh, sh = pair.vectors, pair.values
     sb_h, sh_h = np.sqrt(sb), np.sqrt(sh)
     x_hat = uh * sh_h
     du = diff @ ub
@@ -209,21 +218,17 @@ RATIO_NAMES = ("b_perturbation", "procrustes_residual", "lambda_d_over_n",
 
 def _bound_cell(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
                 n: int, seed: int, r: int) -> tuple:
-    """The ratios of one (n, replicate) cell, in ``RATIO_NAMES`` order, with B
-    from the points scaled by the noise's ``center_scale``, as in the
-    decomposition check. B_hat is the centered operator over Delta^2, built
-    in D's array, so the cell holds one n x n matrix. A cell whose B or B_hat
-    has a d-th eigenvalue at or below its roundoff floor raises ValueError,
-    as ``decompose`` does."""
-    cloud, _, out = simulate(spec, noise, n, seed, r, keep=("delta_sq",))
+    """The ratios of one (n, replicate) cell, in ``RATIO_NAMES`` order, from
+    ``replicate`` r and B from its points scaled by the noise's
+    ``center_scale``, as in the decomposition check. Like ``decompose``, it
+    raises ValueError for a deficient B or B_hat."""
+    cloud, B_hat, ph, aligned, target = replicate(spec, noise, n, seed, r, spec.d)
+    pb, wstar, diff = _perturbation(noise.center_scale * cloud.points, B_hat, ph)
     logn = np.log(n)
-    pb, ph, wstar, diff = _perturbation(noise.center_scale * cloud.points,
-                                        centered(out["delta_sq"]), spec.d)
     b_perturbation = norms(diff) / np.sqrt(n * logn)
 
     sb, sh = pb.values, ph.values
     sb_h, sh_h = np.sqrt(sb), np.sqrt(sh)
-    aligned, target = align_to_points(ph.vectors * sh_h, cloud, noise)
     row_err = np.linalg.norm(aligned - target, axis=1)
     rate = np.sqrt(logn / n)
     return (b_perturbation,

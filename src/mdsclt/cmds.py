@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import SymmetricMatrix, centered, top_eigs
+from .matrixcore import SpectralPair, SymmetricMatrix, centered, top_eigs
 
 
 class DeficientEmbeddingError(ValueError):
@@ -22,15 +22,14 @@ class DeficientEmbeddingError(ValueError):
 
 @dataclass(frozen=True)
 class Embedding:
-    """n x d configuration with its (descending) eigenvalues.
+    """n x d configuration with the top-d eigenpairs it comes from.
 
     Columns of ``config`` are orthogonal with squared norms equal to the
-    eigenvalues, and column means are zero.
+    eigenvalues ``pair.values``, and column means are zero.
     """
 
     config: np.ndarray
-    eigenvalues: np.ndarray
-    deficient: bool = False
+    pair: SpectralPair
 
 
 def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False) -> Embedding:
@@ -41,22 +40,19 @@ def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False) -> E
     is dense (see ``matrixcore.top_eigs``) the centered matrix is built in a
     copy, and above the dense cutoff it is not built at all.
     Eigenvalues among the top d that are not positive beyond
-    roundoff (``SpectralPair.floor``) are an error unless ``allow_deficient``,
-    in which case those columns are zero-filled (roundoff-scale where the
-    eigenvalue is a tiny positive one) and the embedding flagged.
+    roundoff (``SpectralPair.deficient``) are an error unless
+    ``allow_deficient``, in which case those columns are zero-filled
+    (roundoff-scale where the eigenvalue is a tiny positive one).
     """
     n = delta_sq.n
     if not 1 <= d <= n - 1:
         raise ValueError(f"embedding dimension d={d} must satisfy 1 <= d <= n-1")
     pair = top_eigs(centered(delta_sq), d)
-    vals = pair.values
-    deficient = bool(vals[-1] <= pair.floor)
-    if deficient and not allow_deficient:
-        raise DeficientEmbeddingError(
-            f"eigenvalue {d} of the centered matrix is {vals[-1]:.3e} <= {pair.floor:.3g}"
-        )
-    config = pair.vectors * np.sqrt(np.maximum(vals, 0.0))
-    return Embedding(config=config, eigenvalues=vals, deficient=deficient)
+    if pair.deficient and not allow_deficient:
+        raise DeficientEmbeddingError(f"eigenvalue {d} of the centered matrix is "
+                                      f"{pair.values[-1]:.3e} <= {pair.floor:.3g}")
+    return Embedding(config=pair.vectors * np.sqrt(np.maximum(pair.values, 0.0)),
+                     pair=pair)
 
 
 def select_dim(delta_sq: SymmetricMatrix, max_d: int) -> dict:

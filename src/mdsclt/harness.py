@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 import scipy.special
 
-from . import clt, cmds, noise as noisemod, pointmodel, rawstress
-from .matrixcore import MAX_SUPPORTED_N, centered
+from . import clt, noise as noisemod, pointmodel, rawstress
+from .matrixcore import MAX_SUPPORTED_N
 
 # Asymptotic Kolmogorov critical value at the 1% level.
 KS_CRIT_1PCT = float(scipy.special.kolmogi(0.01))
@@ -74,6 +74,9 @@ class ExperimentConfig:
         if self.estimator == "rawstress" and self.noise.squared_scale:
             raise ValueError("raw-stress estimation needs a dissimilarity matrix; "
                              f"{self.noise.variant} yields squared ones only")
+        if self.estimator == "rawstress" and self.checks.get("decomposition"):
+            raise ValueError("the decomposition check splits the cmds embedding, "
+                             "which the rawstress estimator does not compute")
 
     def to_json(self) -> dict:
         return {"distribution": self.distribution.to_json(),
@@ -139,16 +142,26 @@ class McReport:
 
 def _one_replicate(cfg: ExperimentConfig, n: int, r: int):
     """One generate-perturb-embed-align pass: returns the class labels, the
-    aligned n x d configuration and its sqrt(n)-scaled deviation rows."""
-    kind = "delta_sq" if cfg.estimator == "cmds" else "delta"
-    cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r, keep=(kind,))
+    aligned n x d configuration, its sqrt(n)-scaled deviation rows and, for
+    replicate 0 when ``cfg`` asks for it, the decomposition check on its own
+    B_hat and pair (a failed check gives ``{"error": reason}``), else None."""
     if cfg.estimator == "cmds":
-        config = cmds.embed(out[kind], cfg.d).config
+        cloud, B_hat, pair, aligned, target = clt.replicate(
+            cfg.distribution, cfg.noise, n, cfg.seed, r, cfg.d)
     else:
-        config = rawstress.minimize_stress(out[kind], cfg.d, init="cmds").config
-    aligned, centered = clt.align_to_points(config, cloud, cfg.noise)
+        cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r,
+                                     keep=("delta",))
+        config = rawstress.minimize_stress(out["delta"], cfg.d, init="cmds").config
+        aligned, target = clt.align_to_points(config, cloud, cfg.noise)
+    summary = None
+    if r == 0 and cfg.checks.get("decomposition"):
+        rep, error = clt.attempt(clt.decompose, cfg.noise.center_scale * cloud.points,
+                                 B_hat, pair)
+        summary = {"error": error} if error else {
+            "identity_residual": rep.identity_residual,
+            "median_row_norms": [float(np.median(t)) for t in rep.term_row_norms]}
     labels = cloud.labels if cloud.labels is not None else np.zeros(n, dtype=int)
-    return labels, aligned, math.sqrt(n) * (aligned - centered)
+    return labels, aligned, math.sqrt(n) * (aligned - target), summary
 
 
 def run(cfg: ExperimentConfig) -> McReport:
@@ -157,12 +170,11 @@ def run(cfg: ExperimentConfig) -> McReport:
     Deterministic for a given config regardless of thread count: replicate
     seeds are derived independently, aggregation is replicate-ordered, and
     ``clt.run_replicates`` runs the replicates on ``cfg.threads`` workers with
-    one BLAS thread each. The decomposition check of an n runs in the same
-    call, as its first task, beside that n's replicates. A replicate that
-    fails numerically is counted in its n's ``failed`` and listed with its
-    reason in ``errors``; a failed decomposition check reports ``{"error":
-    reason}`` in place of its summary and counts toward neither ``failed``
-    nor ``invalid``.
+    one BLAS thread each. The decomposition check of an n runs inside its
+    replicate 0. A replicate that fails numerically is counted in its n's
+    ``failed`` and listed with its reason in ``errors``. A failed check
+    reports ``{"error": reason}``, replicate 0's if that failed, and counts
+    toward neither ``failed`` nor ``invalid``.
     """
     try:
         theory = clt.theory_cov(cfg.distribution, cfg.noise)
@@ -173,17 +185,12 @@ def run(cfg: ExperimentConfig) -> McReport:
         mu = pointmodel.moments(cfg.distribution).mu
         true_centers = cfg.noise.center_scale * (cfg.distribution.locations - mu)
     want_normality = bool(cfg.checks.get("clt", True))
-    check = int(bool(cfg.checks.get("decomposition")))  # tasks before the replicates
     per_n = []
     invalid = False
     for n in cfg.n_list:
         results = None  # free the last n's results before this n's replicates run
-        results, errors = clt.run_replicates(
-            lambda i: (_decomposition_summary(cfg, n) if i < check
-                       else _one_replicate(cfg, n, i - check)),
-            check + cfg.replicates, cfg.threads)
-        if check:
-            summary, error = results.pop(0), errors.pop(0)
+        results, errors = clt.run_replicates(lambda r: _one_replicate(cfg, n, r),
+                                             cfg.replicates, cfg.threads)
         ok = [r for r, res in enumerate(results) if res is not None]
         failed = cfg.replicates - len(ok)
         reasons = [(r, e) for r, e in enumerate(errors) if e is not None]
@@ -194,8 +201,9 @@ def run(cfg: ExperimentConfig) -> McReport:
         dev = np.array([results[r][2] for r in ok]).reshape(len(ok), len(labels), cfg.d)
         block = {"n": n, "per_class": [], "failed": failed, "errors": reasons,
                  "replicates": ok, "labels": labels, "deviations": dev}
-        if check:
-            block["diagnostics"] = {"decomposition": summary or {"error": error}}
+        if cfg.checks.get("decomposition"):
+            block["diagnostics"] = {"decomposition": results[0][3] if results[0]
+                                    else {"error": errors[0]}}
         per_n.append(block)
         if not ok:
             continue
@@ -230,18 +238,6 @@ def run(cfg: ExperimentConfig) -> McReport:
                 count=len(pooled)))
     return McReport(config=cfg.to_json(), per_n=per_n,
                     center_scale=cfg.noise.center_scale, invalid=invalid)
-
-
-def _decomposition_summary(cfg: ExperimentConfig, n: int) -> dict:
-    """The six-term split of replicate 0 of n, against B from the points scaled
-    by the noise's ``center_scale`` (E[B_hat] under model 3), with B_hat the
-    centered operator over Delta^2: it holds one n x n matrix."""
-    cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, 0,
-                                 keep=("delta_sq",))
-    rep = clt.decompose(cfg.noise.center_scale * cloud.points,
-                        centered(out["delta_sq"]), cfg.d)
-    return {"identity_residual": rep.identity_residual,
-            "median_row_norms": [float(np.median(t)) for t in rep.term_row_norms]}
 
 
 def normality_check(samples) -> dict:

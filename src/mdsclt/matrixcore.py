@@ -119,6 +119,11 @@ class SpectralPair:
         the roundoff of the solve."""
         return self.vectors.shape[0] * np.finfo(float).eps * abs(float(self.values[0]))
 
+    @property
+    def deficient(self) -> bool:
+        """Whether the last value is at or below ``floor``, so not positive."""
+        return bool(self.values[-1] <= self.floor)
+
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     v = vectors.copy()
@@ -153,20 +158,17 @@ def mirror_upper(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def double_center(sq: SymmetricMatrix, overwrite: bool = False) -> SymmetricMatrix:
-    """Return B = -1/2 P A P with P = I - 11^T/n, for A = ``sq``.
+def double_center(sq: SymmetricMatrix) -> SymmetricMatrix:
+    """Return B = -1/2 P A P with P = I - 11^T/n, for A = ``sq``, in a copy.
 
-    Every row of B sums to zero; output is exactly symmetric. With
-    ``overwrite`` B is built in ``sq``'s own array, which must not be read
-    through ``sq`` afterwards; otherwise in a copy.
+    Every row of B sums to zero; output is exactly symmetric.
     """
     n = sq.n
     if n < 2:
         raise ValueError("double centering requires n >= 2")
     row = sq.data.mean(axis=1)  # = column means: the input is symmetric
     grand = sq.data.mean()
-    a = sq.data if overwrite else sq.data.copy()
-    a.setflags(write=True)
+    a = sq.data.copy()
     # Row strips of B = (F + F^T) / 2 with F_ij = -(a_ij - row_i - row_j + grand) / 2;
     # F_ji is evaluated from a_ij = a_ji, so no transposed entry is read.
     strips = list(row_strips(n))

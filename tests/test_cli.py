@@ -68,9 +68,9 @@ class TestPipelineRoundTrip:
         scree = top_eigs(double_center(m), 6)
         assert np.array_equal(np.loadtxt(x, delimiter=","), emb.config)
         assert json.loads(side.read_text()) == {
-            "eigenvalues": emb.eigenvalues.tolist(),
+            "eigenvalues": emb.pair.values.tolist(),
             "all_top_eigenvalues": scree.values.tolist(),
-            "flags": {"deficient": emb.deficient, "degenerate": scree.degenerate}}
+            "flags": {"deficient": emb.pair.deficient, "degenerate": scree.degenerate}}
 
     @pytest.mark.parametrize("n, want", [(40, 6), (5, 5)])
     def test_embed_sidecar_scree_flags_tie_at_cut(self, tmp_path, n, want):
@@ -478,6 +478,8 @@ class TestErrorHandling:
          "raw-stress estimation needs a dissimilarity matrix"),
         ({"n_list": ()}, "n_list must be non-empty and strictly ascending"),
         ({"n_list": (60, 60)}, "n_list must be non-empty and strictly ascending"),
+        ({"estimator": "rawstress", "checks": {"decomposition": True}},
+         "the decomposition check splits the cmds embedding"),
     ])
     def test_impossible_config_exit_1(self, tmp_path, capsys, kw, reason):
         cfg = write_config(tmp_path / "cfg.json", **kw)
@@ -620,7 +622,7 @@ class TestErrorHandling:
         """Make the eigensolves of the diagnose cells ``cells``, (n, replicate)
         pairs, raise ConvergenceError."""
         current = threading.local()
-        simulate, top_eigs = clt.simulate, clt.top_eigs
+        simulate, top_eigs = clt.simulate, cmds.top_eigs
 
         def recorded(spec, noise, n, seed, r, keep):
             current.cell = (n, r)
@@ -632,7 +634,7 @@ class TestErrorHandling:
             return top_eigs(m, k)
 
         monkeypatch.setattr(clt, "simulate", recorded)
-        monkeypatch.setattr(clt, "top_eigs", failing_top_eigs)
+        monkeypatch.setattr(cmds, "top_eigs", failing_top_eigs)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_diagnose_failed_cell_reported_not_raised(self, tmp_path, capsys,
@@ -665,10 +667,10 @@ class TestErrorHandling:
         the report carries its reason there and the other n's summary."""
         decompose = clt.decompose
 
-        def deficient_at_60(points, B_hat, d):
+        def deficient_at_60(points, B_hat, pair):
             if len(points) == 60:
                 raise ValueError("deficient")
-            return decompose(points, B_hat, d)
+            return decompose(points, B_hat, pair)
 
         monkeypatch.setattr(clt, "decompose", deficient_at_60)
         cfg = write_config(tmp_path / "cfg.json", n_list=(60, 80),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mdsclt import clt, harness, pointmodel
+from mdsclt import clt, cmds, harness, pointmodel
 from mdsclt.matrixcore import (ConvergenceError, SpectralPair, SymmetricMatrix,
                                centered, double_center, gram_top_eigs, top_eigs)
 from mdsclt.noise import NoiseLaw, NoiseSpec, perturb
@@ -168,7 +168,7 @@ def random_rank_d_pair(rng, n=40, d=2, noise_scale=1.0):
 class TestDecompose:
     def test_no_perturbation_all_zero(self, rng):
         z, b = random_rank_d_pair(rng, noise_scale=0.0)
-        rep = clt.decompose(z, b, 2)
+        rep = clt.decompose(z, b, top_eigs(b, 2))
         assert rep.identity_residual <= 1e-12
         for t in rep.term_row_norms:
             assert np.abs(t).max() <= 1e-8
@@ -176,7 +176,7 @@ class TestDecompose:
     def test_identity_on_random_pairs(self, rng):
         for _ in range(20):
             z, bh = random_rank_d_pair(rng)
-            rep = clt.decompose(z, bh, 2)
+            rep = clt.decompose(z, bh, top_eigs(bh, 2))
             assert rep.identity_residual <= 1e-7
 
     def test_remainder_terms_shrink_with_n(self, triangle, uniform4):
@@ -186,7 +186,8 @@ class TestDecompose:
             cloud = pointmodel.sample(triangle, n, seed=5)
             D = SymmetricMatrix(cloud.distance_matrix())
             out = perturb(D, uniform4, seed=5)
-            rep = clt.decompose(cloud.points, double_center(out["delta_sq"]), 2)
+            b_hat = double_center(out["delta_sq"])
+            rep = clt.decompose(cloud.points, b_hat, top_eigs(b_hat, 2))
             return [float(np.median(t)) for t in rep.term_row_norms[1:]]
 
         small, large = remainder_median(100), remainder_median(500)
@@ -204,8 +205,9 @@ class TestDecompose:
             meds = []
             for r in range(4):
                 cloud, _, out = clt.simulate(triangle, noise, n, 5, r, keep=("delta_sq",))
-                rep = clt.decompose(noise.center_scale * cloud.points,
-                                    centered(out["delta_sq"]), 2)
+                b_hat = centered(out["delta_sq"])
+                rep = clt.decompose(noise.center_scale * cloud.points, b_hat,
+                                    top_eigs(b_hat, 2))
                 meds.append([np.median(t) for t in rep.term_row_norms[1:]])
             return np.mean(meds, axis=0)
 
@@ -216,14 +218,15 @@ class TestDecompose:
         z, _ = random_rank_d_pair(rng, n=10)
         _, b2 = random_rank_d_pair(rng, n=12)
         with pytest.raises(ValueError, match="one row per row"):
-            clt.decompose(z, b2, 2)
+            clt.decompose(z, b2, top_eigs(b2, 2))
 
     def test_nonpositive_top_eigenvalues_rejected(self):
         """Collinear points give B a zero second eigenvalue, and B_hat = -I
         has no positive one."""
         points = np.outer(np.arange(4.0), [1.0, 2.0])
         with pytest.raises(ValueError, match="must be positive"):
-            clt.decompose(points, SymmetricMatrix(-np.eye(4)), 2)
+            b_hat = SymmetricMatrix(-np.eye(4))
+            clt.decompose(points, b_hat, top_eigs(b_hat, 2))
 
     @pytest.mark.parametrize("dist", [pointmodel.triangle_345(), GAUSS_I2, BOX],
                              ids=["point_mass_mixture", "gaussian", "uniform_box"])
@@ -271,9 +274,10 @@ class TestBoundChecks:
                                              threads=threads))
 
     def test_deficient_cell_counted_as_failed(self, triangle, uniform4, monkeypatch):
-        """A cell whose B_hat has a non-positive d-th eigenvalue fails with a
-        reason, and its n's medians come from the other cells."""
-        top_eigs, simulate = clt.top_eigs, clt.simulate
+        """A cell whose B_hat has a non-positive d-th eigenvalue fails with the
+        reason an mc-run replicate gives, and its n's medians come from the
+        other cells."""
+        top_eigs, simulate = cmds.top_eigs, clt.simulate
         cell = threading.local()
 
         def recorded(spec, noise, n, seed, r, keep):
@@ -287,15 +291,14 @@ class TestBoundChecks:
                 return SpectralPair(np.append(pair.values[:-1], 0.0), pair.vectors)
             return pair
 
-        monkeypatch.setattr(clt, "top_eigs", deficient_at_n50_r1)
+        monkeypatch.setattr(cmds, "top_eigs", deficient_at_n50_r1)
         monkeypatch.setattr(clt, "simulate", recorded)
         cfg = grid_config(triangle, uniform4, [50, 100, 200], 3, replicates=3)
         out = clt.bound_checks(cfg)
         [(n, r, reason)] = out["errors"]
         assert (n, r) == (50, 1)
-        assert reason.startswith("ValueError: the top-2 eigenvalues of B and B_hat "
-                                 "must be positive; eigenvalue 2 is ")
-        assert reason.endswith(" and 0.000e+00")
+        assert reason.startswith("DeficientEmbeddingError: eigenvalue 2 of the "
+                                 "centered matrix is 0.000e+00 <= ")
         monkeypatch.undo()
         cells = [clt._bound_cell(triangle, uniform4, 50, 3, r) for r in (0, 2)]
         whole = clt.bound_checks(cfg)

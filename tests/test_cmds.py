@@ -44,7 +44,7 @@ class TestEmbed:
         gram = e.config.T @ e.config
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() <= 1e-8 * np.trace(gram)
-        assert np.allclose(np.diag(gram), e.eigenvalues, rtol=1e-8)
+        assert np.allclose(np.diag(gram), e.pair.values, rtol=1e-8)
 
     def test_config_centered(self, rng):
         pts = rng.standard_normal((25, 3)) + 5.0
@@ -64,7 +64,7 @@ class TestEmbed:
     def test_trailing_eigenvalue_negligible(self, rng):
         pts = rng.standard_normal((30, 2))
         e = embed(delta_sq_of(pts), 3, allow_deficient=True)
-        assert abs(e.eigenvalues[2]) <= 1e-6 * e.eigenvalues[1]
+        assert abs(e.pair.values[2]) <= 1e-6 * e.pair.values[1]
 
     def test_solves_for_d_pairs_only(self, rng, monkeypatch):
         """Above the dense cutoff the eigensolver is asked for the top d
@@ -94,9 +94,9 @@ class TestEmbed:
         zero eigenvalues, an all +0.0 configuration, flagged deficient."""
         e = embed(SymmetricMatrix(np.zeros((300, 300))), 2,
                   allow_deficient=True)
-        assert e.deficient
-        assert np.array_equal(e.eigenvalues, [0.0, 0.0])
-        assert not np.signbit(e.eigenvalues).any()
+        assert e.pair.deficient
+        assert np.array_equal(e.pair.values, [0.0, 0.0])
+        assert not np.signbit(e.pair.values).any()
         assert not e.config.any() and not np.signbit(e.config).any()
         assert e.config.shape == (300, 2)
 
@@ -107,7 +107,7 @@ class TestEmbed:
         with pytest.raises(DeficientEmbeddingError):
             embed(dsq, 3)
         e = embed(dsq, 3, allow_deficient=True)
-        assert e.deficient
+        assert e.pair.deficient
         # trailing columns are zero-filled (exact for <= 0 eigenvalues) or
         # roundoff-scale for eigenvalues that are numerically ~ 0
         assert np.abs(e.config[:, 1:]).max() <= 1e-6
@@ -120,7 +120,7 @@ class TestEmbed:
         m = SymmetricMatrix(np.sqrt((pts[:, None] - pts[None, :]) ** 2) ** 2)
         with pytest.raises(DeficientEmbeddingError, match="eigenvalue 2 "):
             embed(m, 2)
-        assert embed(m, 2, allow_deficient=True).deficient
+        assert embed(m, 2, allow_deficient=True).pair.deficient
 
     def test_d_out_of_range(self):
         dsq = delta_sq_of(TRIANGLE)

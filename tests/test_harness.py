@@ -82,10 +82,14 @@ class TestRun:
             assert np.allclose(c.empirical_mean, centered[k], atol=1e-9)
 
     def test_deterministic_across_thread_counts(self, triangle, uniform4):
-        cfg1 = small_config(triangle, uniform4, threads=1)
-        cfg4 = small_config(triangle, uniform4, threads=4)
-        r1, r4 = run(cfg1), run(cfg4)
-        assert r1.to_json() == r4.to_json()
+        """Also with the decomposition check, whose diagnostics come from
+        whichever worker runs replicate 0."""
+        for checks in ({"clt": False}, {"clt": False, "decomposition": True}):
+            cfg1 = small_config(triangle, uniform4, threads=1, checks=checks)
+            cfg4 = small_config(triangle, uniform4, threads=4, checks=checks)
+            r1, r4 = run(cfg1), run(cfg4)
+            assert r1.to_json() == r4.to_json()
+        assert r1.per_n[0]["diagnostics"]["decomposition"]["identity_residual"] <= 1e-7
 
     def test_deterministic_on_iterative_eigen_path(self, triangle, uniform4,
                                                   monkeypatch):
@@ -208,14 +212,14 @@ class TestRun:
     def test_failed_decomposition_check_reported(self, triangle, uniform4,
                                                  monkeypatch):
         """A numerical failure of the check becomes its reason in the report,
-        and the replicates' results stand."""
-        def diverged(cfg, n):
+        and the replicates' results stand, replicate 0's among them."""
+        def diverged(points, B_hat, pair):
             raise matrixcore.ConvergenceError("no convergence")
 
         cfg = small_config(triangle, uniform4, n_list=(100, 120),
                            checks={"clt": False, "decomposition": True})
         plain = run(small_config(triangle, uniform4, n_list=(100, 120)))
-        monkeypatch.setattr(harness, "_decomposition_summary", diverged)
+        monkeypatch.setattr(clt, "decompose", diverged)
         report = run(cfg)
         for block, want in zip(report.per_n, plain.per_n):
             assert block["diagnostics"] == {
@@ -226,7 +230,7 @@ class TestRun:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_check_on_the_pool_counts_toward_nothing(self, triangle, uniform4,
                                                             monkeypatch, threads):
-        """The check shares the replicates' runner but not their tally: with
+        """The check runs inside replicate 0 but stays out of the tally: with
         replicate 1 failing as well, ``failed`` is 1, the run stays valid, and
         the failure keeps its replicate index."""
         one_replicate = harness._one_replicate
@@ -236,11 +240,11 @@ class TestRun:
                 raise matrixcore.ConvergenceError("replicate 1")
             return one_replicate(cfg, n, r)
 
-        def diverged(cfg, n):
+        def diverged(points, B_hat, pair):
             raise matrixcore.ConvergenceError("no convergence")
 
         monkeypatch.setattr(harness, "_one_replicate", fails_at_1)
-        monkeypatch.setattr(harness, "_decomposition_summary", diverged)
+        monkeypatch.setattr(clt, "decompose", diverged)
         report = run(small_config(triangle, uniform4, threads=threads,
                                   checks={"clt": False, "decomposition": True}))
         [block] = report.per_n
@@ -249,6 +253,68 @@ class TestRun:
         assert block["failed"] == 1 and not report.invalid
         assert block["errors"] == [(1, "ConvergenceError: replicate 1")]
         assert block["replicates"] == [0, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_replicate_0_fails_its_check(self, triangle, uniform4,
+                                                monkeypatch, threads):
+        """When replicate 0 itself fails, it counts in ``failed`` as any
+        replicate does, and its check reports the same reason."""
+        current = threading.local()
+        one_replicate, top_eigs = harness._one_replicate, cmds.top_eigs
+
+        def replicate(cfg, n, r):
+            current.r = r
+            return one_replicate(cfg, n, r)
+
+        def failing_top_eigs(m, k):
+            if current.r == 0:
+                raise matrixcore.ConvergenceError("replicate 0")
+            return top_eigs(m, k)
+
+        monkeypatch.setattr(harness, "_one_replicate", replicate)
+        monkeypatch.setattr(cmds, "top_eigs", failing_top_eigs)
+        report = run(small_config(triangle, uniform4, threads=threads,
+                                  checks={"clt": False, "decomposition": True}))
+        [block] = report.per_n
+        assert block["failed"] == 1 and not report.invalid
+        assert block["errors"] == [(0, "ConvergenceError: replicate 0")]
+        assert block["replicates"] == [1, 2, 3, 4, 5]
+        assert block["diagnostics"] == {
+            "decomposition": {"error": "ConvergenceError: replicate 0"}}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_check_adds_no_simulate_or_solve(self, triangle, uniform4,
+                                             monkeypatch, threads):
+        """With the decomposition check on, each n runs one ``simulate`` and
+        one eigensolve (B_hat's top-d: dense at n = 100, ARPACK at n = 300)
+        per replicate: the check takes replicate 0's."""
+        calls = []
+        current = threading.local()
+        simulate = clt.simulate
+
+        def counted_simulate(*args, **kwargs):
+            current.n = args[2]
+            calls.append(("simulate", current.n))
+            return simulate(*args, **kwargs)
+
+        def spy(name):
+            solve = getattr(matrixcore, name)
+
+            def counted(*args, **kwargs):
+                calls.append(("solve", current.n))
+                return solve(*args, **kwargs)
+            monkeypatch.setattr(matrixcore, name, counted)
+
+        monkeypatch.setattr(clt, "simulate", counted_simulate)
+        spy("_dense_top")
+        spy("_lanczos")
+        report = run(small_config(triangle, uniform4, n_list=(100, 300),
+                                  threads=threads,
+                                  checks={"clt": False, "decomposition": True}))
+        for block in report.per_n:
+            assert block["diagnostics"]["decomposition"]["identity_residual"] <= 1e-7
+            assert calls.count(("simulate", block["n"])) == 6
+            assert calls.count(("solve", block["n"])) == 6
 
     def test_deviation_stack(self, triangle, uniform4):
         """Each n's block keeps the deviation rows of its successful
@@ -283,21 +349,21 @@ class TestBlasThreads:
                                                       monkeypatch, threads,
                                                       blas_count):
         """Replicates see one BLAS thread, and so does the decomposition
-        check, which runs on the same runner as their first task, at n = 100
-        and at n = 300 alike; its one eigensolve is B_hat's, as B comes from
-        the points. The caller's count is restored after the run."""
+        check inside replicate 0, at n = 100 and at n = 300 alike: it solves
+        no eigenproblem and takes B's pair from the SVD of the points. The
+        caller's count is restored after the run."""
         seen = {cmds: [], harness.clt: []}
 
-        def spy(module):
-            top_eigs = module.top_eigs
+        def spy(module, name):
+            solve = getattr(module, name)
 
-            def counted(m, k):
+            def counted(*args):
                 seen[module].append(blas_count())
-                return top_eigs(m, k)
-            monkeypatch.setattr(module, "top_eigs", counted)
+                return solve(*args)
+            monkeypatch.setattr(module, name, counted)
 
-        spy(cmds)
-        spy(harness.clt)
+        spy(cmds, "top_eigs")
+        spy(harness.clt, "gram_top_eigs")
         blas_count(2)
         run(small_config(triangle, uniform4, threads=threads, n_list=(100, 300),
                          checks={"clt": False, "decomposition": True}))
