@@ -1,8 +1,8 @@
 """The in-place n x n stages (distances, noise fill, double centering) give
 the same bits as their plain out-of-place expressions, whether they run as
-one row strip or many, and a replicate (replicate 0 with the decomposition
-check on) and a diagnose cell stay within a fixed number of n x n matrices
-of memory.
+one row strip or many, and a replicate, a diagnose cell and replicate 0
+with the decomposition check on stay within a fixed number of n x n
+matrices of memory.
 The distance and centering strips read no transposed entry: they rely on the
 Gram matrix ``P @ P.T`` being exactly symmetric, which is pinned here too, as
 is the block-wise upper-to-lower mirror of the noise fill."""
@@ -153,27 +153,7 @@ def test_row_chunked_draws_equal_one_long_draw(draw):
 
 @pytest.mark.parametrize("spec", NOISES, ids=NOISE_IDS)
 def test_replicate_peak_memory(spec):
-    """Replicate 0 of a cmds run at n=2000, with the decomposition check on
-    its own Delta^2 and pair, allocates at most 1.5 n x n matrices: it holds
-    Delta^2, in D's array, and takes B from the points."""
-    n = 2000
-    cfg = harness.ExperimentConfig(distribution=pointmodel.triangle_345(),
-                                   noise=spec, n_list=(n,), d=2, replicates=2,
-                                   seed=4, checks={"decomposition": True})
-    tracemalloc.start()
-    try:
-        summary = harness._one_replicate(cfg, n, 0)[3]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert summary["identity_residual"] <= 1e-7
-    assert peak <= 1.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} matrices"
-
-
-@pytest.mark.parametrize("check", ["diagnose_cell"])
-@pytest.mark.parametrize("spec", NOISES, ids=NOISE_IDS)
-def test_one_matrix_checks_peak_memory(spec, check):
-    """One diagnose cell at n=2000 holds Delta^2, in D's array, and takes B
+    """One cmds replicate at n=2000 holds Delta^2, in D's array, and takes B
     from the points: it allocates at most 1.5 n x n matrices."""
     n = 2000
     cfg = harness.ExperimentConfig(distribution=pointmodel.triangle_345(),
@@ -181,8 +161,33 @@ def test_one_matrix_checks_peak_memory(spec, check):
                                    seed=4)
     tracemalloc.start()
     try:
-        clt.bound_checks(dataclasses.replace(cfg, n_list=(50, 100, n)))
+        harness._one_replicate(cfg, n, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} matrices"
+
+
+@pytest.mark.parametrize("check", ["diagnose_cell", "decomposition"])
+@pytest.mark.parametrize("spec", NOISES, ids=NOISE_IDS)
+def test_one_matrix_checks_peak_memory(spec, check):
+    """One diagnose cell, and replicate 0 running the decomposition check on
+    its own Delta^2 and pair, at n=2000 hold Delta^2, in D's array, and take
+    B from the points: they allocate at most 1.5 n x n matrices."""
+    n = 2000
+    cfg = harness.ExperimentConfig(distribution=pointmodel.triangle_345(),
+                                   noise=spec, n_list=(n,), d=2, replicates=2,
+                                   seed=4, checks={"decomposition": True})
+    tracemalloc.start()
+    try:
+        if check == "diagnose_cell":
+            clt.bound_checks(dataclasses.replace(cfg, n_list=(50, 100, n),
+                                                 checks={}))
+        else:
+            summary = harness._one_replicate(cfg, n, 0)[3]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if check == "decomposition":
+        assert summary["identity_residual"] <= 1e-7
     assert peak <= 1.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} matrices"
