@@ -20,8 +20,10 @@ a theoretical covariance); ``mc-run`` with the raw-stress estimator, with the
 decomposition check, and with ``--samples-dir`` over n=60 and n=300 (one
 digest per samples CSV); ``theory-cov`` of the mixture under models 1, 2 and
 3 and of the Gaussian under model 1; ``diagnose`` with Uniform(-4, 4) noise
-and with zero noise, at n=100, 200 (dense) and 300 (iterative); ``perturb``
-for each of the ``mc-run`` noise variants; ``embed --sidecar`` of a noisy
+and with zero noise, at n=100, 200 (dense) and 300 (iterative);
+``distmat`` of a Gaussian cloud offset by 10^6 from the origin, whose
+distances keep their digits only when taken from coordinate differences;
+``perturb`` for each of the ``mc-run`` noise variants; ``embed --sidecar`` of a noisy
 n=300 matrix, whose sidecar scree comes from its own eigensolve; and
 ``select-dim`` of the same matrix with ``--max-d`` 4 (iterative) and 299
 (the dense solve above the cutoff).
@@ -50,6 +52,8 @@ NOISES = {
 GAUSSIAN = {"gaussian": {"mean": [0.5, -1.0],
                          "covariance": [[2.0, 0.3], [0.3, 1.0]]}}
 UNIFORM_BOX = {"uniform_box": {"lo": [-1.0, 0.0], "hi": [2.0, 1.0]}}
+GAUSSIAN_OFFSET = {"gaussian": {"mean": [1e6, 1e6],
+                                "covariance": [[2.0, 0.3], [0.3, 1.0]]}}
 # B_hat = B up to roundoff: the spectral norm of a roundoff-sized difference,
 # on both sides of the dense-eigensolver cutoff.
 ZERO_NOISE = {"model": "model2", "law": {"uniform": {"a": 0.0}}}
@@ -133,6 +137,14 @@ def cases(tmp) -> list:
         lines += run(tmp, name, ["diagnose", "--config", cfg,
                                  "--n-grid", "100,200,300", "--replicates", "2",
                                  "--out", path(name, "report")], ["report"])
+
+    name = "distmat_gaussian_offset"
+    points = path(name, "points")
+    if dispatch(["gen-points", "--dist", write_json(path(name, "spec"), GAUSSIAN_OFFSET),
+                 "--n", "200", "--seed", "5", "--out", points]):
+        raise SystemExit(f"{name}: gen-points failed")
+    lines += run(tmp, name, ["distmat", "--in", points, "--out", path(name, "dist")],
+                 ["dist"])
 
     points, dist = path("points", "csv"), path("dist", "csv")
     if dispatch(["gen-points", "--dist", "triangle345", "--n", "80", "--seed", "5",

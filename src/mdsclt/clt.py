@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmds, noise as noisemod, pointmodel
-from .matrixcore import (ConvergenceError, SymmetricMatrix, centered, gram_top_eigs,
-                         minus_gram, norms, one_blas_thread)
+from .matrixcore import (ConvergenceError, centered, gram_top_eigs, minus_gram,
+                         norms, one_blas_thread)
 
 
 def _replicate_seeds(seed: int, n: int, r: int) -> tuple:
@@ -25,20 +25,18 @@ def _replicate_seeds(seed: int, n: int, r: int) -> tuple:
 
 
 def simulate(distribution: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
-             n: int, seed: int, r: int, keep=("D",) + noisemod.OUTPUTS):
-    """Replicate r of an experiment keyed by (seed, n, r): sample n points,
-    form their distance matrix D, perturb it, with the seeds of
-    ``_replicate_seeds``. Returns (cloud, D, perturbed).
+             n: int, seed: int, r: int, keep=noisemod.OUTPUTS):
+    """Replicate r of an experiment keyed by (seed, n, r): sample n points and
+    perturb their distances, with the seeds of ``_replicate_seeds``. Returns
+    (cloud, perturbed).
 
-    Only the matrices named in ``keep`` are built; the others are None. Unless
-    D is kept, the perturbed matrix is built in D's array, so a replicate
-    holds about one n x n matrix.
+    Only the matrices named in ``keep`` are built; the others are None. The
+    distances are read from the points strip by strip and no distance matrix
+    is formed, so keeping one output holds one n x n matrix.
     """
     noise_seed, point_seed = _replicate_seeds(seed, n, r)
     cloud = pointmodel.sample(distribution, n, point_seed)
-    D = SymmetricMatrix._unchecked(cloud.distance_matrix())
-    out = noisemod.perturb(D, noise, noise_seed, keep, overwrite="D" not in keep)
-    return cloud, (D if "D" in keep else None), out
+    return cloud, noisemod.perturb(cloud, noise, noise_seed, keep)
 
 
 def replicate(distribution: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
@@ -46,8 +44,8 @@ def replicate(distribution: pointmodel.DistributionSpec, noise: noisemod.NoiseSp
     """Replicate r of a cmds experiment: ``simulate`` keeping Delta^2 alone,
     ``cmds.embed`` (one eigensolve of B_hat = ``centered(Delta^2)``) and
     ``align_to_points``. Returns (cloud, B_hat, B_hat's top-d pair, aligned,
-    target); B_hat holds Delta^2, in D's array."""
-    cloud, _, out = simulate(distribution, noise, n, seed, r, keep=("delta_sq",))
+    target); B_hat holds Delta^2, the replicate's one n x n array."""
+    cloud, out = simulate(distribution, noise, n, seed, r, keep=("delta_sq",))
     emb = cmds.embed(out["delta_sq"], d)
     aligned, target = align_to_points(emb.config, cloud, noise)
     return cloud, centered(out["delta_sq"]), emb.pair, aligned, target

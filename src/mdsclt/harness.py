@@ -149,8 +149,8 @@ def _one_replicate(cfg: ExperimentConfig, n: int, r: int):
         cloud, B_hat, pair, aligned, target = clt.replicate(
             cfg.distribution, cfg.noise, n, cfg.seed, r, cfg.d)
     else:
-        cloud, _, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r,
-                                     keep=("delta",))
+        cloud, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r,
+                                  keep=("delta",))
         config = rawstress.minimize_stress(out["delta"], cfg.d, init="cmds").config
         aligned, target = clt.align_to_points(config, cloud, cfg.noise)
     summary = None

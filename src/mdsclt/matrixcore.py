@@ -8,11 +8,13 @@ do not depend on the caller's BLAS thread count either. Matrices are checked
 where outside data enters (``SymmetricMatrix(...)``), not where the library
 builds them (``SymmetricMatrix._unchecked``).
 
-The n x n passes (distances, noise fill, double centering) walk the row
-strips of ``row_strips``, about ``_STRIP`` entries each, and read no
-transposed entry, since their inputs are exactly symmetric. The one
-transposed copy is ``mirror_upper``, which completes the noise fill block by
-block.
+The n x n passes walk the row strips of ``row_strips``, about ``_STRIP``
+entries each, and read no transposed entry. The distance and noise passes
+walk ``upper_strips``, which masks each strip to the strict upper triangle:
+one pass from the points (or a distance matrix) to the perturbed matrix's
+upper triangle, which ``mirror_upper`` then copies onto the lower one block
+by block. Double centering reads whole strips, since its input is exactly
+symmetric.
 
 ``centered`` hands ``top_eigs`` the double centering of a
 squared-dissimilarity matrix as an operator that centers implicitly and
@@ -140,6 +142,17 @@ def row_strips(n: int):
     step = max(1, _STRIP // max(n, 1))
     for i in range(0, n, step):
         yield slice(i, i + step)
+
+
+def upper_strips(n: int):
+    """(rows, mask) per strip of ``row_strips(n)``: ``mask`` selects the strict
+    upper triangle of the strip ``a[rows, rows.start:]``. One boolean array,
+    the first strip's, holds every mask."""
+    upper = None
+    for rows in row_strips(n):
+        if upper is None:
+            upper = np.arange(n) > np.arange(min(rows.stop, n))[:, None]
+        yield rows, upper[:min(rows.stop, n) - rows.start, :n - rows.start]
 
 
 def mirror_upper(a: np.ndarray) -> np.ndarray:

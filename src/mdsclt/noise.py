@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrixcore import SymmetricMatrix, mirror_upper, row_strips
+from .matrixcore import SymmetricMatrix, mirror_upper, upper_strips
 
 # The keys besides "model" that each noise variant reads from its JSON body.
 _MODEL_KEYS = {"model1": ("law",), "model2": ("law",), "model3": ("q",),
@@ -195,56 +195,58 @@ def _entries(spec: NoiseSpec, rng: np.random.Generator, d: np.ndarray):
     return delta, delta - d
 
 
-def perturb(D: SymmetricMatrix, spec: NoiseSpec, seed: int, keep=OUTPUTS,
-            overwrite: bool = False) -> dict:
-    """Apply the noise mechanism to distance matrix D, which must be
-    non-negative with an exactly zero diagonal.
+def _hollow(n: int) -> np.ndarray:
+    """An n x n array with a zero diagonal and its other entries unset: the
+    strips of ``perturb`` fill the upper triangle, and the mirror the lower."""
+    a = np.empty((n, n))
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def perturb(source, spec: NoiseSpec, seed: int, keep=OUTPUTS) -> dict:
+    """Apply the noise mechanism to the distances of ``source``: a
+    ``SymmetricMatrix``, which must be non-negative with an exactly zero
+    diagonal, or a ``pointmodel.PointCloud``, whose distances are read from
+    its points (``PointCloud.upper_distances``) without forming them.
 
     Returns {"delta_sq", "delta", "E"}; ``delta`` is None for model 1, whose
     noise lives on the squared scale (a square root need not exist), and so
     is every output not named in ``keep``. Negative entries of delta or
     delta_sq are passed through unchanged.
 
-    The upper triangle is drawn strip by strip of ``row_strips(n)``, as one
-    stream in the row-major order of ``np.triu_indices(n, 1)``, and written
-    straight into the output array, which is then mirrored. With
-    ``overwrite`` that array is D's own, so no second n x n array is made; D
-    must not be read afterwards.
+    The upper triangle is read and drawn strip by strip of
+    ``matrixcore.upper_strips``, as one stream in the row-major order of
+    ``np.triu_indices(n, 1)``, and written straight into the output arrays,
+    which are then mirrored. Unless delta is kept, each strip of delta is
+    squared before it is written, so delta_sq is the one n x n output array.
     """
-    if np.any(np.diag(D.data) != 0.0):
-        raise ValueError("distance matrix must have an exactly zero diagonal")
-    n = D.n
-    rng = _rng(seed, n)
-    d = D.data
-    if overwrite:
-        d.setflags(write=True)
-    m = d if overwrite else np.zeros((n, n))
-    E = np.zeros((n, n)) if "E" in keep else None
-    upper = None  # the first strip's strict upper triangle masks a[rows, i:] of each
-    for rows in row_strips(n):
-        i = rows.start
-        if upper is None:
-            upper = np.arange(n) > np.arange(min(rows.stop, n))[:, None]
-        strip = d[rows, i:]
-        mask = upper[:strip.shape[0], :strip.shape[1]]
-        du = strip[mask]
-        if np.any(du < 0):
+    if isinstance(source, SymmetricMatrix):
+        a = source.data
+        if np.any(np.diag(a) != 0.0):
+            raise ValueError("distance matrix must have an exactly zero diagonal")
+        if a.min(initial=0.0) < 0:
             raise ValueError("distance matrix must be non-negative")
-        delta, e = _entries(spec, rng, du)
-        m[rows, i:][mask] = delta
+        strips = ((rows, mask, a[rows, rows.start:])
+                  for rows, mask in upper_strips(source.n))
+    else:
+        strips = source.upper_distances()
+    n = source.n
+    rng = _rng(seed, n)
+    square = not spec.squared_scale and "delta" not in keep
+    main = "delta_sq" if spec.squared_scale or square else "delta"
+    m = _hollow(n) if main in keep else None
+    E = _hollow(n) if "E" in keep else None
+    for rows, mask, strip in strips:
+        delta, e = _entries(spec, rng, strip[mask])
+        if m is not None:
+            m[rows, rows.start:][mask] = np.square(delta, out=delta) if square else delta
         if E is not None:
-            E[rows, i:][mask] = e + 0.0  # a drawn -0.0 becomes 0.0
-    mirror_upper(m)
+            E[rows, rows.start:][mask] = e + 0.0  # a drawn -0.0 becomes 0.0
     out = dict.fromkeys(OUTPUTS)
     if E is not None:
         out["E"] = SymmetricMatrix._unchecked(mirror_upper(E))
-    if spec.squared_scale:
-        if "delta_sq" in keep:
-            out["delta_sq"] = SymmetricMatrix._unchecked(m)
-        return out
-    if "delta" in keep:
-        out["delta"] = SymmetricMatrix._unchecked(m)
-    if "delta_sq" in keep:
-        sq = m**2 if "delta" in keep else np.square(m, out=m)
-        out["delta_sq"] = SymmetricMatrix._unchecked(sq)
+    if m is not None:
+        out[main] = SymmetricMatrix._unchecked(mirror_upper(m))
+        if main == "delta" and "delta_sq" in keep:
+            out["delta_sq"] = SymmetricMatrix._unchecked(m**2)
     return out

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrixcore import row_strips
+from .matrixcore import mirror_upper, upper_strips
 from .noise import NoiseSpec, json_number, json_variant
 
 # The parameters each distribution variant reads from its JSON body, with the
@@ -48,22 +48,36 @@ class PointCloud:
     def d(self) -> int:
         return self.points.shape[1]
 
+    def upper_distances(self):
+        """(rows, mask, strip) per strip of ``matrixcore.upper_strips``:
+        ``strip`` holds the Euclidean distances of the entries [rows,
+        rows.start:], sqrt(sum_k (x_ik - x_jk)^2) summed over the d columns
+        in order. Its diagonal entries are exactly zero, and entry (i, j)
+        equals entry (j, i) bit for bit, as (x_jk - x_ik)^2 = (x_ik - x_jk)^2.
+        Every strip is written into the same two buffers, so it is valid until
+        the next one is asked for."""
+        cols = np.ascontiguousarray(self.points.T)
+        buf = None
+        for rows, mask in upper_strips(self.n):
+            if buf is None:  # the first strip is the largest
+                buf = np.empty((2, mask.size))
+            s, t = (b[:mask.size].reshape(mask.shape) for b in buf)
+            for k, x in enumerate(cols):
+                u = t if k else s
+                u[...] = x[rows.start:]  # x_jk - x_ik: the same square
+                u -= x[rows, None]
+                np.square(u, out=u)
+                if k:
+                    s += u
+            yield rows, mask, np.sqrt(s, out=s)
+
     def distance_matrix(self) -> np.ndarray:
-        """Hollow symmetric matrix of pairwise Euclidean distances, from the
-        Gram matrix: |p_i|^2 + |p_j|^2 - 2 <p_i, p_j>, built in the Gram
-        matrix's own array row strip by row strip. numpy forms ``P @ P.T`` as
-        one triangle mirrored onto the other, so the Gram matrix, and with it
-        the result, is exactly symmetric."""
-        g = self.points @ self.points.T
-        sqnorms = np.diag(g).copy()
-        for r in row_strips(self.n):
-            block = g[r]
-            block *= 2.0
-            np.subtract(sqnorms[r, None] + sqnorms, block, out=block)
-            np.maximum(block, 0.0, out=block)
-            np.sqrt(block, out=block)
-        np.fill_diagonal(g, 0.0)
-        return g
+        """Hollow symmetric matrix of pairwise Euclidean distances: the strips
+        of ``upper_distances``, mirrored onto the lower triangle."""
+        a = np.empty((self.n, self.n))
+        for rows, _, strip in self.upper_distances():
+            a[rows, rows.start:] = strip
+        return mirror_upper(a)
 
 
 @dataclass(frozen=True)

@@ -276,7 +276,7 @@ def test_criterion_8_raw_stress_comparison():
     worst_gap = 0.0
     monotone = True
     for r in range(5):
-        cloud, _, out = clt.simulate(TRIANGLE, UNIFORM4, n, 88, r, keep=("delta",))
+        cloud, out = clt.simulate(TRIANGLE, UNIFORM4, n, 88, r, keep=("delta",))
         state = rawstress.minimize_stress(out["delta"], 2, init="cmds")
         h = state.stress_history
         monotone = monotone and bool(

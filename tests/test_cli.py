@@ -141,9 +141,9 @@ class TestOneShotCommands:
         """The one-shot commands run on one BLAS thread whatever count their
         caller has set: at n = 200 the dense eigensolve of ``embed`` gives
         other bits on two BLAS threads."""
-        _, _, out = clt.simulate(pointmodel.triangle_345(),
-                                 NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0)),
-                                 200, 5, 0, keep=("delta_sq",))
+        _, out = clt.simulate(pointmodel.triangle_345(),
+                              NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0)),
+                              200, 5, 0, keep=("delta_sq",))
         dsq = tmp_path / "dsq.csv"
         np.savetxt(dsq, out["delta_sq"].data, delimiter=",", fmt="%.17g")
         seen = []

@@ -377,7 +377,7 @@ class TestBlasThreads:
         """dsymv's bits depend on the BLAS thread count, so a solve on the
         centering operator runs on one thread whatever the caller's count,
         and then restores that count."""
-        _, _, out = clt.simulate(triangle, uniform4, 1000, 7, 0, keep=("delta_sq",))
+        _, out = clt.simulate(triangle, uniform4, 1000, 7, 0, keep=("delta_sq",))
         dsq = out["delta_sq"]
         blas_count(1)
         want = matrixcore.top_eigs(matrixcore.centered(dsq), 2)

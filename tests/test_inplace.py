@@ -3,9 +3,10 @@ the same bits as their plain out-of-place expressions, whether they run as
 one row strip or many, and a replicate, a diagnose cell and replicate 0
 with the decomposition check on stay within a fixed number of n x n
 matrices of memory.
-The distance and centering strips read no transposed entry: they rely on the
-Gram matrix ``P @ P.T`` being exactly symmetric, which is pinned here too, as
-is the block-wise upper-to-lower mirror of the noise fill."""
+The distance and noise passes fill the upper triangle alone, strip by strip,
+from a distance matrix or from the points; the centering strips read no
+transposed entry. The block-wise upper-to-lower mirror that completes the
+upper triangle is pinned here too."""
 
 import dataclasses
 import tracemalloc
@@ -15,7 +16,7 @@ import pytest
 
 from mdsclt import clt, harness, matrixcore, pointmodel
 from mdsclt.matrixcore import SymmetricMatrix, double_center
-from mdsclt.noise import NoiseLaw, NoiseSpec, perturb
+from mdsclt.noise import OUTPUTS, NoiseLaw, NoiseSpec, perturb
 from mdsclt.pointmodel import DistributionSpec
 
 N = 300
@@ -36,11 +37,11 @@ NOISE_IDS = ["model1_sq_additive", "model2_additive", "model2_hetero_uniform_sca
 
 
 def ref_distance_matrix(points):
-    g = points @ points.T
-    sq = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
-    np.fill_diagonal(sq, 0.0)
-    d = np.sqrt(np.maximum(sq, 0.0))
-    return (d + d.T) / 2.0
+    diff = points[:, None, :] - points[None, :, :]
+    sq = diff[..., 0] ** 2
+    for k in range(1, points.shape[1]):
+        sq = sq + diff[..., k] ** 2
+    return np.sqrt(sq)
 
 
 def ref_sym_from_upper(n, upper):
@@ -116,24 +117,22 @@ def test_mirror_upper_pin(blocking):
 
 @pytest.mark.parametrize("spec", NOISES, ids=NOISE_IDS)
 def test_perturb_and_center_pin(cloud, blocking, spec):
+    """perturb gives the same bits from a distance matrix and from the points
+    it reads the distances of, for every set of outputs it is asked for."""
     d = cloud.distance_matrix()
-    ref_sq, ref_delta, ref_e = ref_perturb(d, spec, 21)
-    out = perturb(SymmetricMatrix._unchecked(d.copy()), spec, 21)
-    assert same_bits(out["delta_sq"].data, ref_sq)
-    assert same_bits(out["E"].data, ref_e)
-    if ref_delta is None:
-        assert out["delta"] is None
-    else:
-        assert same_bits(out["delta"].data, ref_delta)
-    # built in D's own array, only what is asked for
-    D = SymmetricMatrix._unchecked(d.copy())
-    own = perturb(D, spec, 21, keep=("delta_sq",), overwrite=True)
-    assert own["delta"] is None and own["E"] is None
-    assert own["delta_sq"].data is D.data
-    assert same_bits(own["delta_sq"].data, ref_sq)
+    ref = dict(zip(OUTPUTS, ref_perturb(d, spec, 21)))
+    for source in (SymmetricMatrix._unchecked(d), cloud):
+        for keep in (OUTPUTS, ("delta_sq",), ("delta", "delta_sq"), ("E",)):
+            out = perturb(source, spec, 21, keep)
+            for key in OUTPUTS:
+                if key in keep and ref[key] is not None:
+                    assert same_bits(out[key].data, ref[key]), (keep, key)
+                else:
+                    assert out[key] is None, (keep, key)
     # centering, in a copy
-    assert same_bits(double_center(out["delta_sq"]).data, ref_double_center(ref_sq))
-    assert same_bits(out["delta_sq"].data, ref_sq)
+    sq = perturb(cloud, spec, 21, keep=("delta_sq",))["delta_sq"]
+    assert same_bits(double_center(sq).data, ref_double_center(ref["delta_sq"]))
+    assert same_bits(sq.data, ref["delta_sq"])
 
 
 @pytest.mark.parametrize("draw", [
@@ -153,8 +152,9 @@ def test_row_chunked_draws_equal_one_long_draw(draw):
 
 @pytest.mark.parametrize("spec", NOISES, ids=NOISE_IDS)
 def test_replicate_peak_memory(spec):
-    """One cmds replicate at n=2000 holds Delta^2, in D's array, and takes B
-    from the points: it allocates at most 1.5 n x n matrices."""
+    """One cmds replicate at n=2000 holds Delta^2 alone, read from the points
+    with no distance matrix, and takes B from the points: it allocates at
+    most 1.5 n x n matrices."""
     n = 2000
     cfg = harness.ExperimentConfig(distribution=pointmodel.triangle_345(),
                                    noise=spec, n_list=(n,), d=2, replicates=2,
@@ -172,8 +172,8 @@ def test_replicate_peak_memory(spec):
 @pytest.mark.parametrize("spec", NOISES, ids=NOISE_IDS)
 def test_one_matrix_checks_peak_memory(spec, check):
     """One diagnose cell, and replicate 0 running the decomposition check on
-    its own Delta^2 and pair, at n=2000 hold Delta^2, in D's array, and take
-    B from the points: they allocate at most 1.5 n x n matrices."""
+    its own Delta^2 and pair, at n=2000 hold Delta^2 alone and take B from
+    the points: they allocate at most 1.5 n x n matrices."""
     n = 2000
     cfg = harness.ExperimentConfig(distribution=pointmodel.triangle_345(),
                                    noise=spec, n_list=(n,), d=2, replicates=2,

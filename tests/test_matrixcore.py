@@ -359,8 +359,8 @@ def diagnose_difference(n, seed):
     Uniform(-4, 4) model 2), as a diagnose cell solves it: B_hat the centered
     operator over Delta^2, minus the Gram matrix of the centered points."""
     noise = NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))
-    cloud, _, out = clt.simulate(pointmodel.triangle_345(), noise, n, seed, 0,
-                                 keep=("delta_sq",))
+    cloud, out = clt.simulate(pointmodel.triangle_345(), noise, n, seed, 0,
+                              keep=("delta_sq",))
     points = cloud.points - cloud.points.mean(axis=0)
     return minus_gram(centered(out["delta_sq"]), points)
 
@@ -369,8 +369,8 @@ def replicate_delta_sq(n):
     """Delta^2 of replicate 0 of the Table-1 config at n: 3-4-5 mixture,
     Uniform(-4, 4) model 2, seed 7."""
     noise = NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))
-    _, _, out = clt.simulate(pointmodel.triangle_345(), noise, n, 7, 0,
-                             keep=("delta_sq",))
+    _, out = clt.simulate(pointmodel.triangle_345(), noise, n, 7, 0,
+                          keep=("delta_sq",))
     return out["delta_sq"]
 
 

@@ -84,6 +84,19 @@ class TestSample:
         assert np.all(np.diag(d) == 0.0)
         assert np.all(d >= 0.0)
 
+    def test_distance_matrix_translation_invariant(self):
+        """Distances come from coordinate differences, so a cloud far from the
+        origin keeps them to roundoff of its coordinates. From the Gram matrix
+        they erred by 1.6e-2 here, and two points 1e-3 apart came out 0."""
+        spec = DistributionSpec("gaussian", mean=[0.0, 0.0],
+                                covariance=[[1.0, 0.0], [0.0, 1.0]])
+        cloud = sample(spec, 300, seed=2)
+        shifted = pointmodel.PointCloud(cloud.points + 1e6)
+        err = np.abs(shifted.distance_matrix() - cloud.distance_matrix()).max()
+        assert err <= 1e-9
+        pair = pointmodel.PointCloud([[1e6, 1e6], [1e6 + 1e-3, 1e6]])
+        assert pair.distance_matrix()[0, 1] == pytest.approx(1e-3, abs=1e-9)
+
 
 class TestMoments:
     def test_gaussian_passthrough(self):
