@@ -19,7 +19,7 @@ are random draws (model 1 on the Gaussian is the one non-mixture report with
 a theoretical covariance); ``mc-run`` with the raw-stress estimator, with the
 decomposition check, and with ``--samples-dir`` over n=60 and n=300 (one
 digest per samples CSV); ``theory-cov`` of the mixture under models 1, 2 and
-3 and of the Gaussian under model 1; ``diagnose`` with Uniform(-4, 4) noise
+3 and model2_hetero, and of the Gaussian under model 1; ``diagnose`` with Uniform(-4, 4) noise
 and with zero noise, at n=100, 200 (dense) and 300 (iterative);
 ``distmat`` of a Gaussian cloud offset by 10^6 from the origin, whose
 distances keep their digits only when taken from coordinate differences;
@@ -125,6 +125,7 @@ def cases(tmp) -> list:
             ("theory-cov_model1", config(NOISES["model1"], [60])),
             ("theory-cov_model2", config(NOISES["model2"], [60])),
             ("theory-cov_model3", config(NOISES["model3"], [60])),
+            ("theory-cov_model2_hetero", config(NOISES["model2_hetero"], [60])),
             ("theory-cov_gaussian_model1", config(NOISES["model1"], [60],
                                                   distribution=GAUSSIAN))):
         cfg = write_json(path(name, "config"), cfg_json)

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Heteroscedastic bias experiment: distance-proportional noise keeps a
-non-vanishing class-mean bias across n, while the constant-variance
-control concentrates on the true centered locations."""
+"""Heteroscedastic bias experiment: the class means are measured against the
+unscaled centered locations z - mu. Distance-proportional noise (model2_hetero)
+keeps a non-vanishing bias across n, since its limit is centred at
+sqrt(4/3) (z - mu); the constant-variance control concentrates on z - mu."""
 
 import argparse
 import os

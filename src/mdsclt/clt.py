@@ -83,12 +83,11 @@ class DecompositionReport:
 
     ``term_row_norms[t]`` holds the sqrt(n)-scaled row norms of term t;
     term 0 carries the limit law. Terms 1-5 vanish as n grows when the mean
-    of B_hat - B stays bounded in norm, as under models 1 and 2. The split
-    is taken against the B = X_c X_c^T of the factor handed to
-    ``decompose``: replicate 0 of each ``mc-run`` n hands its points scaled
-    by the noise's ``center_scale``, so under model 3 B is E[B_hat] =
-    q X_c X_c^T. Under model2_hetero E[B_hat] = 4/3 B: B_hat - B carries
-    B/3, and some of terms 1-5 grow with sqrt(n). ``identity_residual`` is
+    of B_hat - B stays bounded in norm. The split is taken against the
+    B = X_c X_c^T of the factor handed to ``decompose``: replicate 0 of each
+    ``mc-run`` n hands its points scaled by the noise's ``center_scale``
+    sqrt(c), so under every noise model the mean of B_hat - B is a bounded
+    multiple of the centering projection. ``identity_residual`` is
     the relative Frobenius gap between the term sum and the actual embedding
     deviation (an exact identity up to roundoff).
     """
@@ -102,16 +101,17 @@ def theory_cov(spec: pointmodel.DistributionSpec,
     """Limiting covariances of the sqrt(n)-scaled aligned row deviations: one
     per location of a point-mass mixture, in ``spec.locations`` order, else one.
 
-    Model 1: sigma^2/4 Xi^{-1}, location-free. Models 2 and 3: the weighted
-    second moment conjugated by Xi^{-1} at each location of a point-mass
-    mixture; for other distributions ``pointmodel.sigma_tilde`` raises
-    ValueError.
+    Xi^{-1} ``pointmodel.sigma_tilde`` Xi^{-1} at each location, with the
+    weight of the noise's ``moment_rule``; for other distributions
+    ``sigma_tilde`` raises ValueError. Model 1's weight is the constant
+    sigma^2/4, which gives sigma^2/4 Xi^{-1} at every location of any cloud.
     """
     xi_inv = np.linalg.inv(pointmodel.moments(spec).xi)
     zs = spec.locations if spec.variant == "point_mass_mixture" else [None]
+    _, weight = noise.moment_rule
     if noise.squared_scale:
-        return [noise.moments.sigma2 / 4.0 * xi_inv] * len(zs)
-    sigmas = [xi_inv @ pointmodel.sigma_tilde(spec, z, noise) @ xi_inv for z in zs]
+        return [weight(0.0) * xi_inv] * len(zs)
+    sigmas = [xi_inv @ pointmodel.sigma_tilde(spec, z, weight) @ xi_inv for z in zs]
     return [(s + s.T) / 2.0 for s in sigmas]
 
 

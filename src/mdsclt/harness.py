@@ -293,22 +293,23 @@ def ellipse_points(mean, cov) -> np.ndarray:
 
 
 def hetero_bias_experiment(cfg: ExperimentConfig) -> dict:
-    """Per-class embedding bias against the true centered locations.
+    """Per-class embedding bias against the unscaled centered locations z - mu.
 
-    For each n reports ||empirical class mean - centered location|| and the
-    CLT-scale standard error of that mean; the variance-proportional noise
-    variant keeps a non-vanishing bias while the constant-variance control
-    does not.
+    For each n reports ||empirical class mean - (z - mu)|| and the CLT-scale
+    standard error of that mean. Under model2_hetero the limit is centred at
+    sqrt(4/3) (z - mu) (``NoiseSpec.moment_rule``), so the bias does not
+    vanish; under the constant-variance control it does.
     """
     if cfg.distribution.variant != "point_mass_mixture":
         raise ValueError("bias experiment requires a point-mass mixture")
+    centers = cfg.distribution.locations - pointmodel.moments(cfg.distribution).mu
     report = run(cfg)
     out = {"n": [], "bias": [], "std_error": []}
     for block in report.per_n:
         n = block["n"]
         biases, ses = [], []
-        for c in block["per_class"]:
-            bias = float(np.linalg.norm(c.empirical_mean - c.true_center))
+        for c, center in zip(block["per_class"], centers):
+            bias = float(np.linalg.norm(c.empirical_mean - center))
             # mean position averages count pooled sqrt(n)-scaled deviations
             se = float(np.sqrt(np.trace(c.pooled_cov) / (n * c.count)))
             biases.append(bias)

@@ -148,9 +148,26 @@ class NoiseSpec:
         return self.variant == "model1"
 
     @property
+    def moment_rule(self) -> tuple:
+        """(c, w): E[Delta_ij^2 | D_ij = r] = c r^2 plus a constant, and the
+        weight w(r) = Var(Delta_ij^2 | r) / (4c). The limit of the aligned
+        rows is centred at sqrt(c) (z - mu), with covariance
+        Xi^{-1} E_X[w(|X - z|) (X - mu)(X - mu)^T] Xi^{-1}."""
+        if self.variant == "model3":
+            return self.q, lambda r: (1.0 - self.q) / 4.0 * r**4
+        if self.variant == "model2_hetero":
+            # Delta = D (1 + U), U ~ Uniform(-1, 1): E (1+U)^2 = 4/3, Var (1+U)^2 = 64/45
+            return 4.0 / 3.0, lambda r: 4.0 / 15.0 * r**4
+        m = self.moments
+        if self.squared_scale:
+            return 1.0, lambda r: m.sigma2 / 4.0
+        s2, g, x4 = m.sigma2, m.gamma, m.xi4
+        return 1.0, lambda r: s2 * r**2 + g * r + x4 / 4.0 - s2**2 / 4.0
+
+    @property
     def center_scale(self) -> float:
-        """Shrinkage of the limiting centered positions: sqrt(q) under masking."""
-        return float(np.sqrt(self.q)) if self.variant == "model3" else 1.0
+        """Scale sqrt(c) of the limiting centered positions (``moment_rule``)."""
+        return float(np.sqrt(self.moment_rule[0]))
 
     def to_json(self) -> dict:
         out = {"model": self.variant}

@@ -1,9 +1,9 @@
 """Latent point clouds and their population moments.
 
 Supports three generating distributions (finite point-mass mixture, Gaussian,
-uniform box), their closed-form first and second moments, and the weighted
-second-moment matrix that the model-2 and model-3 limiting-covariance
-formulas consume for point-mass mixtures.
+uniform box), their closed-form first and second moments, and the
+distance-weighted second-moment matrix that the limiting covariances consume
+for point-mass mixtures.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .matrixcore import mirror_upper, upper_strips
-from .noise import NoiseSpec, json_number, json_variant
+from .noise import json_number, json_variant
 
 # The parameters each distribution variant reads from its JSON body, with the
 # depth of the lists of numbers each one is.
@@ -219,32 +219,17 @@ def moments(spec: DistributionSpec) -> PopulationMoments:
     return m
 
 
-def _weight_fn(noise: NoiseSpec):
-    if noise.variant == "model2":
-        s2, g, x4 = noise.moments.sigma2, noise.moments.gamma, noise.moments.xi4
-        return lambda r: s2 * r**2 + g * r + x4 / 4.0 - s2**2 / 4.0
-    if noise.variant == "model3":
-        q = noise.q
-        return lambda r: (1.0 - q) / 4.0 * r**4
-    raise ValueError(
-        f"weighted second moment is defined for models 2 and 3, not {noise.variant!r}"
-    )
-
-
-def sigma_tilde(spec: DistributionSpec, z, noise: NoiseSpec) -> np.ndarray:
+def sigma_tilde(spec: DistributionSpec, z, weight) -> np.ndarray:
     """Distance-weighted centered second moment at location ``z`` of a
     point-mass mixture: the finite sum over its masses x of
-    pi_x w(|x - z|) (x - mu)(x - mu)^T.
-
-    The scalar weight w(r) is sigma^2 r^2 + gamma r + xi/4 - sigma^4/4
-    (model 2) or (1-q)/4 r^4 (model 3).
+    pi_x w(|x - z|) (x - mu)(x - mu)^T, with w = ``weight`` (as the
+    ``noise.NoiseSpec.moment_rule`` of a noise model gives it).
     """
     if spec.variant != "point_mass_mixture":
-        raise ValueError("the model-2 and model-3 limiting covariances are derived "
+        raise ValueError("the distance-weighted limiting covariances are derived "
                          f"for point-mass mixtures only, not {spec.variant!r}")
-    w_of = _weight_fn(noise)
     dev = spec.locations - moments(spec).mu
     r = np.linalg.norm(spec.locations - np.asarray(z, dtype=float), axis=1)
-    coeff = spec.weights * w_of(r)
+    coeff = spec.weights * weight(r)
     s = (coeff[:, None] * dev).T @ dev
     return (s + s.T) / 2.0

@@ -12,6 +12,7 @@ import numpy as np
 
 from .cmds import embed
 from .matrixcore import SymmetricMatrix
+from .pointmodel import PointCloud
 
 
 @dataclass(frozen=True)
@@ -24,18 +25,13 @@ class StressState:
     coincident_points: bool  # zero inter-point distance hit during updates
 
 
-def _pairwise(config: np.ndarray) -> np.ndarray:
-    diff = config[:, None, :] - config[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
-
-
 def raw_stress(config, delta: SymmetricMatrix) -> float:
     """Sum over unordered pairs of (delta_ij - ||X_i - X_j||)^2."""
     config = np.asarray(config, float)
     if config.shape[0] != delta.n:
         raise ValueError("configuration and dissimilarity sizes must match")
     iu = np.triu_indices(delta.n, 1)
-    return _stress(_pairwise(config), delta.data[iu], iu)
+    return _stress(PointCloud(config).distance_matrix(), delta.data[iu], iu)
 
 
 def _stress(dist: np.ndarray, upper: np.ndarray, iu: tuple) -> float:
@@ -68,7 +64,7 @@ def minimize_stress(delta: SymmetricMatrix, d: int, init: str = "cmds", seed: in
     upper = delta.data[iu]
     apart = (delta.data != 0) & ~np.eye(n, dtype=bool)  # distinct points, delta != 0
     coincident = False
-    dist = _pairwise(x)
+    dist = PointCloud(x).distance_matrix()
     history = [_stress(dist, upper, iu)]
     converged = False
     it = 0
@@ -83,7 +79,7 @@ def minimize_stress(delta: SymmetricMatrix, d: int, init: str = "cmds", seed: in
         x_new = bmat @ x / n  # Guttman update for uniform weights
         x_new = x_new - x_new.mean(axis=0)
         prev = history[-1]
-        dist_new = _pairwise(x_new)
+        dist_new = PointCloud(x_new).distance_matrix()
         cur = _stress(dist_new, upper, iu)
         if cur > prev:
             # With negative dissimilarities the majorization bound does not

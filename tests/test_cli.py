@@ -316,6 +316,20 @@ class TestTheoryCovAndDiagnose:
         assert tc["center_scale"] == 1.0
         assert tc["model"] == "model2"
 
+    def test_theory_cov_model2_hetero(self, tmp_path):
+        """Delta = D (1 + U): c = 4/3, and the 4/15 r^4 weight gives one
+        symmetric positive definite covariance per class."""
+        cfg = write_config(tmp_path / "cfg.json", noise={"model": "model2_hetero"})
+        out = tmp_path / "tc.json"
+        assert dispatch(["theory-cov", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        tc = json.loads(out.read_text())
+        assert tc["center_scale"] == np.sqrt(4.0 / 3.0)
+        sigmas = np.array([c["sigma"] for c in tc["per_class"]])
+        assert sigmas.shape == (3, 2, 2)
+        assert np.array_equal(sigmas, sigmas.transpose(0, 2, 1))
+        assert np.linalg.eigvalsh(sigmas).min() > 0
+
     def test_theory_cov_gaussian_model2_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         obj = json.loads(cfg.read_text())

@@ -59,7 +59,7 @@ class TestTheoryCov:
         assert len(sigmas) == 3
 
     def test_non_mixture_rejected_for_models_2_and_3(self, uniform4):
-        for noise in (uniform4, NoiseSpec("model3", q=0.49)):
+        for noise in (uniform4, NoiseSpec("model3", q=0.49), NoiseSpec("model2_hetero")):
             with pytest.raises(ValueError, match="point-mass mixtures"):
                 clt.theory_cov(GAUSS_I2, noise)
 
@@ -193,14 +193,17 @@ class TestDecompose:
         small, large = remainder_median(100), remainder_median(500)
         assert sum(l < s for s, l in zip(small, large)) >= 4
 
-    def test_model3_remainder_terms_shrink_with_n(self, triangle):
-        """Against E[B_hat] = qB, the Gram matrix of the sqrt(q)-scaled points
-        that the decomposition check hands over, each model-3 remainder
-        median, averaged over replicates 0-3, shrinks from n = 200 to 800.
-        (Against B, B_hat - B carries (q - 1)B and they grow.) One
-        replicate's term 2 is too noisy to order."""
-        noise = NoiseSpec("model3", q=0.49)
-
+    @pytest.mark.parametrize("noise", [NoiseSpec("model3", q=0.49),
+                                       NoiseSpec("model2_hetero")],
+                             ids=["model3", "model2_hetero"])
+    def test_remainder_terms_shrink_with_n_against_expected_b_hat(self, triangle,
+                                                                  noise):
+        """Against E[B_hat] = cB, the Gram matrix of the sqrt(c)-scaled points
+        that the decomposition check hands over (c = q under model 3, 4/3
+        under model2_hetero), each remainder median, averaged over replicates
+        0-3, shrinks from n = 200 to 800. (Against B, B_hat - B carries
+        (c - 1)B and they grow.) One replicate's term 2 is too noisy to
+        order."""
         def remainder_medians(n):
             meds = []
             for r in range(4):

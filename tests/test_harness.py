@@ -532,6 +532,38 @@ class TestHeteroBias:
         assert all(b >= 0 for row in out["bias"] for b in row)
         assert all(se > 0 for row in out["std_error"] for se in row)
 
+    def test_bias_is_taken_against_unscaled_centers(self, triangle):
+        """The bias is ||class mean - (z - mu)||, not the distance to the
+        sqrt(4/3)-scaled ``true_center`` the report carries."""
+        cfg = small_config(triangle, NoiseSpec("model2_hetero"), replicates=5)
+        [bias] = hetero_bias_experiment(cfg)["bias"]
+        centers = triangle.locations - pointmodel.moments(triangle).mu
+        classes = run(cfg).per_n[0]["per_class"]
+        assert bias == [float(np.linalg.norm(c.empirical_mean - z))
+                        for c, z in zip(classes, centers)]
+        assert all(np.array_equal(c.true_center, np.sqrt(4.0 / 3.0) * z)
+                   for c, z in zip(classes, centers))
+
+    def test_limit_law_calibrates_with_n(self, triangle):
+        """Per class, the gap of the mean to sqrt(4/3) (z - mu), in standard
+        errors of the mean, and the gap of tr(Sigma^-1 C)/d to 1, C the mean
+        per-replicate covariance, both shrink from n = 250 to 1000."""
+        cfg = ExperimentConfig(distribution=triangle, noise=NoiseSpec("model2_hetero"),
+                               n_list=(250, 1000), d=2, replicates=30, seed=17,
+                               checks={"clt": False})
+        gaps, traces = [], []
+        for block in run(cfg).per_n:
+            classes = block["per_class"]
+            se = [np.sqrt(np.trace(c.pooled_cov) / (block["n"] * c.count))
+                  for c in classes]
+            gaps.append([np.linalg.norm(c.empirical_mean - c.true_center) / s
+                         for c, s in zip(classes, se)])
+            traces.append([abs(np.trace(np.linalg.solve(c.theoretical_cov,
+                                                        c.empirical_cov)) / 2 - 1)
+                           for c in classes])
+        assert np.all(np.less(gaps[1], gaps[0])), gaps
+        assert np.all(np.less(traces[1], traces[0])), traces
+
     def test_requires_mixture(self, uniform4):
         gauss = pointmodel.DistributionSpec(
             "gaussian", mean=[0.0, 0.0], covariance=[[1.0, 0.0], [0.0, 1.0]])

@@ -96,16 +96,6 @@ def cloud(request):
     return pointmodel.sample(CLOUDS[request.param], N, seed=3)
 
 
-@pytest.mark.parametrize("n", [3, 257, N])
-@pytest.mark.parametrize("dist", [*CLOUDS.values(), pointmodel.triangle_345()],
-                         ids=[*CLOUDS, "mixture"])
-def test_gram_matrix_exactly_symmetric(dist, n):
-    # sample needs n >= d + 2 = 4, so n = 3 takes the first rows of n = 4
-    points = pointmodel.sample(dist, max(n, 4), seed=3).points[:n]
-    g = points @ points.T
-    assert same_bits(g, g.T.copy())
-
-
 def test_distance_matrix_pin(cloud, blocking):
     assert same_bits(cloud.distance_matrix(), ref_distance_matrix(cloud.points))
 

@@ -148,22 +148,42 @@ class TestMoments:
 
 
 UNIFORM4 = NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))
+W4 = UNIFORM4.moment_rule[1]
 
 
 class TestSigmaTilde:
     def test_model3_q1_zero(self, triangle):
-        out = sigma_tilde(triangle, [0.0, 0.0], NoiseSpec("model3", q=1.0))
+        out = sigma_tilde(triangle, [0.0, 0.0], NoiseSpec("model3", q=1.0).moment_rule[1])
         assert np.allclose(out, 0.0)
 
     def test_model2_zero_law_zero(self, triangle):
         spec = NoiseSpec("model2", law=NoiseLaw("uniform", a=0.0))
-        out = sigma_tilde(triangle, [1.0, 1.0], spec)
+        out = sigma_tilde(triangle, [1.0, 1.0], spec.moment_rule[1])
         assert np.allclose(out, 0.0)
 
-    def test_model1_rejected(self, triangle):
-        with pytest.raises(ValueError):
-            sigma_tilde(triangle, [0.0, 0.0],
-                        NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.0)))
+    def test_model1_weight_gives_sigma2_over_4_xi_inv(self, triangle):
+        """Model 1's constant weight sigma^2/4 gives Xi^-1 E[w YY^T] Xi^-1 =
+        sigma^2/4 Xi^-1 at every location, the shortcut ``theory_cov`` takes."""
+        noise = NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.5))
+        xi_inv = np.linalg.inv(moments(triangle).xi)
+        want = 1.5**2 / 4.0 * xi_inv
+        for z in triangle.locations:
+            got = xi_inv @ sigma_tilde(triangle, z, noise.moment_rule[1]) @ xi_inv
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("noise, weight", [
+        (UNIFORM4, lambda r: 16.0 / 3.0 * r**2 + 0.0 * r + 256.0 / 5.0 / 4.0
+         - (16.0 / 3.0)**2 / 4.0),
+        (NoiseSpec("model3", q=0.49), lambda r: (1.0 - 0.49) / 4.0 * r**4),
+    ], ids=["model2", "model3"])
+    def test_models_2_and_3_keep_their_weights_bit_for_bit(self, triangle, noise,
+                                                            weight):
+        """sigma^2 r^2 + gamma r + xi/4 - sigma^4/4 (model 2, here
+        Uniform(-4, 4)) and (1-q)/4 r^4 (model 3), as written before the
+        weights moved into ``NoiseSpec.moment_rule``."""
+        for z in triangle.locations:
+            assert np.array_equal(sigma_tilde(triangle, z, noise.moment_rule[1]),
+                                  sigma_tilde(triangle, z, weight))
 
     def test_paper_theory_value_up_to_rotation(self, triangle):
         """Xi^-1 Sigma~(z) Xi^-1 at one class location matches the published
@@ -174,7 +194,7 @@ class TestSigmaTilde:
         xi_inv = np.linalg.inv(moments(triangle).xi)
         errs = []
         for z in triangle.locations:
-            st = sigma_tilde(triangle, z, UNIFORM4)
+            st = sigma_tilde(triangle, z, W4)
             sig = xi_inv @ st @ xi_inv
             errs.append(rotation_match(sig, target)["max_rel_entry_error"])
         # exactly one class is the published one; reference printed to 4 digits
@@ -192,18 +212,18 @@ class TestSigmaTilde:
             weight = (mom.sigma2 * r**2 + mom.gamma * r + mom.xi4 / 4
                       - mom.sigma2**2 / 4)
             want += w * weight * np.outer(x - mu, x - mu)
-        got = sigma_tilde(triangle, z, UNIFORM4)
+        got = sigma_tilde(triangle, z, W4)
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-        assert np.array_equal(got, sigma_tilde(triangle, z, UNIFORM4))
+        assert np.array_equal(got, sigma_tilde(triangle, z, W4))
 
     def test_symmetry(self, triangle):
-        out = sigma_tilde(triangle, [1.7, -0.3], UNIFORM4)
+        out = sigma_tilde(triangle, [1.7, -0.3], W4)
         assert np.array_equal(out, out.T)
 
     def test_non_mixture_rejected(self):
         spec = DistributionSpec("uniform_box", lo=[0.0, 0.0], hi=[1.0, 1.0])
         with pytest.raises(ValueError, match="point-mass mixtures"):
-            sigma_tilde(spec, [0.5, 0.5], UNIFORM4)
+            sigma_tilde(spec, [0.5, 0.5], W4)
 
 
 def test_triangle_345_geometry():
