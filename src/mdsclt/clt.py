@@ -161,16 +161,17 @@ def rotation_match(emp, target) -> dict:
 def _perturbation(points, B_hat, ph) -> tuple:
     """The top-d eigenpairs of B = X_c X_c^T, X_c the centered ``points``,
     W* = align(U, U_hat) for ``ph``, B_hat's top-d pair, and B_hat - B as a
-    ``matrixcore.minus_gram`` operator. Raises ValueError when either pair is
-    deficient."""
+    ``matrixcore.minus_gram`` operator. Raises ``cmds.DeficientEmbeddingError``
+    when either pair is deficient."""
     d = len(ph.values)
     x = np.asarray(points, float)
     x = x - x.mean(axis=0)
     diff = minus_gram(B_hat, x)
     pb = gram_top_eigs(x, d)
     if pb.deficient or ph.deficient:
-        raise ValueError(f"the top-{d} eigenvalues of B and B_hat must be positive; "
-                         f"eigenvalue {d} is {pb.values[-1]:.3e} and {ph.values[-1]:.3e}")
+        raise cmds.DeficientEmbeddingError(
+            f"the top-{d} eigenvalues of B and B_hat must be positive; "
+            f"eigenvalue {d} is {pb.values[-1]:.3e} and {ph.values[-1]:.3e}")
     return pb, align(pb.vectors, ph.vectors), diff
 
 
@@ -219,7 +220,7 @@ def _bound_cell(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
     """The ratios of one (n, replicate) cell, in ``RATIO_NAMES`` order, from
     ``replicate`` r and B from its points scaled by the noise's
     ``center_scale``, as in the decomposition check. Like ``decompose``, it
-    raises ValueError for a deficient B or B_hat."""
+    raises ``cmds.DeficientEmbeddingError`` for a deficient B or B_hat."""
     cloud, B_hat, ph, aligned, target = replicate(spec, noise, n, seed, r, spec.d)
     pb, wstar, diff = _perturbation(noise.center_scale * cloud.points, B_hat, ph)
     logn = np.log(n)

@@ -8,13 +8,11 @@ do not depend on the caller's BLAS thread count either. Matrices are checked
 where outside data enters (``SymmetricMatrix(...)``), not where the library
 builds them (``SymmetricMatrix._unchecked``).
 
-The n x n passes walk the row strips of ``row_strips``, about ``_STRIP``
-entries each, and read no transposed entry. The distance and noise passes
-walk ``upper_strips``, which masks each strip to the strict upper triangle:
-one pass from the points (or a distance matrix) to the perturbed matrix's
-upper triangle, which ``mirror_upper`` then copies onto the lower one block
-by block. Double centering reads whole strips, since its input is exactly
-symmetric.
+The distance and noise passes walk ``upper_strips``: row strips of about
+``_STRIP`` entries, each masked to its strict upper triangle. That is one
+pass from the points (or a distance matrix) to the perturbed matrix's upper
+triangle, which ``mirror_upper`` then copies onto the lower one block by
+block. ``double_center`` forms B by whole-array expressions.
 
 ``centered`` hands ``top_eigs`` the double centering of a
 squared-dissimilarity matrix as an operator that centers implicitly and
@@ -49,7 +47,7 @@ DEGENERATE_GAP_RTOL = 1e-10
 _VALUE_TOL = float(np.sqrt(np.finfo(float).eps))
 # Side of the square blocks in which ``mirror_upper`` copies the upper triangle.
 _BLOCK = 256
-# Entries per row strip of the n x n passes: n <= 256 is one strip.
+# Entries per row strip of ``upper_strips``: n <= 256 is one strip.
 _STRIP = 1 << 16
 # Largest |a - a^T| entry, relative to max(1, max |a|), that construction accepts.
 _SYMMETRY_RTOL = 1e-9
@@ -108,7 +106,7 @@ class SpectralPair:
 
     Sign convention: in each eigenvector the entry of largest absolute value
     is non-negative. ``degenerate`` flags a near-tie among adjacent returned
-    eigenvalues, so downstream alignment can widen tolerances.
+    eigenvalues, which the ``embed`` sidecar reports.
     """
 
     values: np.ndarray
@@ -128,31 +126,22 @@ class SpectralPair:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
-    return v
-
-
-def row_strips(n: int):
-    """Slices of the consecutive row strips of an n x n matrix, each about
-    ``_STRIP`` entries (whole rows, at least one)."""
-    step = max(1, _STRIP // max(n, 1))
-    for i in range(0, n, step):
-        yield slice(i, i + step)
+    """``vectors`` with each column negated where its entry of largest absolute
+    value (the first, on a tie) is negative."""
+    top = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(top < 0, -1.0, 1.0)
 
 
 def upper_strips(n: int):
-    """(rows, mask) per strip of ``row_strips(n)``: ``mask`` selects the strict
+    """(rows, mask) per row strip of an n x n matrix, each strip about
+    ``_STRIP`` entries (whole rows, at least one): ``mask`` selects the strict
     upper triangle of the strip ``a[rows, rows.start:]``. One boolean array,
     the first strip's, holds every mask."""
-    upper = None
-    for rows in row_strips(n):
-        if upper is None:
-            upper = np.arange(n) > np.arange(min(rows.stop, n))[:, None]
-        yield rows, upper[:min(rows.stop, n) - rows.start, :n - rows.start]
+    step = max(1, _STRIP // max(n, 1))
+    upper = np.arange(n) > np.arange(min(step, n))[:, None]
+    for i in range(0, n, step):
+        rows = slice(i, min(i + step, n))
+        yield rows, upper[:rows.stop - i, :n - i]
 
 
 def mirror_upper(a: np.ndarray) -> np.ndarray:
@@ -176,30 +165,16 @@ def double_center(sq: SymmetricMatrix) -> SymmetricMatrix:
 
     Every row of B sums to zero; output is exactly symmetric.
     """
-    n = sq.n
-    if n < 2:
+    if sq.n < 2:
         raise ValueError("double centering requires n >= 2")
     row = sq.data.mean(axis=1)  # = column means: the input is symmetric
-    grand = sq.data.mean()
-    a = sq.data.copy()
-    # Row strips of B = (F + F^T) / 2 with F_ij = -(a_ij - row_i - row_j + grand) / 2;
-    # F_ji is evaluated from a_ij = a_ji, so no transposed entry is read.
-    strips = list(row_strips(n))
-    f_t = np.empty_like(a[strips[0]])
-    for r in strips:
-        block = a[r]
-        t = f_t[:block.shape[0]]
-        np.subtract(block, row, out=t)
-        t -= row[r, None]
-        t += grand
-        t *= -0.5
-        block -= row[r, None]
-        block -= row
-        block += grand
-        block *= -0.5
-        block += t
-        block /= 2.0
-    return SymmetricMatrix._unchecked(a)
+    b = sq.data - row[:, None]
+    b -= row
+    b += sq.data.mean()
+    b *= -0.5
+    b += b.T  # numpy reads the overlapping b.T from a copy
+    b /= 2.0
+    return SymmetricMatrix._unchecked(b)
 
 
 def _dense_solve(n: int, k: int) -> bool:

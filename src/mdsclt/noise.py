@@ -137,12 +137,6 @@ class NoiseSpec:
             raise ValueError("q must be a probability")
 
     @property
-    def moments(self) -> Moments:
-        if self.law is None:
-            raise ValueError(f"{self.variant} has no constant entry moments")
-        return self.law.moments()
-
-    @property
     def squared_scale(self) -> bool:
         """Model 1 perturbs D^2 directly: there is no Delta."""
         return self.variant == "model1"
@@ -158,7 +152,7 @@ class NoiseSpec:
         if self.variant == "model2_hetero":
             # Delta = D (1 + U), U ~ Uniform(-1, 1): E (1+U)^2 = 4/3, Var (1+U)^2 = 64/45
             return 4.0 / 3.0, lambda r: 4.0 / 15.0 * r**4
-        m = self.moments
+        m = self.law.moments()
         if self.squared_scale:
             return 1.0, lambda r: m.sigma2 / 4.0
         s2, g, x4 = m.sigma2, m.gamma, m.xi4
@@ -188,7 +182,11 @@ class NoiseSpec:
         return spec
 
 
-def _rng(seed: int, n: int) -> np.random.Generator:
+def keyed_rng(seed: int, n: int) -> np.random.Generator:
+    """``default_rng(SeedSequence([seed, n]))``: the one rule by which a seed
+    (a command's ``--seed``, or a replicate's from ``clt._replicate_seeds``)
+    keys the n points of ``pointmodel.sample``, the noise of ``perturb`` and
+    the random start of ``rawstress.minimize_stress``."""
     return np.random.default_rng(np.random.SeedSequence([seed, n]))
 
 
@@ -248,7 +246,7 @@ def perturb(source, spec: NoiseSpec, seed: int, keep=OUTPUTS) -> dict:
     else:
         strips = source.upper_distances()
     n = source.n
-    rng = _rng(seed, n)
+    rng = keyed_rng(seed, n)
     square = not spec.squared_scale and "delta" not in keep
     main = "delta_sq" if spec.squared_scale or square else "delta"
     m = _hollow(n) if main in keep else None

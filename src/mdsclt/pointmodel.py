@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .matrixcore import mirror_upper, upper_strips
-from .noise import json_number, json_variant
+from .noise import json_number, json_variant, keyed_rng
 
 # The parameters each distribution variant reads from its JSON body, with the
 # depth of the lists of numbers each one is.
@@ -43,10 +43,6 @@ class PointCloud:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
 
     def upper_distances(self):
         """(rows, mask, strip) per strip of ``matrixcore.upper_strips``:
@@ -152,10 +148,6 @@ class PopulationMoments:
     mu: np.ndarray
     xi: np.ndarray  # covariance of the generating distribution
 
-    @property
-    def xi_min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self.xi).min())
-
 
 def triangle_345() -> DistributionSpec:
     """Canonical three point masses with inter-point distances 3, 4, 5 and
@@ -184,7 +176,7 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> PointCloud:
     emitted grouped by class with labels set."""
     if n < spec.d + 2:
         raise ValueError(f"n={n} too small for dimension d={spec.d}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+    rng = keyed_rng(seed, n)
     if spec.variant == "point_mass_mixture":
         counts = _mixture_counts(spec.weights, n)
         points = np.repeat(spec.locations, counts, axis=0)
@@ -211,11 +203,10 @@ def moments(spec: DistributionSpec) -> PopulationMoments:
         mu = (spec.lo + spec.hi) / 2.0
         xi = np.diag((spec.hi - spec.lo) ** 2 / 12.0)
     m = PopulationMoments(mu=np.asarray(mu, float), xi=np.asarray(xi, float))
-    if m.xi_min_eig <= 1e-12 * max(1.0, float(np.abs(m.xi).max())):
-        raise ValueError(
-            f"singular point covariance (min eigenvalue {m.xi_min_eig:.3e}); "
-            "limiting covariances are undefined"
-        )
+    low = float(np.linalg.eigvalsh(m.xi).min())
+    if low <= 1e-12 * max(1.0, float(np.abs(m.xi).max())):
+        raise ValueError(f"singular point covariance (min eigenvalue {low:.3e}); "
+                         "limiting covariances are undefined")
     return m
 
 

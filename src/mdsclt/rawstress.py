@@ -12,6 +12,7 @@ import numpy as np
 
 from .cmds import embed
 from .matrixcore import SymmetricMatrix
+from .noise import keyed_rng
 from .pointmodel import PointCloud
 
 
@@ -54,7 +55,7 @@ def minimize_stress(delta: SymmetricMatrix, d: int, init: str = "cmds", seed: in
     if init == "cmds":
         x = embed(SymmetricMatrix._unchecked(delta.data**2), d, allow_deficient=True).config
     elif init == "random":
-        rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+        rng = keyed_rng(seed, n)
         scale = max(float(np.abs(delta.data).max()), 1.0)
         x = rng.standard_normal((n, d)) * scale / np.sqrt(n)
     else:

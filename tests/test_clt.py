@@ -227,8 +227,8 @@ class TestDecompose:
         """Collinear points give B a zero second eigenvalue, and B_hat = -I
         has no positive one."""
         points = np.outer(np.arange(4.0), [1.0, 2.0])
-        with pytest.raises(ValueError, match="must be positive"):
-            b_hat = SymmetricMatrix(-np.eye(4))
+        b_hat = SymmetricMatrix(-np.eye(4))
+        with pytest.raises(cmds.DeficientEmbeddingError, match="must be positive"):
             clt.decompose(points, b_hat, top_eigs(b_hat, 2))
 
     @pytest.mark.parametrize("dist", [pointmodel.triangle_345(), GAUSS_I2, BOX],

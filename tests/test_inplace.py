@@ -1,12 +1,12 @@
 """The in-place n x n stages (distances, noise fill, double centering) give
-the same bits as their plain out-of-place expressions, whether they run as
-one row strip or many, and a replicate, a diagnose cell and replicate 0
-with the decomposition check on stay within a fixed number of n x n
-matrices of memory.
-The distance and noise passes fill the upper triangle alone, strip by strip,
-from a distance matrix or from the points; the centering strips read no
-transposed entry. The block-wise upper-to-lower mirror that completes the
-upper triangle is pinned here too."""
+the same bits as their plain out-of-place expressions, and a replicate, a
+diagnose cell and replicate 0 with the decomposition check on stay within a
+fixed number of n x n matrices of memory.
+The distance and noise passes fill the upper triangle alone, strip by strip
+of ``matrixcore.upper_strips``, from a distance matrix or from the points,
+with the same bits whether they walk one row strip or many; the strips cover
+that triangle once, in ``np.triu_indices`` order. The block-wise
+upper-to-lower mirror that completes the upper triangle is pinned here too."""
 
 import dataclasses
 import tracemalloc
@@ -85,7 +85,7 @@ def same_bits(a, b):
 def blocking(request, monkeypatch):
     """Default block and strip sizes, and small ones that split n=300 into
     many ragged blocks and row strips (13 of 23 rows and a last one of one
-    row), which the distance, noise and centering passes all walk."""
+    row), which the distance and noise passes and the mirror walk."""
     if request.param == "small":
         monkeypatch.setattr(matrixcore, "_BLOCK", 48)
         monkeypatch.setattr(matrixcore, "_STRIP", 7000)
@@ -103,6 +103,25 @@ def test_distance_matrix_pin(cloud, blocking):
 def test_mirror_upper_pin(blocking):
     a = np.random.default_rng(8).standard_normal((N, N))
     assert same_bits(matrixcore.mirror_upper(a.copy()), np.triu(a) + np.triu(a, 1).T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 300])
+def test_upper_strips_cover_upper_triangle_once(blocking, n):
+    """The strips of ``upper_strips`` are consecutive runs of whole rows, and
+    their masks select every strict-upper entry exactly once, in the order of
+    ``np.triu_indices(n, 1)``."""
+    stop, rows_at, cols_at = 0, [], []
+    for rows, mask in matrixcore.upper_strips(n):
+        assert rows.start == stop < rows.stop <= n
+        assert mask.shape == (rows.stop - rows.start, n - rows.start)
+        i, j = np.nonzero(mask)
+        rows_at.append(i + rows.start)
+        cols_at.append(j + rows.start)
+        stop = rows.stop
+    assert stop == n
+    want_rows, want_cols = np.triu_indices(n, 1)
+    assert np.array_equal(np.concatenate(rows_at), want_rows)
+    assert np.array_equal(np.concatenate(cols_at), want_cols)
 
 
 @pytest.mark.parametrize("spec", NOISES, ids=NOISE_IDS)

@@ -234,6 +234,31 @@ class TestTopEigs:
         assert keep.sum() >= k // 2
         assert np.abs(pair.vectors[:, keep] - want[:, keep]).max(initial=0.0) <= 1e-10
 
+    def test_fix_signs_pin(self, rng):
+        """The sign fix gives the bits of a column loop that negates each
+        column whose first entry of largest |value| is negative, on a tie, an
+        all-zero column (with a -0.0 entry) and -0.0 entries that a negation
+        turns to 0.0."""
+        def loop(vectors):
+            v = vectors.copy()
+            for j in range(v.shape[1]):
+                i = int(np.argmax(np.abs(v[:, j])))
+                if v[i, j] < 0:
+                    v[:, j] = -v[:, j]
+            return v
+
+        v = rng.standard_normal((6, 7))
+        v[:, 0] = [0.1, -0.5, 0.2, 0.5, -0.0, 0.3]  # tie, the negative one first
+        v[:, 1] = [0.1, 0.5, 0.2, -0.5, -0.0, 0.3]  # tie, the positive one first
+        v[:, 2] = [0.0, -0.0, 0.0, 0.0, 0.0, 0.0]  # all zero
+        v[:, 3] = [-0.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # all zero, -0.0 first
+        v[:, 4] = [0.2, -0.0, -3.0, 1.0, 0.0, -0.1]  # negated: -0.0 -> 0.0
+        got, want = _fix_signs(v), loop(v)
+        assert got.tobytes() == want.tobytes()
+        signs = np.signbit(got[[4, 4, 1, 0], [0, 1, 2, 3]])
+        assert signs.tolist() == [False, True, True, True]
+        assert not np.signbit(got[1, 4]) and got[2, 4] == 3.0
+
     def test_zero_matrix_above_cutoff_gets_dense_answer(self):
         """The iterative solver cannot start on an all-zero matrix; it gives
         the answer of the dense path (taken here through k = n - 1)."""

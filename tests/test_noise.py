@@ -88,11 +88,6 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="unknown noise law 'laplace'"):
             NoiseLaw.from_json({"laplace": {"b": 1.0}})
 
-    def test_hetero_has_no_constant_moments(self):
-        spec = NoiseSpec("model2_hetero")
-        with pytest.raises(ValueError):
-            spec.moments
-
     def test_model1_hetero_unknown(self):
         """The squared-scale heteroscedastic variant is gone, by name and in
         JSON."""

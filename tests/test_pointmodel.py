@@ -204,7 +204,7 @@ class TestSigmaTilde:
         """The finite sum over the masses, draw-free: a loop over them, one
         mass at a time, gives the same matrix to roundoff."""
         z = np.array([0.5, 0.5])
-        mom = UNIFORM4.moments
+        mom = UNIFORM4.law.moments()
         mu = moments(triangle).mu
         want = np.zeros((2, 2))
         for x, w in zip(triangle.locations, triangle.weights):
