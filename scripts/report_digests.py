@@ -23,10 +23,13 @@ digest per samples CSV); ``theory-cov`` of the mixture under models 1, 2 and
 and with zero noise, at n=100, 200 (dense) and 300 (iterative);
 ``distmat`` of a Gaussian cloud offset by 10^6 from the origin, whose
 distances keep their digits only when taken from coordinate differences;
-``perturb`` for each of the ``mc-run`` noise variants; ``embed --sidecar`` of a noisy
-n=300 matrix, whose sidecar scree comes from its own eigensolve; and
-``select-dim`` of the same matrix with ``--max-d`` 4 (iterative) and 299
-(the dense solve above the cutoff).
+``perturb`` for each of the ``mc-run`` noise variants at n=80 (one row strip of
+``matrixcore.upper_strips``); ``embed --sidecar`` of a noisy n=300 matrix,
+whose sidecar scree comes from its own eigensolve; ``select-dim`` of the same
+matrix with ``--max-d`` 4 (iterative) and 299 (the dense solve above the
+cutoff); and ``perturb`` of the distance matrix of a Gaussian cloud at n=300
+(two row strips, with no block of coincident points, which a mixture sorted
+by class has in its last strip) with all three outputs.
 """
 
 import hashlib
@@ -179,6 +182,17 @@ def cases(tmp) -> list:
     for name, max_d in (("select-dim_n300", "4"), ("select-dim_n300_max299", "299")):
         lines += run(tmp, name, ["select-dim", "--in", dsq, "--max-d", max_d,
                                  "--out", path(name, "report")], ["report"])
+
+    name = "perturb_n300"
+    points, dist = path(name, "points"), path(name, "dist")
+    if dispatch(["gen-points", "--dist", write_json(path(name, "spec"), GAUSSIAN),
+                 "--n", "300", "--seed", "5", "--out", points]) or dispatch(
+            ["distmat", "--in", points, "--out", dist]):
+        raise SystemExit(f"{name} input failed")
+    lines += run(tmp, name, ["perturb", "--in", dist, "--noise", spec, "--seed", "9",
+                             "--out-delta-sq", path(name, "delta_sq"),
+                             "--out-delta", path(name, "delta"),
+                             "--out-e", path(name, "e")], ["delta_sq", "delta", "e"])
     return lines
 
 

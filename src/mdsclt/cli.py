@@ -409,12 +409,13 @@ def dispatch(argv) -> int:
     try:
         with one_blas_thread:
             return _COMMANDS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    # LinAlgError, a ValueError, is caught first; JSONDecodeError is one too
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

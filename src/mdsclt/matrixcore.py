@@ -10,9 +10,11 @@ builds them (``SymmetricMatrix._unchecked``).
 
 The distance and noise passes walk ``upper_strips``: row strips of about
 ``_STRIP`` entries, each masked to its strict upper triangle. That is one
-pass from the points (or a distance matrix) to the perturbed matrix's upper
-triangle, which ``mirror_upper`` then copies onto the lower one block by
-block. ``double_center`` forms B by whole-array expressions.
+pass from the points (or a distance matrix) to the upper triangle of each
+n x n output, written once; ``mirror_upper`` then zeroes the diagonal and
+copies the upper triangle onto the lower one block by block, so every
+output is exactly hollow and symmetric. ``double_center`` forms B by
+whole-array expressions.
 
 ``centered`` hands ``top_eigs`` the double centering of a
 squared-dissimilarity matrix as an operator that centers implicitly and
@@ -145,10 +147,12 @@ def upper_strips(n: int):
 
 
 def mirror_upper(a: np.ndarray) -> np.ndarray:
-    """Copy the strict upper triangle of ``a`` onto the lower one, in place,
-    in square blocks of side ``_BLOCK``; one strict-lower mask serves every
-    diagonal block."""
+    """Complete the hollow symmetric matrix whose strict upper triangle ``a``
+    holds, in place: zero the diagonal, then copy the strict upper triangle
+    onto the lower one in square blocks of side ``_BLOCK``; one strict-lower
+    mask serves every diagonal block."""
     n = a.shape[0]
+    np.fill_diagonal(a, 0.0)
     lower = np.tri(min(n, _BLOCK), k=-1, dtype=bool)
     for i in range(0, n, _BLOCK):
         r = slice(i, i + _BLOCK)

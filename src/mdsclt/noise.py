@@ -2,9 +2,10 @@
 
 Model 1 adds noise to the squared distances, model 2 to the distances,
 model 3 masks entries Bernoulli(q). A heteroscedastic model-2 variant
-supports the bias experiments. ``perturb`` applies all four: every variant
-produces an exactly hollow, exactly symmetric noise matrix with independent
-upper-triangle entries mirrored below, and is deterministic given its seed.
+supports the bias experiments. ``perturb`` applies all four, deterministic
+given its seed: every variant draws independent upper-triangle entries and
+writes them once into each kept output, which ``matrixcore.mirror_upper``
+then makes exactly hollow and exactly symmetric.
 """
 
 from __future__ import annotations
@@ -210,14 +211,6 @@ def _entries(spec: NoiseSpec, rng: np.random.Generator, d: np.ndarray):
     return delta, delta - d
 
 
-def _hollow(n: int) -> np.ndarray:
-    """An n x n array with a zero diagonal and its other entries unset: the
-    strips of ``perturb`` fill the upper triangle, and the mirror the lower."""
-    a = np.empty((n, n))
-    np.fill_diagonal(a, 0.0)
-    return a
-
-
 def perturb(source, spec: NoiseSpec, seed: int, keep=OUTPUTS) -> dict:
     """Apply the noise mechanism to the distances of ``source``: a
     ``SymmetricMatrix``, which must be non-negative with an exactly zero
@@ -231,9 +224,9 @@ def perturb(source, spec: NoiseSpec, seed: int, keep=OUTPUTS) -> dict:
 
     The upper triangle is read and drawn strip by strip of
     ``matrixcore.upper_strips``, as one stream in the row-major order of
-    ``np.triu_indices(n, 1)``, and written straight into the output arrays,
-    which are then mirrored. Unless delta is kept, each strip of delta is
-    squared before it is written, so delta_sq is the one n x n output array.
+    ``np.triu_indices(n, 1)``. Each kept output is its own n x n array: every
+    strip writes its upper entries once, and ``mirror_upper`` then zeroes
+    its diagonal and copies them onto the lower triangle.
     """
     if isinstance(source, SymmetricMatrix):
         a = source.data
@@ -247,21 +240,14 @@ def perturb(source, spec: NoiseSpec, seed: int, keep=OUTPUTS) -> dict:
         strips = source.upper_distances()
     n = source.n
     rng = keyed_rng(seed, n)
-    square = not spec.squared_scale and "delta" not in keep
-    main = "delta_sq" if spec.squared_scale or square else "delta"
-    m = _hollow(n) if main in keep else None
-    E = _hollow(n) if "E" in keep else None
+    out = {k: np.empty((n, n)) for k in OUTPUTS
+           if k in keep and not (k == "delta" and spec.squared_scale)}
     for rows, mask, strip in strips:
         delta, e = _entries(spec, rng, strip[mask])
-        if m is not None:
-            m[rows, rows.start:][mask] = np.square(delta, out=delta) if square else delta
-        if E is not None:
-            E[rows, rows.start:][mask] = e + 0.0  # a drawn -0.0 becomes 0.0
-    out = dict.fromkeys(OUTPUTS)
-    if E is not None:
-        out["E"] = SymmetricMatrix._unchecked(mirror_upper(E))
-    if m is not None:
-        out[main] = SymmetricMatrix._unchecked(mirror_upper(m))
-        if main == "delta" and "delta_sq" in keep:
-            out["delta_sq"] = SymmetricMatrix._unchecked(m**2)
-    return out
+        for k, m in out.items():
+            m[rows, rows.start:][mask] = (
+                e + 0.0 if k == "E"  # a drawn -0.0 becomes 0.0
+                else delta * delta if k == "delta_sq" and not spec.squared_scale
+                else delta)
+    return {k: SymmetricMatrix._unchecked(mirror_upper(out[k])) if k in out else None
+            for k in OUTPUTS}

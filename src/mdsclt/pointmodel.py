@@ -69,7 +69,7 @@ class PointCloud:
 
     def distance_matrix(self) -> np.ndarray:
         """Hollow symmetric matrix of pairwise Euclidean distances: the strips
-        of ``upper_distances``, mirrored onto the lower triangle."""
+        of ``upper_distances``, completed by ``matrixcore.mirror_upper``."""
         a = np.empty((self.n, self.n))
         for rows, _, strip in self.upper_distances():
             a[rows, rows.start:] = strip

@@ -63,18 +63,17 @@ def minimize_stress(delta: SymmetricMatrix, d: int, init: str = "cmds", seed: in
 
     iu = np.triu_indices(n, 1)
     upper = delta.data[iu]
-    apart = (delta.data != 0) & ~np.eye(n, dtype=bool)  # distinct points, delta != 0
+    apart = delta.data != 0  # distinct points (the diagonal is 0), delta != 0
     coincident = False
     dist = PointCloud(x).distance_matrix()
     history = [_stress(dist, upper, iu)]
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(dist > 0, delta.data / np.where(dist > 0, dist, 1.0), 0.0)
+        # 0 where dist is 0, the diagonal among them (``mirror_upper`` zeroes it)
+        ratio = np.divide(delta.data, dist, out=np.zeros((n, n)), where=dist > 0)
         if np.any((dist == 0) & apart):
             coincident = True
-        np.fill_diagonal(ratio, 0.0)
         bmat = -ratio
         np.fill_diagonal(bmat, ratio.sum(axis=1))
         x_new = bmat @ x / n  # Guttman update for uniform weights

@@ -98,6 +98,17 @@ class TestPipelineRoundTrip:
         lab = np.loadtxt(labels, delimiter=",")
         assert np.bincount(lab.astype(int)).sum() == 10
 
+    def test_gen_points_from_distribution_file(self, tmp_path):
+        """A distribution JSON file gives the points of ``pointmodel.sample``."""
+        spec = {"gaussian": {"mean": [0.5, -1.0],
+                             "covariance": [[2.0, 0.3], [0.3, 1.0]]}}
+        dist, pts = tmp_path / "dist.json", tmp_path / "p.csv"
+        dist.write_text(json.dumps(spec))
+        assert dispatch(["gen-points", "--dist", str(dist), "--n", "40",
+                         "--seed", "3", "--out", str(pts)]) == 0
+        want = pointmodel.sample(pointmodel.DistributionSpec.from_json(spec), 40, 3)
+        assert np.array_equal(np.loadtxt(pts, delimiter=","), want.points)
+
 
 class TestPerturb:
     def test_model1_delta_request_fails(self, tmp_path, capsys):
@@ -154,6 +165,20 @@ class TestOneShotCommands:
                              str(x), "--sidecar", str(side)]) == 0
             seen.append((x.read_bytes(), side.read_bytes()))
         assert seen[0] == seen[1]
+
+    def test_rawstress_sidecar(self, tmp_path):
+        pts, dm = tmp_path / "p.csv", tmp_path / "d.csv"
+        x, side = tmp_path / "x.csv", tmp_path / "x.json"
+        dispatch(["gen-points", "--dist", "triangle345", "--n", "20",
+                  "--seed", "2", "--out", str(pts)])
+        dispatch(["distmat", "--in", str(pts), "--out", str(dm)])
+        assert dispatch(["rawstress", "--in", str(dm), "--d", "2", "--seed", "4",
+                         "--out", str(x), "--sidecar", str(side)]) == 0
+        assert np.loadtxt(x, delimiter=",").shape == (20, 2)
+        got = json.loads(side.read_text())
+        assert sorted(got) == ["coincident_points", "converged", "iterations",
+                               "seed", "stress"]
+        assert got["seed"] == 4 and got["converged"]
 
 
 class TestSelectDimAndPlots:
@@ -285,6 +310,22 @@ class TestMcRun:
         report = json.loads(out.read_text())
         assert [b["failed"] for b in report["per_n"]] == [0]
         assert not report["invalid"]
+
+    def test_rawstress_estimator(self, tmp_path):
+        """The raw-stress estimator runs every replicate, gives finite
+        per-class results, and writes the same bytes on 1 and 2 threads."""
+        cfg = write_config(tmp_path / "cfg.json", replicates=2, estimator="rawstress")
+        outs = [tmp_path / "r1.json", tmp_path / "r2.json"]
+        for out, threads in zip(outs, ("1", "2")):
+            assert dispatch(["mc-run", "--config", str(cfg), "--out", str(out),
+                             "--threads", threads]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        [block] = json.loads(outs[0].read_text())["per_n"]
+        assert block["failed"] == 0
+        assert len(block["per_class"]) == 3
+        for c in block["per_class"]:
+            for key in ("empirical_mean", "empirical_cov", "pooled_cov"):
+                assert np.all(np.isfinite(c[key]))
 
     def test_samples_dir(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", replicates=2)
@@ -451,6 +492,31 @@ class TestErrorHandling:
         assert dispatch(["embed", "--in", str(dsq), "--d", "3",
                          "--allow-deficient",
                          "--out", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.parametrize("exc", [ConvergenceError, np.linalg.LinAlgError])
+    def test_numerical_failure_exit_2(self, tmp_path, capsys, monkeypatch, exc):
+        """A numerical failure exits 2, also a LinAlgError, which is a
+        ValueError, and writes nothing."""
+        def fail(*args, **kwargs):
+            raise exc("no eigenpairs")
+
+        monkeypatch.setattr(cmds, "embed", fail)
+        dsq, out = tmp_path / "dsq.csv", tmp_path / "x.csv"
+        np.savetxt(dsq, np.ones((4, 4)) - np.eye(4), delimiter=",")
+        assert dispatch(["embed", "--in", str(dsq), "--d", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "numerical failure: no eigenpairs\n"
+        assert not out.exists()
+
+    def test_out_directory_exit_1_leaves_no_temp_file(self, tmp_path, capsys):
+        """An --out that cannot be replaced fails with exit 1, and the atomic
+        write removes its temporary file."""
+        out = tmp_path / "out"
+        out.mkdir()
+        assert dispatch(["gen-points", "--dist", "triangle345", "--n", "10",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("n", [50, 300])
     def test_zero_matrix_embed_exit_1(self, tmp_path, capsys, n):

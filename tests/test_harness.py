@@ -161,6 +161,18 @@ class TestRun:
             assert np.allclose(c.empirical_cov, c.empirical_cov.T)
             assert c.theoretical_cov is not None
 
+    def test_clt_check_runs_normality_per_class(self, triangle, uniform4):
+        """With the clt check, each class gets ``normality_check`` of its pooled
+        deviation rows; class 0 has 4 x 20 = 80 rows, under the 100 it needs,
+        and gets None."""
+        block = run(small_config(triangle, uniform4, replicates=4,
+                                 checks={"clt": True})).per_n[0]
+        assert [c.count for c in block["per_class"]] == [80, 120, 200]
+        assert block["per_class"][0].normality is None
+        for k, c in enumerate(block["per_class"][1:], start=1):
+            rows = block["deviations"][:, block["labels"] == k].reshape(-1, 2)
+            assert c.normality == normality_check(rows)
+
     def test_non_mixture_model2_runs_without_theory(self, uniform4):
         """The model-2 theory is for point-mass mixtures: a Gaussian cloud
         still runs, as one class with no theoretical covariance."""
