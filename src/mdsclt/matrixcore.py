@@ -18,7 +18,10 @@ whole-array expressions.
 
 ``centered`` hands ``top_eigs`` the double centering of a
 squared-dissimilarity matrix as an operator that centers implicitly and
-reads only the matrix's upper triangle; ``minus_gram`` subtracts a rank-p
+reads only the matrix's upper triangle, through the ``cblas_dsymv`` of
+scipy's bundled OpenBLAS, which releases the GIL, so threads apply their
+own operators side by side (scipy's f2py ``dsymv``, same bits, where that
+library is not loaded); ``minus_gram`` subtracts a rank-p
 Gram matrix X X^T from a matrix or such an operator, again without forming
 it. ``top_eigs`` and ``norms`` form an operator, in a copy, only where they
 solve densely (``_dense_solve``); above ``DENSE_EIG_CUTOFF``, for k < n - 1,
@@ -191,18 +194,31 @@ class _CenteredSquares(spla.LinearOperator):
     """B = -1/2 P A P of ``double_center`` for A = ``sq``, applied without
     forming it: x -> -1/2 P (A (P x)), with P a mean subtraction.
 
-    A x is BLAS ``dsymv`` on ``a.T``, the Fortran-order view of A's C-order
-    array, with ``lower=1``: it reads only the stored upper triangle of A,
-    and copies nothing.
+    A x is BLAS ``dsymv`` reading only the stored upper triangle of A's
+    C-order array, made contiguous once here; each product returns a new
+    array. It is the ``cblas_dsymv`` of scipy's bundled OpenBLAS, called
+    through ctypes, which releases the GIL, so replicate workers apply their
+    operators side by side. Where that library is not loaded it is scipy's
+    f2py ``dsymv`` on ``a.T`` with ``lower=1``: the same kernel and bits,
+    but it holds the GIL.
     """
 
     def __init__(self, sq: SymmetricMatrix):
         super().__init__(np.float64, sq.data.shape)
         self.sq = sq
+        self._a = np.ascontiguousarray(sq.data)
+        self._address = self._a.ctypes.data
 
     def _matvec(self, x):
         x = x.reshape(-1)
-        y = dsymv(-0.5, self.sq.data.T, x - x.mean(), lower=1)
+        x = np.subtract(x, x.mean(), dtype=float)
+        if _DSYMV is None:
+            y = dsymv(-0.5, self._a.T, x, lower=1)
+        else:
+            n = x.shape[0]
+            y = np.zeros(n)
+            _DSYMV(_ROW_MAJOR, _UPPER, n, -0.5, self._address, n,
+                   x.ctypes.data, 1, 0.0, y.ctypes.data, 1)
         y -= y.mean()
         return y
 
@@ -349,13 +365,14 @@ def _spectral_pair(values: np.ndarray, vectors: np.ndarray) -> SpectralPair:
     return SpectralPair(values=values, vectors=vectors, degenerate=degenerate)
 
 
-def _openblas_thread_controls() -> list:
+def _openblas() -> tuple:
     """(get, set) thread-count functions of every OpenBLAS that numpy and scipy
     have loaded from their wheels' bundled libraries (``numpy.libs``,
-    ``scipy.libs``); empty when there is none."""
-    controls = []
+    ``scipy.libs``), empty when there is none; and the ``cblas_dsymv`` of
+    scipy's, the library under ``scipy.linalg.blas``, or None."""
+    controls, product = [], None
     if not hasattr(os, "RTLD_NOLOAD"):  # no dlopen, as on Windows
-        return controls
+        return controls, product
     for pkg in (np, scipy):
         libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)),
                             f"{pkg.__name__}.libs")
@@ -372,12 +389,19 @@ def _openblas_thread_controls() -> list:
                     put.argtypes, put.restype = [ctypes.c_int], None
                     controls.append((get, put))
                     break
-    return controls
+            if pkg is scipy:  # 32-bit integers, as scipy.linalg.blas passes them
+                product = getattr(lib, "scipy_cblas_dsymv", product)
+    if product is not None:
+        i, f, p = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
+        product.argtypes, product.restype = [i, i, i, f, p, i, p, i, f, p, i], None
+    return controls, product
 
 
 # The libraries are loaded by the imports above and stay loaded, so one
 # lookup serves the process.
-_OPENBLAS = _openblas_thread_controls()
+_OPENBLAS, _DSYMV = _openblas()
+# CBLAS enum values of cblas_dsymv's layout and triangle arguments.
+_ROW_MAJOR, _UPPER = 101, 121
 
 
 class _OneBlasThread:

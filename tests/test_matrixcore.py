@@ -1,10 +1,16 @@
+import glob
+import os
+import threading
+
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg.blas import dsymv
 
 from mdsclt import clt, matrixcore, pointmodel
 from mdsclt.matrixcore import (DENSE_EIG_CUTOFF, SymmetricMatrix, _fix_signs,
@@ -467,6 +473,103 @@ class TestCentered:
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.vectors, want.vectors)
 
+
+
+def f2py_centered_product(a, x):
+    """Oracle: -1/2 P A P x through scipy's f2py ``dsymv`` on ``a.T``."""
+    y = dsymv(-0.5, np.asarray(a).T, x - x.mean(), lower=1)
+    return y - y.mean()
+
+
+class TestCenteredProduct:
+    """The operator's product is BLAS ``dsymv`` on the upper triangle; where
+    scipy's bundled OpenBLAS is loaded it is that library's ``cblas_dsymv``
+    through ctypes, which releases the GIL."""
+
+    @pytest.mark.parametrize("n", [257, 300, 1000])
+    def test_matches_f2py_dsymv_bit_for_bit(self, n):
+        dsq = replicate_delta_sq(n)
+        x = np.random.default_rng(n).standard_normal(n)
+        with matrixcore.one_blas_thread:
+            assert np.array_equal(centered(dsq).matvec(x),
+                                  f2py_centered_product(dsq.data, x))
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_array_bit_for_bit(self, layout):
+        dsq = replicate_delta_sq(300)
+        if layout == "fortran":
+            a = np.asfortranarray(dsq.data)
+        else:
+            a = np.zeros((300, 600))[:, ::2]
+            a[...] = dsq.data
+        assert not a.flags.c_contiguous
+        x = np.random.default_rng(1).standard_normal(300)
+        with matrixcore.one_blas_thread:
+            assert np.array_equal(centered(SymmetricMatrix._unchecked(a)).matvec(x),
+                                  f2py_centered_product(dsq.data, x))
+
+    def test_each_product_is_a_new_array(self):
+        """Successive products do not share an output buffer, so the
+        column-by-column matmat of ``LinearOperator`` keeps every column."""
+        dsq = replicate_delta_sq(300)
+        op = centered(dsq)
+        v = np.random.default_rng(2).standard_normal((300, 3))
+        first, second = op.matvec(v[:, 0]), op.matvec(v[:, 1])
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, op.matvec(v[:, 0]))
+        columns = np.column_stack([op.matvec(v[:, j]) for j in range(3)])
+        assert np.array_equal(op @ v, columns)
+
+    @pytest.mark.skipif(not glob.glob(os.path.join(
+        os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs",
+        "libscipy_openblas*")), reason="scipy has no bundled OpenBLAS")
+    def test_bundled_openblas_product_is_in_use(self, monkeypatch):
+        """With scipy's bundled OpenBLAS, the product never reaches f2py."""
+        assert matrixcore._DSYMV is not None
+
+        def f2py_dsymv(*args, **kwargs):
+            raise AssertionError("f2py dsymv called")
+
+        monkeypatch.setattr(matrixcore, "dsymv", f2py_dsymv)
+        x = np.random.default_rng(3).standard_normal(300)
+        assert np.isfinite(centered(replicate_delta_sq(300)).matvec(x)).all()
+
+    def test_f2py_fallback_bit_for_bit(self, monkeypatch):
+        """Without the ctypes product the operator keeps the f2py one."""
+        dsq = replicate_delta_sq(300)
+        x = np.random.default_rng(4).standard_normal(300)
+        with matrixcore.one_blas_thread:
+            want = centered(dsq).matvec(x)
+            monkeypatch.setattr(matrixcore, "_DSYMV", None)
+            assert np.array_equal(centered(dsq).matvec(x), want)
+
+    def test_concurrent_solves_match_serial(self, blas_count):
+        """Two threads solving their own replicate operators at once each get
+        their serial eigenpairs bit for bit, and the caller's BLAS count is
+        restored once both are out."""
+        ops = [centered(replicate_delta_sq(n)) for n in (300, 1000)]
+        blas_count(2)
+        want = [top_eigs(op, 2) for op in ops]
+        got = [[], []]
+        start = threading.Barrier(2)
+
+        def solve(i):
+            start.wait()
+            for _ in range(3):
+                got[i].append(top_eigs(ops[i], 2))
+
+        workers = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in workers)
+        for pairs, serial in zip(got, want):
+            assert len(pairs) == 3
+            for pair in pairs:
+                assert np.array_equal(pair.values, serial.values)
+                assert np.array_equal(pair.vectors, serial.vectors)
+        assert blas_count() == [2] * len(blas_count())
 
 class TestMinusGram:
     @pytest.mark.parametrize("n", [100, 300])
