@@ -18,10 +18,10 @@ whole-array expressions.
 
 ``centered`` hands ``top_eigs`` the double centering of a
 squared-dissimilarity matrix as an operator that centers implicitly and
-reads only the matrix's upper triangle, through the ``cblas_dsymv`` of
-scipy's bundled OpenBLAS, which releases the GIL, so threads apply their
-own operators side by side (scipy's f2py ``dsymv``, same bits, where that
-library is not loaded); ``minus_gram`` subtracts a rank-p
+reads only the matrix's upper triangle, through the BLAS ``dsymv`` that
+``scipy.linalg.cython_blas`` exports, called through ctypes, which releases
+the GIL, so threads apply their own operators side by side on whatever BLAS
+scipy links; ``minus_gram`` subtracts a rank-p
 Gram matrix X X^T from a matrix or such an operator, again without forming
 it. ``top_eigs`` and ``norms`` form an operator, in a copy, only where they
 solve densely (``_dense_solve``); above ``DENSE_EIG_CUTOFF``, for k < n - 1,
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 import scipy.linalg
+import scipy.linalg.cython_blas
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import dsymv
 
 # Dense solve for the k top eigenpairs up to this size; iterative solver above.
 DENSE_EIG_CUTOFF = 256
@@ -194,13 +194,11 @@ class _CenteredSquares(spla.LinearOperator):
     """B = -1/2 P A P of ``double_center`` for A = ``sq``, applied without
     forming it: x -> -1/2 P (A (P x)), with P a mean subtraction.
 
-    A x is BLAS ``dsymv`` reading only the stored upper triangle of A's
-    C-order array, made contiguous once here; each product returns a new
-    array. It is the ``cblas_dsymv`` of scipy's bundled OpenBLAS, called
-    through ctypes, which releases the GIL, so replicate workers apply their
-    operators side by side. Where that library is not loaded it is scipy's
-    f2py ``dsymv`` on ``a.T`` with ``lower=1``: the same kernel and bits,
-    but it holds the GIL.
+    A x is BLAS ``dsymv`` (``_SYMV``) reading only the stored upper triangle
+    of A's C-order array, made contiguous once here: the lower triangle of
+    its column-major view, a^T. Each product returns a new array. ctypes
+    releases the GIL for the call, so replicate workers apply their
+    operators side by side.
     """
 
     def __init__(self, sq: SymmetricMatrix):
@@ -208,17 +206,14 @@ class _CenteredSquares(spla.LinearOperator):
         self.sq = sq
         self._a = np.ascontiguousarray(sq.data)
         self._address = self._a.ctypes.data
+        self._n = ctypes.byref(ctypes.c_int(self._a.shape[0]))
 
     def _matvec(self, x):
         x = x.reshape(-1)
         x = np.subtract(x, x.mean(), dtype=float)
-        if _DSYMV is None:
-            y = dsymv(-0.5, self._a.T, x, lower=1)
-        else:
-            n = x.shape[0]
-            y = np.zeros(n)
-            _DSYMV(_ROW_MAJOR, _UPPER, n, -0.5, self._address, n,
-                   x.ctypes.data, 1, 0.0, y.ctypes.data, 1)
+        y = np.zeros(x.shape[0])
+        _SYMV(b"L", self._n, _MINUS_HALF, self._address, self._n,
+              x.ctypes.data, _ONE, _ZERO, y.ctypes.data, _ONE)
         y -= y.mean()
         return y
 
@@ -274,7 +269,9 @@ def _lanczos(a, k: int, which: str, vectors: bool = True):
 
     The start vector and the generator of ARPACK's restart vectors are
     fixed by n, so neither the output nor the matvec count depends on earlier
-    calls or on the calling thread; the iteration cap is 10n. Its callers,
+    calls or on the calling thread; the iteration cap is 10n. The products
+    with ``centered``'s operator release the GIL, so solves on other threads
+    run beside them. Its callers,
     ``top_eigs`` and ``norms``, run it inside ``one_blas_thread``, since the
     bits of ``dsymv`` and of ARPACK's own BLAS calls depend on the BLAS
     thread count. ARPACK cannot start on an all-zero matrix, which gets the
@@ -365,14 +362,13 @@ def _spectral_pair(values: np.ndarray, vectors: np.ndarray) -> SpectralPair:
     return SpectralPair(values=values, vectors=vectors, degenerate=degenerate)
 
 
-def _openblas() -> tuple:
+def _openblas_thread_controls() -> list:
     """(get, set) thread-count functions of every OpenBLAS that numpy and scipy
     have loaded from their wheels' bundled libraries (``numpy.libs``,
-    ``scipy.libs``), empty when there is none; and the ``cblas_dsymv`` of
-    scipy's, the library under ``scipy.linalg.blas``, or None."""
-    controls, product = [], None
+    ``scipy.libs``); empty when there is none."""
+    controls = []
     if not hasattr(os, "RTLD_NOLOAD"):  # no dlopen, as on Windows
-        return controls, product
+        return controls
     for pkg in (np, scipy):
         libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)),
                             f"{pkg.__name__}.libs")
@@ -389,19 +385,32 @@ def _openblas() -> tuple:
                     put.argtypes, put.restype = [ctypes.c_int], None
                     controls.append((get, put))
                     break
-            if pkg is scipy:  # 32-bit integers, as scipy.linalg.blas passes them
-                product = getattr(lib, "scipy_cblas_dsymv", product)
-    if product is not None:
-        i, f, p = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
-        product.argtypes, product.restype = [i, i, i, f, p, i, p, i, f, p, i], None
-    return controls, product
+    return controls
+
+
+def _cython_blas(name: str, prototype):
+    """The routine that ``scipy.linalg.cython_blas`` exports as ``name``, as a
+    ctypes function of ``prototype``. The capsule's name, its C signature,
+    names a versioned Cython typedef, so it is read, not written here."""
+    capsule = scipy.linalg.cython_blas.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return prototype(get_pointer(capsule, get_name(capsule)))
 
 
 # The libraries are loaded by the imports above and stay loaded, so one
 # lookup serves the process.
-_OPENBLAS, _DSYMV = _openblas()
-# CBLAS enum values of cblas_dsymv's layout and triangle arguments.
-_ROW_MAJOR, _UPPER = 101, 121
+_OPENBLAS = _openblas_thread_controls()
+# Fortran dsymv(uplo, n, alpha, a, lda, x, incx, beta, y, incy): every
+# argument by address. A CFUNCTYPE call releases the GIL.
+_SYMV = _cython_blas("dsymv", ctypes.CFUNCTYPE(None, ctypes.c_char_p,
+                                                *[ctypes.c_void_p] * 9))
+_MINUS_HALF = ctypes.byref(ctypes.c_double(-0.5))
+_ZERO = ctypes.byref(ctypes.c_double(0.0))
+_ONE = ctypes.byref(ctypes.c_int(1))
 
 
 class _OneBlasThread:

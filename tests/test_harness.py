@@ -461,8 +461,8 @@ def test_one_blas_thread_guard_under_contention(monkeypatch):
 
 def test_blas_threads_without_openblas_is_a_no_op(monkeypatch):
     monkeypatch.setattr(matrixcore.glob, "glob", lambda pattern: [])
-    controls, product = matrixcore._openblas()
-    assert (controls, product) == ([], None)
+    controls = matrixcore._openblas_thread_controls()
+    assert controls == []
     monkeypatch.setattr(matrixcore, "_OPENBLAS", controls)
     with pytest.raises(KeyError):
         with matrixcore.one_blas_thread:

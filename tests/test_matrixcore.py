@@ -1,5 +1,4 @@
-import glob
-import os
+import ctypes
 import threading
 
 import numpy as np
@@ -482,9 +481,9 @@ def f2py_centered_product(a, x):
 
 
 class TestCenteredProduct:
-    """The operator's product is BLAS ``dsymv`` on the upper triangle; where
-    scipy's bundled OpenBLAS is loaded it is that library's ``cblas_dsymv``
-    through ctypes, which releases the GIL."""
+    """The operator's product is the BLAS ``dsymv`` that scipy's
+    ``cython_blas`` exports, on the upper triangle, called through ctypes,
+    which releases the GIL."""
 
     @pytest.mark.parametrize("n", [257, 300, 1000])
     def test_matches_f2py_dsymv_bit_for_bit(self, n):
@@ -520,28 +519,11 @@ class TestCenteredProduct:
         columns = np.column_stack([op.matvec(v[:, j]) for j in range(3)])
         assert np.array_equal(op @ v, columns)
 
-    @pytest.mark.skipif(not glob.glob(os.path.join(
-        os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs",
-        "libscipy_openblas*")), reason="scipy has no bundled OpenBLAS")
-    def test_bundled_openblas_product_is_in_use(self, monkeypatch):
-        """With scipy's bundled OpenBLAS, the product never reaches f2py."""
-        assert matrixcore._DSYMV is not None
-
-        def f2py_dsymv(*args, **kwargs):
-            raise AssertionError("f2py dsymv called")
-
-        monkeypatch.setattr(matrixcore, "dsymv", f2py_dsymv)
-        x = np.random.default_rng(3).standard_normal(300)
-        assert np.isfinite(centered(replicate_delta_sq(300)).matvec(x)).all()
-
-    def test_f2py_fallback_bit_for_bit(self, monkeypatch):
-        """Without the ctypes product the operator keeps the f2py one."""
-        dsq = replicate_delta_sq(300)
-        x = np.random.default_rng(4).standard_normal(300)
-        with matrixcore.one_blas_thread:
-            want = centered(dsq).matvec(x)
-            monkeypatch.setattr(matrixcore, "_DSYMV", None)
-            assert np.array_equal(centered(dsq).matvec(x), want)
+    def test_product_releases_the_gil(self):
+        """The product is a ctypes foreign function without the Python-API
+        flag, so ctypes drops the GIL around the call."""
+        assert isinstance(matrixcore._SYMV, ctypes._CFuncPtr)
+        assert not type(matrixcore._SYMV)._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
     def test_concurrent_solves_match_serial(self, blas_count):
         """Two threads solving their own replicate operators at once each get
