@@ -106,7 +106,6 @@ class ClassSummary:
     empirical_mean: np.ndarray        # mean aligned position of the class
     empirical_cov: np.ndarray         # per-replicate covariances averaged
     pooled_cov: np.ndarray            # covariance of rows pooled over replicates
-    designated_cov: Optional[np.ndarray]
     cov_entry_variances: np.ndarray   # across-replicate variance of cov entries
     theoretical_cov: Optional[np.ndarray]
     normality: Optional[dict]
@@ -216,8 +215,6 @@ def run(cfg: ExperimentConfig) -> McReport:
                              if len(x) > 1])
             mean_cov = covs.mean(axis=0) if len(covs) else np.full((cfg.d,) * 2, np.nan)
             cov_var = covs.var(axis=0, ddof=1) if len(covs) > 1 else np.zeros((cfg.d,) * 2)
-            designated = rows[:, 0]
-            des_cov = np.cov(designated, rowvar=False, ddof=1) if len(designated) > 1 else None
             sigma = None if theory is None else theory[k]
             normality = None
             if want_normality:
@@ -233,7 +230,7 @@ def run(cfg: ExperimentConfig) -> McReport:
                                         for r in ok], axis=0),
                 empirical_cov=mean_cov,
                 pooled_cov=np.cov(pooled, rowvar=False, ddof=1),
-                designated_cov=des_cov, cov_entry_variances=cov_var,
+                cov_entry_variances=cov_var,
                 theoretical_cov=sigma, normality=normality,
                 count=len(pooled)))
     return McReport(config=cfg.to_json(), per_n=per_n,
