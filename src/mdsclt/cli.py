@@ -21,6 +21,9 @@ from .matrixcore import (ConvergenceError, centered, one_blas_thread,
                          read_matrix_csv, top_eigs)
 
 SCREE_EXTRA = 4  # eigenvalues beyond d that the embed sidecar reports
+# Adjacent scree values closer than this, relative to the largest |value|,
+# mark the embed sidecar's scree degenerate.
+DEGENERATE_GAP_RTOL = 1e-10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,11 +186,13 @@ def _cmd_embed(args) -> int:
     if args.sidecar:
         # the embedding solves for d pairs only; the scree needs its own solve
         k = min(args.d + SCREE_EXTRA, m.n)
-        scree = top_eigs(centered(m), k)
+        scree = top_eigs(centered(m), k).values
+        scale = float(np.abs(scree).max(initial=0.0))
+        tie = bool(np.any(-np.diff(scree) < DEGENERATE_GAP_RTOL * max(scale, 1e-300)))
         _write_json(args.sidecar, {
             "eigenvalues": emb.pair.values.tolist(),
-            "all_top_eigenvalues": scree.values.tolist(),
-            "flags": {"deficient": emb.pair.deficient, "degenerate": scree.degenerate}})
+            "all_top_eigenvalues": scree.tolist(),
+            "flags": {"deficient": emb.pair.deficient, "degenerate": tie}})
     return 0
 
 

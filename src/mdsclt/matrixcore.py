@@ -47,7 +47,6 @@ import scipy.sparse.linalg as spla
 DENSE_EIG_CUTOFF = 256
 # Largest n a simulation (experiment config or diagnostics grid) may request.
 MAX_SUPPORTED_N = 10000
-DEGENERATE_GAP_RTOL = 1e-10
 # Relative residual at which an eigenvalue-only Lanczos solve stops (``_lanczos``).
 _VALUE_TOL = float(np.sqrt(np.finfo(float).eps))
 # Side of the square blocks in which ``mirror_upper`` copies the upper triangle.
@@ -110,13 +109,11 @@ class SpectralPair:
     """Top-k eigenvalues (descending) with orthonormal eigenvectors.
 
     Sign convention: in each eigenvector the entry of largest absolute value
-    is non-negative. ``degenerate`` flags a near-tie among adjacent returned
-    eigenvalues, which the ``embed`` sidecar reports.
+    is non-negative.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    degenerate: bool = False
 
     @property
     def floor(self) -> float:
@@ -341,9 +338,9 @@ def top_eigs(m, k: int) -> SpectralPair:
 
 def gram_top_eigs(x, k: int) -> SpectralPair:
     """Return the k top eigenpairs of X X^T for an n x p array X, from the
-    thin SVD X = U S V^T: values s^2, vectors U, with the signs and the
-    ``degenerate`` flag of ``top_eigs``. Forms no n x n array; the SVD runs
-    inside ``one_blas_thread``."""
+    thin SVD X = U S V^T: values s^2, vectors U, with the signs of
+    ``top_eigs``. Forms no n x n array; the SVD runs inside
+    ``one_blas_thread``."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or not 1 <= k <= min(x.shape):
         raise ValueError(f"k={k} out of range for a factor of shape {x.shape}")
@@ -353,13 +350,10 @@ def gram_top_eigs(x, k: int) -> SpectralPair:
 
 
 def _spectral_pair(values: np.ndarray, vectors: np.ndarray) -> SpectralPair:
-    """The pair of descending ``values`` and their eigenvectors, signs fixed
-    and near-ties flagged."""
-    vectors = _fix_signs(np.ascontiguousarray(vectors))
-    scale = float(np.abs(values).max(initial=0.0))
-    gaps = -np.diff(values)
-    degenerate = bool(np.any(gaps < DEGENERATE_GAP_RTOL * max(scale, 1e-300)))
-    return SpectralPair(values=values, vectors=vectors, degenerate=degenerate)
+    """The pair of descending ``values`` and their eigenvectors, signs
+    fixed."""
+    return SpectralPair(values=values,
+                        vectors=_fix_signs(np.ascontiguousarray(vectors)))
 
 
 def _openblas_thread_controls() -> list:
