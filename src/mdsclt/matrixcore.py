@@ -333,7 +333,7 @@ def top_eigs(m, k: int) -> SpectralPair:
     with one_blas_thread:
         w, v = _dense_top(_formed(a), k) if _dense_solve(n, k) else _lanczos(a, k, "LA")
     order = np.argsort(w)[::-1][:k]
-    return _spectral_pair(w[order], v[:, order])
+    return SpectralPair(w[order], _fix_signs(np.ascontiguousarray(v[:, order])))
 
 
 def gram_top_eigs(x, k: int) -> SpectralPair:
@@ -346,14 +346,7 @@ def gram_top_eigs(x, k: int) -> SpectralPair:
         raise ValueError(f"k={k} out of range for a factor of shape {x.shape}")
     with one_blas_thread:
         u, s, _ = np.linalg.svd(x, full_matrices=False)
-    return _spectral_pair(s[:k] ** 2, u[:, :k])
-
-
-def _spectral_pair(values: np.ndarray, vectors: np.ndarray) -> SpectralPair:
-    """The pair of descending ``values`` and their eigenvectors, signs
-    fixed."""
-    return SpectralPair(values=values,
-                        vectors=_fix_signs(np.ascontiguousarray(vectors)))
+    return SpectralPair(s[:k] ** 2, _fix_signs(np.ascontiguousarray(u[:, :k])))
 
 
 def _openblas_thread_controls() -> list:
@@ -382,26 +375,23 @@ def _openblas_thread_controls() -> list:
     return controls
 
 
-def _cython_blas(name: str, prototype):
-    """The routine that ``scipy.linalg.cython_blas`` exports as ``name``, as a
-    ctypes function of ``prototype``. The capsule's name, its C signature,
-    names a versioned Cython typedef, so it is read, not written here."""
-    capsule = scipy.linalg.cython_blas.__pyx_capi__[name]
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))
-    return prototype(get_pointer(capsule, get_name(capsule)))
+def _cython_dsymv():
+    """Fortran dsymv(uplo, n, alpha, a, lda, x, incx, beta, y, incy), every
+    argument by address, as ``scipy.linalg.cython_blas`` exports it, called
+    through a CFUNCTYPE, which releases the GIL. The capsule's name, a C
+    signature naming a versioned Cython typedef, is read, not written here."""
+    capsule = scipy.linalg.cython_blas.__pyx_capi__["dsymv"]
+    obj, text, p, api = ctypes.py_object, ctypes.c_char_p, ctypes.c_void_p, ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(text, obj)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(p, obj, text)(("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, text, *[p] * 9)(get_pointer(capsule, get_name(capsule)))
 
 
 # The libraries are loaded by the imports above and stay loaded, so one
 # lookup serves the process.
 _OPENBLAS = _openblas_thread_controls()
-# Fortran dsymv(uplo, n, alpha, a, lda, x, incx, beta, y, incy): every
-# argument by address. A CFUNCTYPE call releases the GIL.
-_SYMV = _cython_blas("dsymv", ctypes.CFUNCTYPE(None, ctypes.c_char_p,
-                                                *[ctypes.c_void_p] * 9))
+_SYMV = _cython_dsymv()
+# dsymv's scalar arguments, by address: alpha, beta and the increments.
 _MINUS_HALF = ctypes.byref(ctypes.c_double(-0.5))
 _ZERO = ctypes.byref(ctypes.c_double(0.0))
 _ONE = ctypes.byref(ctypes.c_int(1))
