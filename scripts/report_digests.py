@@ -29,7 +29,11 @@ whose sidecar scree comes from its own eigensolve; ``select-dim`` of the same
 matrix with ``--max-d`` 4 (iterative) and 299 (the dense solve above the
 cutoff); and ``perturb`` of the distance matrix of a Gaussian cloud at n=300
 (two row strips, with no block of coincident points, which a mixture sorted
-by class has in its last strip) with all three outputs.
+by class has in its last strip) with all three outputs; ``rawstress
+--sidecar`` of the n=80 model-2 dissimilarities; and ``plot`` of each kind:
+``ellipses`` of the model-2 n=300 ``mc-run`` report, ``scree`` of the
+``select-dim`` report with ``--max-d`` 4, ``bound-ratios`` of the Uniform(-4,
+4) ``diagnose`` report and ``bias-trend`` of a fixed bias table.
 """
 
 import hashlib
@@ -57,6 +61,10 @@ GAUSSIAN = {"gaussian": {"mean": [0.5, -1.0],
 UNIFORM_BOX = {"uniform_box": {"lo": [-1.0, 0.0], "hi": [2.0, 1.0]}}
 GAUSSIAN_OFFSET = {"gaussian": {"mean": [1e6, 1e6],
                                 "covariance": [[2.0, 0.3], [0.3, 1.0]]}}
+# A bias table as scripts/run_bias.py writes it, for the bias-trend plot.
+BIAS_TABLE = {"n": [50, 100, 500], "bias": [[0.31, 0.12, 0.05],
+                                         [0.22, 0.09, 0.04],
+                                         [0.18, 0.07, 0.02]]}
 # B_hat = B up to roundoff: the spectral norm of a roundoff-sized difference,
 # on both sides of the dense-eigensolver cutoff.
 ZERO_NOISE = {"model": "model2", "law": {"uniform": {"a": 0.0}}}
@@ -193,6 +201,21 @@ def cases(tmp) -> list:
                              "--out-delta-sq", path(name, "delta_sq"),
                              "--out-delta", path(name, "delta"),
                              "--out-e", path(name, "e")], ["delta_sq", "delta", "e"])
+
+    name = "rawstress_model2"
+    lines += run(tmp, name, ["rawstress", "--in", path("perturb_model2", "delta"),
+                             "--d", "2", "--out", path(name, "config"),
+                             "--sidecar", path(name, "sidecar")], ["config", "sidecar"])
+
+    bias = write_json(path("bias", "report"), BIAS_TABLE)
+    for kind, report, extra in (
+            ("ellipses", path("mc-run_model2_n300", "report"), ["--n", "300"]),
+            ("scree", path("select-dim_n300", "report"), []),
+            ("bound-ratios", path("diagnose", "report"), []),
+            ("bias-trend", bias, [])):
+        name = f"plot_{kind}"
+        lines += run(tmp, name, ["plot", "--report", report, "--kind", kind, *extra,
+                                 "--out", path(name, "svg")], ["svg"])
     return lines
 
 
