@@ -209,12 +209,20 @@ class TestSelectDimAndPlots:
         assert text.count('class="scree-bar"') == 4
         assert 'class="threshold"' in text
 
-    def test_plot_missing_section_exits_1(self, tmp_path):
+    def test_plot_missing_section_exits_1(self, tmp_path, capsys):
         report = tmp_path / "r.json"
         report.write_text(json.dumps({"per_n": []}))
-        for kind in ("ellipses", "scree", "bias-trend", "bound-ratios"):
+        reasons = {
+            "ellipses": "report has no per-class results for the requested n "
+                        "(run mc-run with the clt check enabled)",
+            "scree": "report has no 'eigenvalues' section (use select-dim --out)",
+            "bias-trend": "report has no 'bias' section (run scripts/run_bias.py)",
+            "bound-ratios": "report has no 'ratios' section (run diagnose first)"}
+        for kind, reason in reasons.items():
             assert dispatch(["plot", "--report", str(report), "--kind", kind,
                              "--out", str(tmp_path / "o.svg")]) == 1
+            assert capsys.readouterr().err == f"error: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
 
     def test_plot_deterministic_bytes(self, tmp_path):
         sel = tmp_path / "sel.json"
