@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-points, distmat, perturb, embed, select-dim, rawstress,
-theory-cov, mc-run, diagnose, plot. Exit codes: 0 success, 1 validation
-error, 2 numerical failure. Outputs are written atomically. Every command
-runs on one BLAS thread, so its output bits do not depend on the BLAS default.
+theory-cov, mc-run, diagnose, plot. Commands raise; ``dispatch`` alone prints
+the message and returns the exit code: 0 success, 1 validation error, 2
+numerical failure. Outputs are written atomically. Every command runs on one
+BLAS thread, so its output bits do not depend on the BLAS default.
 """
 
 from __future__ import annotations
@@ -66,6 +67,12 @@ def _read_json(path: str):
 
 def _load_config(path: str, **overrides) -> harness.ExperimentConfig:
     return harness.ExperimentConfig.from_json(_read_json(path), **overrides)
+
+
+def print_failures(failures) -> None:
+    """One stderr line per failed replicate, from (n, replicate, reason)."""
+    for n, r, reason in failures:
+        print(f"n={n} replicate {r} failed: {reason}", file=sys.stderr)
 
 
 def _default_threads(value):
@@ -141,31 +148,27 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("plot", help="render a report section as SVG")
     g.add_argument("--report", required=True)
-    g.add_argument("--kind", required=True,
-                   choices=["ellipses", "scree", "bias-trend", "bound-ratios"])
+    g.add_argument("--kind", required=True, choices=list(_PLOTS))
     g.add_argument("--n", type=int)
     g.add_argument("--out", required=True)
     return p
 
 
-def _cmd_gen_points(args) -> int:
+def _cmd_gen_points(args) -> None:
     spec = (pointmodel.triangle_345() if args.dist == "triangle345" else
             pointmodel.DistributionSpec.from_json(_read_json(args.dist)))
     cloud = pointmodel.sample(spec, args.n, args.seed)
     _write_csv(args.out, cloud.points)
     if args.labels_out and cloud.labels is not None:
         _write_csv(args.labels_out, cloud.labels[:, None])
-    return 0
 
 
-def _cmd_distmat(args) -> int:
+def _cmd_distmat(args) -> None:
     pts = np.loadtxt(args.inp, delimiter=",", ndmin=2)
-    cloud = pointmodel.PointCloud(points=pts)
-    _write_csv(args.out, cloud.distance_matrix())
-    return 0
+    _write_csv(args.out, pointmodel.PointCloud(points=pts).distance_matrix())
 
 
-def _cmd_perturb(args) -> int:
+def _cmd_perturb(args) -> None:
     spec = noisemod.NoiseSpec.from_json(_read_json(args.noise))
     if args.out_delta and spec.squared_scale:
         raise ValueError("model 1 produces squared dissimilarities only: "
@@ -176,10 +179,9 @@ def _cmd_perturb(args) -> int:
     for key, path in paths.items():
         if path:
             _write_csv(path, out[key].data)
-    return 0
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> None:
     m = read_matrix_csv(args.inp)
     emb = cmds.embed(m, args.d, allow_deficient=args.allow_deficient)
     _write_csv(args.out, emb.config)
@@ -193,10 +195,9 @@ def _cmd_embed(args) -> int:
             "eigenvalues": emb.pair.values.tolist(),
             "all_top_eigenvalues": scree.tolist(),
             "flags": {"deficient": emb.pair.deficient, "degenerate": tie}})
-    return 0
 
 
-def _cmd_select_dim(args) -> int:
+def _cmd_select_dim(args) -> None:
     m = read_matrix_csv(args.inp)
     res = cmds.select_dim(m, args.max_d)
     obj = {"d_hat": res["d_hat"], "threshold": res["threshold"],
@@ -205,10 +206,9 @@ def _cmd_select_dim(args) -> int:
         _write_json(args.out, obj)
     else:
         sys.stdout.write(_json_text(obj))
-    return 0
 
 
-def _cmd_rawstress(args) -> int:
+def _cmd_rawstress(args) -> None:
     m = read_matrix_csv(args.inp)
     state = rawstress.minimize_stress(m, args.d, init=args.init, seed=args.seed,
                                       max_iter=args.max_iter, tol=args.tol)
@@ -218,10 +218,9 @@ def _cmd_rawstress(args) -> int:
             "stress": state.stress, "iterations": state.iteration,
             "converged": state.converged, "seed": args.seed,
             "coincident_points": state.coincident_points})
-    return 0
 
 
-def _cmd_theory_cov(args) -> int:
+def _cmd_theory_cov(args) -> None:
     cfg = _load_config(args.config)
     sigmas = clt.theory_cov(cfg.distribution, cfg.noise)
     dist = cfg.distribution
@@ -229,7 +228,6 @@ def _cmd_theory_cov(args) -> int:
     _write_json(args.out, {
         "model": cfg.noise.variant, "center_scale": cfg.noise.center_scale,
         "per_class": [{"z": z, "sigma": s.tolist()} for z, s in zip(zs, sigmas)]})
-    return 0
 
 
 def _sample_rows(block) -> np.ndarray:
@@ -244,12 +242,11 @@ def _sample_rows(block) -> np.ndarray:
                             dev.reshape(-1, dev.shape[2])])
 
 
-def _cmd_mc_run(args) -> int:
+def _cmd_mc_run(args) -> None:
     cfg = _load_config(args.config, threads=_default_threads(args.threads))
     report = harness.run(cfg)
     for block in report.per_n:
-        for r, reason in block["errors"]:
-            print(f"n={block['n']} replicate {r} failed: {reason}", file=sys.stderr)
+        print_failures((block["n"], r, reason) for r, reason in block["errors"])
         check = block.get("diagnostics", {}).get("decomposition", {})
         if "error" in check:
             print(f"n={block['n']} decomposition check failed: {check['error']}",
@@ -261,10 +258,9 @@ def _cmd_mc_run(args) -> int:
         for block in report.per_n:
             _write_csv(os.path.join(args.samples_dir, f"samples_n{block['n']}.csv"),
                        _sample_rows(block), header)
-    return 0
 
 
-def _cmd_diagnose(args) -> int:
+def _cmd_diagnose(args) -> None:
     overrides = {"threads": _default_threads(args.threads)}
     if args.n_grid is not None:
         try:
@@ -277,28 +273,22 @@ def _cmd_diagnose(args) -> int:
     cfg = _load_config(args.config, **overrides)
     table = clt.bound_checks(cfg)
     errors = table.pop("errors")
-    for n, r, reason in errors:
-        print(f"n={n} replicate {r} failed: {reason}", file=sys.stderr)
+    print_failures(errors)
     failed = [n for n, _, _ in errors]
     empty = [n for n in cfg.n_list if failed.count(n) == cfg.replicates]
     if empty:
-        print(f"error: no replicate succeeded at n={','.join(map(str, empty))}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"no replicate succeeded at n={','.join(map(str, empty))}")
     _write_json(args.out, {"seed": cfg.seed, **table})
-    return 0
 
 
-def _plot_ellipses(report: dict, n, out: str) -> int:
+def _plot_ellipses(report: dict, n) -> svgplot.Canvas:
     blocks = [b for b in report.get("per_n", []) if n is None or b["n"] == n]
     if not blocks or not blocks[-1]["per_class"]:
-        print("error: report has no per-class results for the requested n "
-              "(run mc-run with the clt check enabled)", file=sys.stderr)
-        return 1
+        raise ValueError("report has no per-class results for the requested n "
+                         "(run mc-run with the clt check enabled)")
     block = blocks[-1]
     nval = block["n"]
-    shapes = []
-    elements = []
+    shapes, elements = [], []
     for c in block["per_class"]:
         emp_cov = np.asarray(c["pooled_cov"]) / nval
         mean = np.asarray(c["empirical_mean"])
@@ -318,16 +308,13 @@ def _plot_ellipses(report: dict, n, out: str) -> int:
         color = "blue" if kind == "emp" else "black"
         cv.polyline(path, color, cls=f"ellipse-{kind}")
         cv.marker(center[0], center[1], color, cls=f"mean-{kind}")
-    _atomic_write(out, cv.render())
-    return 0
+    return cv
 
 
-def _plot_scree(report: dict, out: str) -> int:
+def _plot_scree(report: dict, _n) -> svgplot.Canvas:
     vals = report.get("eigenvalues")
     if vals is None:
-        print("error: report has no 'eigenvalues' section (use select-dim --out)",
-              file=sys.stderr)
-        return 1
+        raise ValueError("report has no 'eigenvalues' section (use select-dim --out)")
     vals = list(map(float, vals))
     xlim = (0.0, len(vals) + 1.0)
     ylim = (min(0.0, min(vals)), max(vals) * 1.08 + 1e-9)
@@ -337,15 +324,12 @@ def _plot_scree(report: dict, out: str) -> int:
     if "threshold" in report:
         t = float(report["threshold"])
         cv.polyline([(xlim[0], t), (xlim[1], t)], "red", width=1.0, cls="threshold")
-    _atomic_write(out, cv.render())
-    return 0
+    return cv
 
 
-def _plot_bias_trend(report: dict, out: str) -> int:
+def _plot_bias_trend(report: dict, _n) -> svgplot.Canvas:
     if "bias" not in report:
-        print("error: report has no 'bias' section (run scripts/run_bias.py)",
-              file=sys.stderr)
-        return 1
+        raise ValueError("report has no 'bias' section (run scripts/run_bias.py)")
     ns = report["n"]
     bias = np.asarray(report["bias"], float)
     xlim = (0.0, max(ns) * 1.08)
@@ -357,15 +341,12 @@ def _plot_bias_trend(report: dict, out: str) -> int:
         cv.polyline(pts, colors[k % len(colors)], cls=f"bias-class-{k}")
         for x, y in pts:
             cv.marker(x, y, colors[k % len(colors)], r=2.5)
-    _atomic_write(out, cv.render())
-    return 0
+    return cv
 
 
-def _plot_bound_ratios(report: dict, out: str) -> int:
+def _plot_bound_ratios(report: dict, _n) -> svgplot.Canvas:
     if "ratios" not in report:
-        print("error: report has no 'ratios' section (run diagnose first)",
-              file=sys.stderr)
-        return 1
+        raise ValueError("report has no 'ratios' section (run diagnose first)")
     ns = report["n_grid"]
     cv = svgplot.Canvas((0.0, max(ns) * 1.08), (0.0, 2.4),
                         title="bound ratios (normalized to first grid point)")
@@ -376,19 +357,17 @@ def _plot_bound_ratios(report: dict, out: str) -> int:
         pts = list(zip(ns, np.minimum(meds / base, 2.4)))
         cv.polyline(pts, colors[i % len(colors)], cls=f"ratio-{name}")
         cv.label(ns[0], min(meds[0] / base, 2.3), name, colors[i % len(colors)])
-    _atomic_write(out, cv.render())
-    return 0
+    return cv
 
 
-def _cmd_plot(args) -> int:
-    report = _read_json(args.report)
-    if args.kind == "ellipses":
-        return _plot_ellipses(report, args.n, args.out)
-    if args.kind == "scree":
-        return _plot_scree(report, args.out)
-    if args.kind == "bias-trend":
-        return _plot_bias_trend(report, args.out)
-    return _plot_bound_ratios(report, args.out)
+# each plot takes the report and --n, which only ellipses reads
+_PLOTS = {"ellipses": _plot_ellipses, "scree": _plot_scree,
+          "bias-trend": _plot_bias_trend, "bound-ratios": _plot_bound_ratios}
+
+
+def _cmd_plot(args) -> None:
+    canvas = _PLOTS[args.kind](_read_json(args.report), args.n)
+    _atomic_write(args.out, canvas.render())
 
 
 _COMMANDS = {
@@ -413,7 +392,7 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         with one_blas_thread:
-            return _COMMANDS[args.command](args)
+            _COMMANDS[args.command](args)
     # LinAlgError, a ValueError, is caught first; JSONDecodeError is one too
     except (ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -421,6 +400,7 @@ def dispatch(argv) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:
