@@ -4,7 +4,9 @@ unscaled centered locations z - mu. Distance-proportional noise (model2_hetero)
 keeps a non-vanishing bias across n, since its limit is centred at
 sqrt(4/3) (z - mu); the constant-variance control concentrates on z - mu.
 Beside each measured bias it prints the limit's, (center_scale - 1) |z - mu|:
-(sqrt(4/3) - 1) |z - mu| for model2_hetero and 0 for the control."""
+(sqrt(4/3) - 1) |z - mu| for model2_hetero and 0 for the control. Each failed
+replicate is printed with its reason as ``mc-run`` does; bias_<name>.json
+counts them per n in ``failed``, without the reasons."""
 
 import argparse
 import os
@@ -12,7 +14,7 @@ import os
 import numpy as np
 
 from mdsclt import harness, pointmodel
-from mdsclt.cli import _write_json, dispatch
+from mdsclt.cli import _write_json, dispatch, print_failures
 from mdsclt.noise import NoiseLaw, NoiseSpec
 
 
@@ -42,6 +44,8 @@ def main():
               "control": NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))}
     for name, noise in noises.items():
         out = run_one(distribution, noise, args)
+        print_failures((n, r, reason) for n, errors in zip(out["n"], out.pop("errors"))
+                       for r, reason in errors)
         path = os.path.join(args.out_dir, f"bias_{name}.json")
         _write_json(path, out)
         predicted = ", ".join(f"{(noise.center_scale - 1.0) * r:.3f}" for r in radii)

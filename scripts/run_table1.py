@@ -2,8 +2,9 @@
 """Reproduce the covariance-convergence table: reference 3-4-5 mixture,
 Uniform(-4, 4) distance noise, 500 replicates per n.
 
-Writes report.json plus an ellipse figure per n. Pass --quick for a
-cut-down run while iterating.
+Writes report.json plus an ellipse figure per n, and prints each failed
+replicate with its reason as ``mc-run`` does. Pass --quick for a cut-down run
+while iterating.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import os
 import numpy as np
 
 from mdsclt import clt, harness, pointmodel
-from mdsclt.cli import _write_json, dispatch
+from mdsclt.cli import _write_json, dispatch, print_failures
 from mdsclt.noise import NoiseLaw, NoiseSpec
 
 
@@ -42,6 +43,7 @@ def main():
 
     for block in report.per_n:
         n = block["n"]
+        print_failures((n, r, reason) for r, reason in block["errors"])
         print(f"n = {n} (failed replicates: {block['failed']})")
         for k, c in enumerate(block["per_class"]):
             print(f"  class {k}: mean cov\n{np.array_str(c.empirical_cov, precision=2)}")

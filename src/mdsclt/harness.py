@@ -293,7 +293,8 @@ def hetero_bias_experiment(cfg: ExperimentConfig) -> dict:
     """Per-class embedding bias against the unscaled centered locations z - mu.
 
     For each n reports ||empirical class mean - (z - mu)|| and the CLT-scale
-    standard error of that mean. Under model2_hetero the limit is centred at
+    standard error of that mean over the replicates that succeeded, with
+    ``run``'s ``failed`` count and (replicate, reason) ``errors``. Under model2_hetero the limit is centred at
     sqrt(4/3) (z - mu) (``NoiseSpec.moment_rule``), so the bias does not
     vanish; under the constant-variance control it does.
     """
@@ -301,7 +302,7 @@ def hetero_bias_experiment(cfg: ExperimentConfig) -> dict:
         raise ValueError("bias experiment requires a point-mass mixture")
     centers = cfg.distribution.locations - pointmodel.moments(cfg.distribution).mu
     report = run(cfg)
-    out = {"n": [], "bias": [], "std_error": []}
+    out = {"n": [], "bias": [], "std_error": [], "failed": [], "errors": []}
     for block in report.per_n:
         n = block["n"]
         biases, ses = [], []
@@ -314,4 +315,6 @@ def hetero_bias_experiment(cfg: ExperimentConfig) -> dict:
         out["n"].append(n)
         out["bias"].append(biases)
         out["std_error"].append(ses)
+        out["failed"].append(block["failed"])
+        out["errors"].append(block["errors"])
     return out

@@ -545,6 +545,23 @@ class TestHeteroBias:
         assert all(b >= 0 for row in out["bias"] for b in row)
         assert all(se > 0 for row in out["std_error"] for se in row)
 
+    def test_reports_each_failed_replicate(self, triangle, monkeypatch):
+        """A failed replicate is counted in its n's ``failed`` and listed with
+        its reason in ``errors``; the bias is taken over the other ones."""
+        one_replicate = harness._one_replicate
+
+        def fails_at_200_1(cfg, n, r):
+            if (n, r) == (200, 1):
+                raise matrixcore.ConvergenceError("replicate 1")
+            return one_replicate(cfg, n, r)
+
+        monkeypatch.setattr(harness, "_one_replicate", fails_at_200_1)
+        out = hetero_bias_experiment(small_config(
+            triangle, NoiseSpec("model2_hetero"), n_list=(100, 200), replicates=5))
+        assert out["failed"] == [0, 1]
+        assert out["errors"] == [[], [(1, "ConvergenceError: replicate 1")]]
+        assert [len(row) for row in out["bias"]] == [3, 3]
+
     def test_bias_is_taken_against_unscaled_centers(self, triangle):
         """The bias is ||class mean - (z - mu)||, not the distance to the
         sqrt(4/3)-scaled ``true_center`` the report carries."""
