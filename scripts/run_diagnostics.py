@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Empirical scaling checks for the perturbation bounds: run the ratio
-table over an n grid and render the trend figure."""
+"""Empirical scaling checks for the perturbation bounds: write the experiment
+config with the n grid as its n_list, run ``mdsclt diagnose`` on it and render
+the trend figure, into config.json, ratios.json and ratios.svg in --out-dir.
+Failed cells are printed as ``diagnose`` prints them; when ``diagnose`` exits
+non-zero (every cell of some n failed, say), so does the script."""
 
 import argparse
 import os
-import sys
 
-from mdsclt import clt, harness, pointmodel
-from mdsclt.cli import _write_json, dispatch
+from mdsclt import pointmodel
+from mdsclt.cli import _read_json, _write_json, dispatch
 from mdsclt.noise import NoiseLaw, NoiseSpec
 
 
@@ -22,19 +24,19 @@ def main():
     args = ap.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)
-    cfg = harness.ExperimentConfig(
-        distribution=pointmodel.triangle_345(),
-        noise=NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0)),
-        n_list=tuple(int(v) for v in args.n_grid.split(",")),
-        d=2, replicates=args.replicates, seed=args.seed, threads=args.threads)
-    table = clt.bound_checks(cfg)
-    for n, r, reason in table.pop("errors"):
-        print(f"n={n} replicate {r} failed: {reason}", file=sys.stderr)
-
+    config = os.path.join(args.out_dir, "config.json")
+    _write_json(config, {
+        "distribution": pointmodel.triangle_345().to_json(),
+        "noise": NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0)).to_json(),
+        "n_list": [int(v) for v in args.n_grid.split(",")],
+        "d": 2, "replicates": args.replicates, "seed": args.seed})
     path = os.path.join(args.out_dir, "ratios.json")
-    _write_json(path, {"seed": args.seed, **table})
+    code = dispatch(["diagnose", "--config", config, "--out", path,
+                     "--threads", str(args.threads)])
+    if code:
+        raise SystemExit(code)
 
-    for name, entry in sorted(table["ratios"].items()):
+    for name, entry in sorted(_read_json(path)["ratios"].items()):
         meds = ", ".join(f"{m:.3g}" for m in entry["median_per_n"])
         flag = "  <-- growing" if entry["flag_growth"] else ""
         print(f"{name:24s} [{meds}]{flag}")
