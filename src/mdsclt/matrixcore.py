@@ -207,11 +207,13 @@ class _CenteredSquares(spla.LinearOperator):
 
     def _matvec(self, x):
         x = x.reshape(-1)
-        x = np.subtract(x, x.mean(), dtype=float)
-        y = np.zeros(x.shape[0])
+        n = x.shape[0]
+        # x.mean()'s sum and division, without np.mean's Python-level glue
+        x = np.subtract(x, np.add.reduce(x) / n, dtype=float)
+        y = np.zeros(n)
         _SYMV(b"L", self._n, _MINUS_HALF, self._address, self._n,
               x.ctypes.data, _ONE, _ZERO, y.ctypes.data, _ONE)
-        y -= y.mean()
+        y -= np.add.reduce(y) / n
         return y
 
     def formed(self) -> np.ndarray:
