@@ -294,9 +294,10 @@ def hetero_bias_experiment(cfg: ExperimentConfig) -> dict:
 
     For each n reports ||empirical class mean - (z - mu)|| and the CLT-scale
     standard error of that mean over the replicates that succeeded, with
-    ``run``'s ``failed`` count and (replicate, reason) ``errors``. Under model2_hetero the limit is centred at
-    sqrt(4/3) (z - mu) (``NoiseSpec.moment_rule``), so the bias does not
-    vanish; under the constant-variance control it does.
+    ``run``'s ``failed`` count and (replicate, reason) ``errors``. Under
+    model2_hetero the limit is centred at sqrt(4/3) (z - mu)
+    (``NoiseSpec.moment_rule``), so the bias does not vanish; under the
+    constant-variance control it does.
     """
     if cfg.distribution.variant != "point_mass_mixture":
         raise ValueError("bias experiment requires a point-mass mixture")
