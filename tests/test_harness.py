@@ -547,7 +547,7 @@ class TestHeteroBias:
 
     def test_reports_each_failed_replicate(self, triangle, monkeypatch):
         """A failed replicate is counted in its n's ``failed`` and listed with
-        its reason in ``errors``; the bias is taken over the other ones."""
+        its reason in ``errors``; its n still gets a bias per class."""
         one_replicate = harness._one_replicate
 
         def fails_at_200_1(cfg, n, r):
