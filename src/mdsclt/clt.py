@@ -1,5 +1,5 @@
-"""The simulation pipeline (generate, distances, perturb, and for a cmds
-replicate embed and align), limiting covariances for the three noise
+"""The simulation pipeline (generate, distances, perturb, embed by classical
+MDS or raw stress, and align), limiting covariances for the three noise
 mechanisms, orthogonal alignment between configurations, the exact six-term
 perturbation decomposition, and empirical scaling diagnostics for the
 perturbation bounds."""
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cmds, noise as noisemod, pointmodel
+from . import cmds, noise as noisemod, pointmodel, rawstress
 from .matrixcore import (ConvergenceError, centered, gram_top_eigs, minus_gram,
                          norms, one_blas_thread)
 
@@ -40,15 +40,23 @@ def simulate(distribution: pointmodel.DistributionSpec, noise: noisemod.NoiseSpe
 
 
 def replicate(distribution: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
-              n: int, seed: int, r: int, d: int) -> tuple:
-    """Replicate r of a cmds experiment: ``simulate`` keeping Delta^2 alone,
-    ``cmds.embed`` (one eigensolve of B_hat = ``centered(Delta^2)``) and
-    ``align_to_points``. Returns (cloud, B_hat, B_hat's top-d pair, aligned,
-    target); B_hat holds Delta^2, the replicate's one n x n array."""
-    cloud, out = simulate(distribution, noise, n, seed, r, keep=("delta_sq",))
-    emb = cmds.embed(out["delta_sq"], d)
-    aligned, target = align_to_points(emb.config, cloud, noise)
-    return cloud, centered(out["delta_sq"]), emb.pair, aligned, target
+              n: int, seed: int, r: int, d: int, estimator: str = "cmds") -> tuple:
+    """Replicate r of an experiment: ``simulate`` keeping the estimator's one
+    n x n input (Delta^2 for "cmds", Delta for "rawstress"), its estimate
+    (``cmds.embed``, one eigensolve of B_hat = ``centered(Delta^2)``, or
+    ``rawstress.minimize_stress`` from the cmds start) and that estimate
+    aligned to the centered points scaled by the noise's ``center_scale``.
+    Returns (cloud, the kept matrix, B_hat's top-d pair or None under
+    rawstress, aligned, target)."""
+    key = "delta_sq" if estimator == "cmds" else "delta"
+    cloud, out = simulate(distribution, noise, n, seed, r, keep=(key,))
+    if estimator == "cmds":
+        emb = cmds.embed(out[key], d)
+        config, pair = emb.config, emb.pair
+    else:
+        config, pair = rawstress.minimize_stress(out[key], d, init="cmds").config, None
+    target = noise.center_scale * (cloud.points - cloud.points.mean(axis=0))
+    return cloud, out[key], pair, config @ align(config, target), target
 
 
 def attempt(fn, *args) -> tuple:
@@ -123,15 +131,6 @@ def align(source, target):
         raise ValueError("source and target shapes must match")
     w1, _, w2t = np.linalg.svd(source.T @ target)
     return w1 @ w2t
-
-
-def align_to_points(config, cloud: pointmodel.PointCloud,
-                    noise: noisemod.NoiseSpec) -> tuple:
-    """``config`` aligned to the latent points it estimates: returns (aligned,
-    centered), with ``centered`` the points minus their mean, scaled by the
-    noise's ``center_scale``."""
-    centered = noise.center_scale * (cloud.points - cloud.points.mean(axis=0))
-    return config @ align(config, centered), centered
 
 
 def rotation_match(emp, target) -> dict:
@@ -221,8 +220,9 @@ def _bound_cell(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
     ``replicate`` r and B from its points scaled by the noise's
     ``center_scale``, as in the decomposition check. Like ``decompose``, it
     raises ``cmds.DeficientEmbeddingError`` for a deficient B or B_hat."""
-    cloud, B_hat, ph, aligned, target = replicate(spec, noise, n, seed, r, spec.d)
-    pb, wstar, diff = _perturbation(noise.center_scale * cloud.points, B_hat, ph)
+    cloud, delta_sq, ph, aligned, target = replicate(spec, noise, n, seed, r, spec.d)
+    pb, wstar, diff = _perturbation(noise.center_scale * cloud.points,
+                                    centered(delta_sq), ph)
     logn = np.log(n)
     b_perturbation = norms(diff) / np.sqrt(n * logn)
 

@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 import scipy.special
 
-from . import clt, noise as noisemod, pointmodel, rawstress
-from .matrixcore import MAX_SUPPORTED_N
+from . import clt, noise as noisemod, pointmodel
+from .matrixcore import MAX_SUPPORTED_N, centered
 
 # Asymptotic Kolmogorov critical value at the 1% level.
 KS_CRIT_1PCT = float(scipy.special.kolmogi(0.01))
@@ -140,22 +140,16 @@ class McReport:
 
 
 def _one_replicate(cfg: ExperimentConfig, n: int, r: int):
-    """One generate-perturb-embed-align pass: returns the class labels, the
-    aligned n x d configuration, its sqrt(n)-scaled deviation rows and, for
-    replicate 0 when ``cfg`` asks for it, the decomposition check on its own
-    B_hat and pair (a failed check gives ``{"error": reason}``), else None."""
-    if cfg.estimator == "cmds":
-        cloud, B_hat, pair, aligned, target = clt.replicate(
-            cfg.distribution, cfg.noise, n, cfg.seed, r, cfg.d)
-    else:
-        cloud, out = clt.simulate(cfg.distribution, cfg.noise, n, cfg.seed, r,
-                                  keep=("delta",))
-        config = rawstress.minimize_stress(out["delta"], cfg.d, init="cmds").config
-        aligned, target = clt.align_to_points(config, cloud, cfg.noise)
+    """One ``clt.replicate`` pass: returns the class labels, the aligned n x d
+    configuration, its sqrt(n)-scaled deviation rows and, for replicate 0
+    when ``cfg`` asks for it, the decomposition check on its own Delta^2 and
+    pair (a failed check gives ``{"error": reason}``), else None."""
+    cloud, kept, pair, aligned, target = clt.replicate(
+        cfg.distribution, cfg.noise, n, cfg.seed, r, cfg.d, cfg.estimator)
     summary = None
     if r == 0 and cfg.checks.get("decomposition"):
         rep, error = clt.attempt(clt.decompose, cfg.noise.center_scale * cloud.points,
-                                 B_hat, pair)
+                                 centered(kept), pair)
         summary = {"error": error} if error else {
             "identity_residual": rep.identity_residual,
             "median_row_norms": [float(np.median(t)) for t in rep.term_row_norms]}
