@@ -194,10 +194,11 @@ def keyed_rng(seed: int, n: int) -> np.random.Generator:
 OUTPUTS = ("delta_sq", "delta", "E")
 
 
-def _entries(spec: NoiseSpec, rng: np.random.Generator, d: np.ndarray):
+def _entries(spec: NoiseSpec, rng: np.random.Generator, d: np.ndarray, want_e: bool):
     """Draw the next ``d.size`` entries of the noise stream for the
     upper-triangle distances ``d``. Returns the perturbed entries (squared
-    under model 1) and the entries of E."""
+    under model 1) and the entries of E: drawn under models 1 and 2, else
+    Delta - D, which is formed only when ``want_e`` (None otherwise)."""
     size = d.size
     if spec.variant == "model2_hetero":
         # E~_ij ~ Uniform(-D_ij, D_ij). As |E~| <= D, E = Delta - D is exact,
@@ -208,7 +209,7 @@ def _entries(spec: NoiseSpec, rng: np.random.Generator, d: np.ndarray):
     else:
         e = spec.law.draw(rng, size)
         return (d**2 if spec.squared_scale else d) + e, e
-    return delta, delta - d
+    return delta, delta - d if want_e else None
 
 
 def perturb(source, spec: NoiseSpec, seed: int, keep=OUTPUTS) -> dict:
@@ -219,8 +220,9 @@ def perturb(source, spec: NoiseSpec, seed: int, keep=OUTPUTS) -> dict:
 
     Returns {"delta_sq", "delta", "E"}; ``delta`` is None for model 1, whose
     noise lives on the squared scale (a square root need not exist), and so
-    is every output not named in ``keep``. Negative entries of delta or
-    delta_sq are passed through unchanged.
+    is every output not named in ``keep``. Under model 3 and model2_hetero E
+    is Delta - D, taken only when ``keep`` names it. Negative entries of
+    delta or delta_sq are passed through unchanged.
 
     The upper triangle is read and drawn strip by strip of
     ``matrixcore.upper_strips``, as one stream in the row-major order of
@@ -243,7 +245,7 @@ def perturb(source, spec: NoiseSpec, seed: int, keep=OUTPUTS) -> dict:
     out = {k: np.empty((n, n)) for k in OUTPUTS
            if k in keep and not (k == "delta" and spec.squared_scale)}
     for rows, mask, strip in strips:
-        delta, e = _entries(spec, rng, strip[mask])
+        delta, e = _entries(spec, rng, strip[mask], "E" in out)
         for k, m in out.items():
             m[rows, rows.start:][mask] = (
                 e + 0.0 if k == "E"  # a drawn -0.0 becomes 0.0

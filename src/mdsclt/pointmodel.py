@@ -176,12 +176,12 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> PointCloud:
     emitted grouped by class with labels set."""
     if n < spec.d + 2:
         raise ValueError(f"n={n} too small for dimension d={spec.d}")
-    rng = keyed_rng(seed, n)
-    if spec.variant == "point_mass_mixture":
+    if spec.variant == "point_mass_mixture":  # draws nothing
         counts = _mixture_counts(spec.weights, n)
         points = np.repeat(spec.locations, counts, axis=0)
         labels = np.repeat(np.arange(len(counts)), counts)
         return PointCloud(points=points, labels=labels)
+    rng = keyed_rng(seed, n)
     if spec.variant == "gaussian":
         pts = rng.multivariate_normal(spec.mean, spec.covariance, size=n,
                                       method="cholesky")
