@@ -6,10 +6,14 @@ sqrt(4/3) (z - mu); the constant-variance control concentrates on z - mu.
 Beside each measured bias it prints the limit's, (center_scale - 1) |z - mu|:
 (sqrt(4/3) - 1) |z - mu| for model2_hetero and 0 for the control. Each failed
 replicate is printed with its reason as ``mc-run`` does; bias_<name>.json
-counts them per n in ``failed``, without the reasons."""
+counts them per n in ``failed``, without the reasons. When every replicate of
+some n failed, the script prints ``diagnose``'s error line and exits 1 without
+writing that noise's table or figure; when the plot command fails, it exits
+with that command's code."""
 
 import argparse
 import os
+import sys
 
 import numpy as np
 
@@ -46,6 +50,12 @@ def main():
         out = run_one(distribution, noise, args)
         print_failures((n, r, reason) for n, errors in zip(out["n"], out.pop("errors"))
                        for r, reason in errors)
+        empty = [n for n, failed in zip(out["n"], out["failed"])
+                 if failed == args.replicates]
+        if empty:
+            print(f"error: no replicate succeeded at n={','.join(map(str, empty))}",
+                  file=sys.stderr)
+            raise SystemExit(1)
         path = os.path.join(args.out_dir, f"bias_{name}.json")
         _write_json(path, out)
         predicted = ", ".join(f"{(noise.center_scale - 1.0) * r:.3f}" for r in radii)
@@ -55,8 +65,10 @@ def main():
             ratios = ", ".join(f"{b / se:.1f}" for b, se in zip(biases, ses))
             print(f"  n={n:5d}  bias per class: [{measured}]  predicted: [{predicted}]"
                   f"  bias/SE: [{ratios}]")
-        dispatch(["plot", "--report", path, "--kind", "bias-trend",
-                  "--out", os.path.join(args.out_dir, f"bias_{name}.svg")])
+        code = dispatch(["plot", "--report", path, "--kind", "bias-trend",
+                         "--out", os.path.join(args.out_dir, f"bias_{name}.svg")])
+        if code:
+            raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 """Empirical scaling checks for the perturbation bounds: write the experiment
 config with the n grid as its n_list, run ``mdsclt diagnose`` on it and render
 the trend figure, into config.json, ratios.json and ratios.svg in --out-dir.
-Failed cells are printed as ``diagnose`` prints them; when ``diagnose`` exits
-non-zero (every cell of some n failed, say), so does the script."""
+Failed cells are printed as ``diagnose`` prints them; when ``diagnose`` or
+``plot`` exits non-zero (every cell of some n failed, say), the script exits
+with that code."""
 
 import argparse
 import os
@@ -41,8 +42,10 @@ def main():
         flag = "  <-- growing" if entry["flag_growth"] else ""
         print(f"{name:24s} [{meds}]{flag}")
 
-    dispatch(["plot", "--report", path, "--kind", "bound-ratios",
-              "--out", os.path.join(args.out_dir, "ratios.svg")])
+    code = dispatch(["plot", "--report", path, "--kind", "bound-ratios",
+                     "--out", os.path.join(args.out_dir, "ratios.svg")])
+    if code:
+        raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 Uniform(-4, 4) distance noise, 500 replicates per n.
 
 Writes report.json plus an ellipse figure per n, and prints each failed
-replicate with its reason as ``mc-run`` does. Pass --quick for a cut-down run
-while iterating.
+replicate with its reason as ``mc-run`` does. When a plot command fails, the
+script exits with its code. Pass --quick for a cut-down run while iterating.
 """
 
 import argparse
@@ -48,9 +48,11 @@ def main():
         for k, c in enumerate(block["per_class"]):
             print(f"  class {k}: mean cov\n{np.array_str(c.empirical_cov, precision=2)}")
             print(f"  entry variances {np.diag(c.cov_entry_variances)}")
-        dispatch(["plot", "--report", report_path, "--kind", "ellipses",
-                  "--n", str(n),
-                  "--out", os.path.join(args.out_dir, f"ellipses_n{n}.svg")])
+        code = dispatch(["plot", "--report", report_path, "--kind", "ellipses",
+                         "--n", str(n),
+                         "--out", os.path.join(args.out_dir, f"ellipses_n{n}.svg")])
+        if code:
+            raise SystemExit(code)
 
     # rotation-matched comparison of class 0 against the published column
     table = np.array([[13.63, -2.70], [-2.70, 31.76]])

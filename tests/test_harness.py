@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 import threading
@@ -297,9 +298,10 @@ class TestRun:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_check_adds_no_simulate_or_solve(self, triangle, uniform4,
                                              monkeypatch, threads):
-        """With the decomposition check on, each n runs one ``simulate`` and
-        one eigensolve (B_hat's top-d: dense at n = 100, ARPACK at n = 300)
-        per replicate: the check takes replicate 0's."""
+        """With the decomposition check on, each n runs one ``simulate``, one
+        eigensolve (B_hat's top-d: dense at n = 100, ARPACK at n = 300) and
+        one B_hat operator per replicate: the check takes replicate 0's
+        simulation and solve, and wraps its Delta^2 in one operator more."""
         calls = []
         current = threading.local()
         simulate = clt.simulate
@@ -317,6 +319,12 @@ class TestRun:
                 return solve(*args, **kwargs)
             monkeypatch.setattr(matrixcore, name, counted)
 
+        def counted_operator(self, sq):
+            calls.append(("operator", current.n))
+            operator_init(self, sq)
+
+        operator_init = matrixcore._CenteredSquares.__init__
+        monkeypatch.setattr(matrixcore._CenteredSquares, "__init__", counted_operator)
         monkeypatch.setattr(clt, "simulate", counted_simulate)
         spy("_dense_top")
         spy("_lanczos")
@@ -327,6 +335,8 @@ class TestRun:
             assert block["diagnostics"]["decomposition"]["identity_residual"] <= 1e-7
             assert calls.count(("simulate", block["n"])) == 6
             assert calls.count(("solve", block["n"])) == 6
+            # one B_hat operator per replicate, and one more for the check
+            assert calls.count(("operator", block["n"])) == 7
 
     def test_deviation_stack(self, triangle, uniform4):
         """Each n's block keeps the deviation rows of its successful
@@ -561,6 +571,31 @@ class TestHeteroBias:
         assert out["failed"] == [0, 1]
         assert out["errors"] == [[], [(1, "ConvergenceError: replicate 1")]]
         assert [len(row) for row in out["bias"]] == [3, 3]
+
+    def test_script_stops_where_no_replicate_of_an_n_succeeded(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        """scripts/run_bias.py prints each failed replicate, then ``diagnose``'s
+        error line, and exits 1 without writing a table or a figure."""
+        one_replicate = harness._one_replicate
+
+        def fails_at_100(cfg, n, r):
+            if n == 100:
+                raise matrixcore.ConvergenceError(f"replicate {r}")
+            return one_replicate(cfg, n, r)
+
+        script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                              "run_bias.py")
+        monkeypatch.setattr(harness, "_one_replicate", fails_at_100)
+        monkeypatch.setattr(sys, "argv", [script, "--out-dir", str(tmp_path),
+                                          "--n-list", "100,200", "--replicates", "3",
+                                          "--threads", "1"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(script, run_name="__main__")
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == "".join(
+            f"n=100 replicate {r} failed: ConvergenceError: replicate {r}\n"
+            for r in range(3)) + "error: no replicate succeeded at n=100\n"
+        assert os.listdir(tmp_path) == []
 
     def test_bias_is_taken_against_unscaled_centers(self, triangle):
         """The bias is ||class mean - (z - mu)||, not the distance to the
