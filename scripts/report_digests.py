@@ -145,9 +145,9 @@ def cases(tmp) -> list:
 
     for name, noise_json in (("diagnose", NOISES["model2"]),
                              ("diagnose_zero_noise", ZERO_NOISE)):
-        cfg = write_json(path(name, "config"), config(noise_json, [100]))
+        cfg = write_json(path(name, "config"),
+                         config(noise_json, [100, 200, 300], replicates=2))
         lines += run(tmp, name, ["diagnose", "--config", cfg,
-                                 "--n-grid", "100,200,300", "--replicates", "2",
                                  "--out", path(name, "report")], ["report"])
 
     name = "distmat_gaussian_offset"
