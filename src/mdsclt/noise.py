@@ -197,8 +197,8 @@ OUTPUTS = ("delta_sq", "delta", "E")
 def _entries(spec: NoiseSpec, rng: np.random.Generator, d: np.ndarray, want_e: bool):
     """Draw the next ``d.size`` entries of the noise stream for the
     upper-triangle distances ``d``. Returns the perturbed entries (squared
-    under model 1) and the entries of E: drawn under models 1 and 2, else
-    Delta - D, which is formed only when ``want_e`` (None otherwise)."""
+    under model 1) and the entries of E: the drawn law's under models 1 and
+    2, else Delta - D, formed only when ``want_e`` (None otherwise)."""
     size = d.size
     if spec.variant == "model2_hetero":
         # E~_ij ~ Uniform(-D_ij, D_ij). As |E~| <= D, E = Delta - D is exact,
