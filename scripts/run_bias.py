@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from mdsclt import harness, pointmodel
-from mdsclt.cli import _write_json, dispatch, print_failures
+from mdsclt.cli import _write_json, dispatch, print_failures, require_each_n
 from mdsclt.noise import NoiseLaw, NoiseSpec
 
 
@@ -48,14 +48,13 @@ def main():
               "control": NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))}
     for name, noise in noises.items():
         out = run_one(distribution, noise, args)
-        print_failures((n, r, reason) for n, errors in zip(out["n"], out.pop("errors"))
-                       for r, reason in errors)
-        empty = [n for n, failed in zip(out["n"], out["failed"])
-                 if failed == args.replicates]
-        if empty:
-            print(f"error: no replicate succeeded at n={','.join(map(str, empty))}",
-                  file=sys.stderr)
-            raise SystemExit(1)
+        errors = out.pop("errors")
+        print_failures(errors)
+        try:
+            require_each_n(errors, args.replicates)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(1) from None
         path = os.path.join(args.out_dir, f"bias_{name}.json")
         _write_json(path, out)
         predicted = ", ".join(f"{(noise.center_scale - 1.0) * r:.3f}" for r in radii)

@@ -43,7 +43,7 @@ def main():
 
     for block in report.per_n:
         n = block["n"]
-        print_failures((n, r, reason) for r, reason in block["errors"])
+        print_failures(block["errors"])
         print(f"n = {n} (failed replicates: {block['failed']})")
         for k, c in enumerate(block["per_class"]):
             print(f"  class {k}: mean cov\n{np.array_str(c.empirical_cov, precision=2)}")

@@ -18,8 +18,7 @@ import tempfile
 import numpy as np
 
 from . import clt, cmds, harness, noise as noisemod, pointmodel, rawstress, svgplot
-from .matrixcore import (ConvergenceError, centered, one_blas_thread,
-                         read_matrix_csv, top_eigs)
+from .matrixcore import ConvergenceError, one_blas_thread, read_matrix_csv, top_eigs
 
 SCREE_EXTRA = 4  # eigenvalues beyond d that the embed sidecar reports
 # Adjacent scree values closer than this, relative to the largest |value|,
@@ -73,6 +72,14 @@ def print_failures(failures) -> None:
     """One stderr line per failed replicate, from (n, replicate, reason)."""
     for n, r, reason in failures:
         print(f"n={n} replicate {r} failed: {reason}", file=sys.stderr)
+
+
+def require_each_n(failures, replicates: int) -> None:
+    """Raise ValueError naming each n at which all ``replicates`` replicates
+    failed, from their (n, replicate, reason) records."""
+    failed = [n for n, _, _ in failures]
+    if empty := sorted({n for n in failed if failed.count(n) == replicates}):
+        raise ValueError(f"no replicate succeeded at n={','.join(map(str, empty))}")
 
 
 def _default_threads(value):
@@ -188,7 +195,7 @@ def _cmd_embed(args) -> None:
     if args.sidecar:
         # the embedding solves for d pairs only; the scree needs its own solve
         k = min(args.d + SCREE_EXTRA, m.n)
-        scree = top_eigs(centered(m), k).values
+        scree = top_eigs(emb.b_hat, k).values
         scale = float(np.abs(scree).max(initial=0.0))
         tie = bool(np.any(-np.diff(scree) < DEGENERATE_GAP_RTOL * max(scale, 1e-300)))
         _write_json(args.sidecar, {
@@ -246,7 +253,7 @@ def _cmd_mc_run(args) -> None:
     cfg = _load_config(args.config, threads=_default_threads(args.threads))
     report = harness.run(cfg)
     for block in report.per_n:
-        print_failures((block["n"], r, reason) for r, reason in block["errors"])
+        print_failures(block["errors"])
         check = block.get("diagnostics", {}).get("decomposition", {})
         if "error" in check:
             print(f"n={block['n']} decomposition check failed: {check['error']}",
@@ -274,10 +281,7 @@ def _cmd_diagnose(args) -> None:
     table = clt.bound_checks(cfg)
     errors = table.pop("errors")
     print_failures(errors)
-    failed = [n for n, _, _ in errors]
-    empty = [n for n in cfg.n_list if failed.count(n) == cfg.replicates]
-    if empty:
-        raise ValueError(f"no replicate succeeded at n={','.join(map(str, empty))}")
+    require_each_n(errors, cfg.replicates)
     _write_json(args.out, {"seed": cfg.seed, **table})
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmds, noise as noisemod, pointmodel, rawstress
-from .matrixcore import (ConvergenceError, centered, gram_top_eigs, minus_gram,
-                         norms, one_blas_thread)
+from .matrixcore import (ConvergenceError, gram_top_eigs, minus_gram, norms,
+                         one_blas_thread)
 
 
 def _replicate_seeds(seed: int, n: int, r: int) -> tuple:
@@ -46,17 +46,18 @@ def replicate(distribution: pointmodel.DistributionSpec, noise: noisemod.NoiseSp
     (``cmds.embed``, one eigensolve of B_hat = ``centered(Delta^2)``, or
     ``rawstress.minimize_stress`` from the cmds start) and that estimate
     aligned to the centered points scaled by the noise's ``center_scale``.
-    Returns (cloud, the kept matrix, B_hat's top-d pair or None under
-    rawstress, aligned, target)."""
+    Returns (cloud, B_hat and its top-d pair, both None under rawstress,
+    aligned, target)."""
     key = "delta_sq" if estimator == "cmds" else "delta"
     cloud, out = simulate(distribution, noise, n, seed, r, keep=(key,))
     if estimator == "cmds":
         emb = cmds.embed(out[key], d)
-        config, pair = emb.config, emb.pair
+        config, b_hat, pair = emb.config, emb.b_hat, emb.pair
     else:
-        config, pair = rawstress.minimize_stress(out[key], d, init="cmds").config, None
+        config = rawstress.minimize_stress(out[key], d, init="cmds").config
+        b_hat = pair = None
     target = noise.center_scale * (cloud.points - cloud.points.mean(axis=0))
-    return cloud, out[key], pair, config @ align(config, target), target
+    return cloud, b_hat, pair, config @ align(config, target), target
 
 
 def attempt(fn, *args) -> tuple:
@@ -69,20 +70,26 @@ def attempt(fn, *args) -> tuple:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def run_replicates(fn, replicates: int, threads: int):
-    """Call ``fn(r)`` for r = 0 .. replicates - 1 on up to ``threads`` workers,
-    all inside ``one_blas_thread``, so the results' bits do not depend on
-    ``threads`` or on the caller's BLAS thread count; the workers' own
-    eigensolves nest in that guard and leave the count alone. Returns (results,
-    errors), both indexed by r: a replicate that fails numerically has result
-    None and its reason in errors; the others have error None.
+def run_grid(cell, n_list, replicates: int, threads: int):
+    """Call ``cell(n, r)`` for each n of ``n_list`` and r = 0 .. replicates - 1
+    on up to ``threads`` workers, all inside one ``one_blas_thread`` guard, so
+    the results' bits do not depend on ``threads`` or on the caller's BLAS
+    thread count; the cells' own eigensolves nest in that guard and leave the
+    count alone. Yields (n, results, failures) per n: ``results`` indexed by
+    r, None where a cell failed numerically, and ``failures`` the (n, r,
+    reason) record of each such cell. An n's cells run when its tuple is
+    asked for, so a caller that has dropped the last n's holds one n's. The
+    pool and the guard stay open until the generator is exhausted or closed.
     """
     workers = max(1, min(threads, replicates))
     # the pool starts no thread until asked: one worker is the calling thread
     with one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
-        done = list((pool.map if workers > 1 else map)(lambda r: attempt(fn, r),
-                                                        range(replicates)))
-    return [result for result, _ in done], [error for _, error in done]
+        run = pool.map if workers > 1 else map
+        for n in n_list:
+            done = list(run(lambda r: attempt(cell, n, r), range(replicates)))
+            yield (n, [result for result, _ in done],
+                   [(n, r, error) for r, (_, error) in enumerate(done) if error is not None])
+            del done  # before the next n's cells run
 
 
 @dataclass(frozen=True)
@@ -220,9 +227,8 @@ def _bound_cell(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
     ``replicate`` r and B from its points scaled by the noise's
     ``center_scale``, as in the decomposition check. Like ``decompose``, it
     raises ``cmds.DeficientEmbeddingError`` for a deficient B or B_hat."""
-    cloud, delta_sq, ph, aligned, target = replicate(spec, noise, n, seed, r, spec.d)
-    pb, wstar, diff = _perturbation(noise.center_scale * cloud.points,
-                                    centered(delta_sq), ph)
+    cloud, b_hat, ph, aligned, target = replicate(spec, noise, n, seed, r, spec.d)
+    pb, wstar, diff = _perturbation(noise.center_scale * cloud.points, b_hat, ph)
     logn = np.log(n)
     b_perturbation = norms(diff) / np.sqrt(n * logn)
 
@@ -241,33 +247,32 @@ def _bound_cell(spec: pointmodel.DistributionSpec, noise: noisemod.NoiseSpec,
 
 def bound_checks(cfg) -> dict:
     """Empirical scaling ratios for the perturbation bounds of the experiment
-    ``cfg`` (a ``harness.ExperimentConfig``) over its n_list, of 3 or more n.
+    ``cfg`` (a ``harness.ExperimentConfig`` of the cmds estimator) over its
+    n_list, of 3 or more n.
 
     For each grid size the listed quantities are divided by their claimed
     rates; per-n medians over the ``cfg.replicates`` cells that succeeded are
     reported, and a ratio sequence is flagged when its median grows by more
     than a factor 2 across the grid. Constants are not estimated, only trend
-    boundedness. The cells of each n run on ``cfg.threads`` workers as in
-    ``run_replicates``; ``errors`` lists (n, replicate, reason) per failed
-    cell, and an n without a successful cell gets NaN medians.
+    boundedness. The cells run through ``run_grid`` on ``cfg.threads``
+    workers; ``errors`` holds its (n, replicate, reason) failure records, and
+    an n without a successful cell gets NaN medians.
     """
     n_grid = list(cfg.n_list)
     if len(n_grid) < 3:
         raise ValueError("n_grid must have at least 3 points")
-    per_n = {name: [] for name in RATIO_NAMES}
-    errors = []
-    for n in n_grid:
-        results, reasons = run_replicates(
-            lambda r: _bound_cell(cfg.distribution, cfg.noise, n, cfg.seed, r),
-            cfg.replicates, cfg.threads)
-        errors += [(n, r, e) for r, e in enumerate(reasons) if e is not None]
+    if cfg.estimator != "cmds":
+        raise ValueError("the bound diagnostics split the cmds embedding, which the "
+                         f"{cfg.estimator} estimator does not compute")
+    errors, medians = [], []
+    for _, results, failures in run_grid(
+            lambda n, r: _bound_cell(cfg.distribution, cfg.noise, n, cfg.seed, r),
+            n_grid, cfg.replicates, cfg.threads):
+        errors += failures
         cells = [c for c in results if c is not None]
-        for i, name in enumerate(RATIO_NAMES):
-            per_n[name].append(float(np.median([c[i] for c in cells]))
-                               if cells else float("nan"))
+        medians.append(np.median(cells, axis=0) if cells else [np.nan] * len(RATIO_NAMES))
     ratios = {}
-    for name in RATIO_NAMES:
-        meds = per_n[name]
+    for name, meds in zip(RATIO_NAMES, np.array(medians).T.tolist()):
         base = max(meds[0], 1e-300)
         ratios[name] = {"median_per_n": meds,
                         "flag_growth": bool(max(meds) / base > 2.0 and

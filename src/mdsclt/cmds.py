@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import SpectralPair, SymmetricMatrix, centered, top_eigs
+from .matrixcore import SpectralPair, SymmetricMatrix, _CenteredSquares, centered, top_eigs
 
 
 class DeficientEmbeddingError(ValueError):
@@ -22,7 +22,9 @@ class DeficientEmbeddingError(ValueError):
 
 @dataclass(frozen=True)
 class Embedding:
-    """n x d configuration with the top-d eigenpairs it comes from.
+    """n x d configuration with the top-d eigenpairs it comes from, and
+    ``b_hat``, the ``centered`` operator over the squared dissimilarities
+    that the eigensolve applied.
 
     Columns of ``config`` are orthogonal with squared norms equal to the
     eigenvalues ``pair.values``, and column means are zero.
@@ -30,6 +32,7 @@ class Embedding:
 
     config: np.ndarray
     pair: SpectralPair
+    b_hat: _CenteredSquares
 
 
 def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False) -> Embedding:
@@ -47,12 +50,13 @@ def embed(delta_sq: SymmetricMatrix, d: int, allow_deficient: bool = False) -> E
     n = delta_sq.n
     if not 1 <= d <= n - 1:
         raise ValueError(f"embedding dimension d={d} must satisfy 1 <= d <= n-1")
-    pair = top_eigs(centered(delta_sq), d)
+    b_hat = centered(delta_sq)
+    pair = top_eigs(b_hat, d)
     if pair.deficient and not allow_deficient:
         raise DeficientEmbeddingError(f"eigenvalue {d} of the centered matrix is "
                                       f"{pair.values[-1]:.3e} <= {pair.floor:.3g}")
     return Embedding(config=pair.vectors * np.sqrt(np.maximum(pair.values, 0.0)),
-                     pair=pair)
+                     pair=pair, b_hat=b_hat)
 
 
 def select_dim(delta_sq: SymmetricMatrix, max_d: int) -> dict:

@@ -7,6 +7,7 @@ decomposition, all deterministic given the experiment seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.special
 
 from . import clt, noise as noisemod, pointmodel
-from .matrixcore import MAX_SUPPORTED_N, centered
+from .matrixcore import MAX_SUPPORTED_N
 
 # Asymptotic Kolmogorov critical value at the 1% level.
 KS_CRIT_1PCT = float(scipy.special.kolmogi(0.01))
@@ -64,9 +65,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown checks {unknown}: the known ones are clt "
                              "and decomposition")
-        if not 1 <= self.d <= n_list[0] - 1:
-            raise ValueError(f"embedding dimension d={self.d} must satisfy "
-                             f"1 <= d <= n-1 for n={n_list[0]}")
         if self.d != self.distribution.d:
             raise ValueError(f"embedding dimension d={self.d} must equal the "
                              f"dimension {self.distribution.d} of the points, "
@@ -116,7 +114,7 @@ class ClassSummary:
 class McReport:
     config: dict
     # [{"n", "per_class", "failed", "errors", "replicates", "labels",
-    # "deviations", "diagnostics"}]. "errors" lists (replicate, reason) per
+    # "deviations", "diagnostics"}]. "errors" lists (n, replicate, reason) per
     # failed replicate; "replicates" holds the indices of the successful ones,
     # "labels" the class of each of the n rows and "deviations" their
     # sqrt(n)-scaled deviations as one (len(replicates), n, d) array. These four
@@ -142,14 +140,14 @@ class McReport:
 def _one_replicate(cfg: ExperimentConfig, n: int, r: int):
     """One ``clt.replicate`` pass: returns the class labels, the aligned n x d
     configuration, its sqrt(n)-scaled deviation rows and, for replicate 0
-    when ``cfg`` asks for it, the decomposition check on its own Delta^2 and
+    when ``cfg`` asks for it, the decomposition check on its own B_hat and
     pair (a failed check gives ``{"error": reason}``), else None."""
-    cloud, kept, pair, aligned, target = clt.replicate(
+    cloud, b_hat, pair, aligned, target = clt.replicate(
         cfg.distribution, cfg.noise, n, cfg.seed, r, cfg.d, cfg.estimator)
     summary = None
     if r == 0 and cfg.checks.get("decomposition"):
         rep, error = clt.attempt(clt.decompose, cfg.noise.center_scale * cloud.points,
-                                 centered(kept), pair)
+                                 b_hat, pair)
         summary = {"error": error} if error else {
             "identity_residual": rep.identity_residual,
             "median_row_norms": [float(np.median(t)) for t in rep.term_row_norms]}
@@ -162,12 +160,12 @@ def run(cfg: ExperimentConfig) -> McReport:
 
     Deterministic for a given config regardless of thread count: replicate
     seeds are derived independently, aggregation is replicate-ordered, and
-    ``clt.run_replicates`` runs the replicates on ``cfg.threads`` workers with
-    one BLAS thread each. The decomposition check of an n runs inside its
+    ``clt.run_grid`` runs the replicates on ``cfg.threads`` workers with one
+    BLAS thread each. The decomposition check of an n runs inside its
     replicate 0. A replicate that fails numerically is counted in its n's
-    ``failed`` and listed with its reason in ``errors``. A failed check
-    reports ``{"error": reason}``, replicate 0's if that failed, and counts
-    toward neither ``failed`` nor ``invalid``.
+    ``failed`` and its (n, replicate, reason) record is listed in
+    ``errors``. A failed check reports ``{"error": reason}``, replicate 0's
+    if that failed, and counts toward neither ``failed`` nor ``invalid``.
     """
     try:
         theory = clt.theory_cov(cfg.distribution, cfg.noise)
@@ -178,29 +176,18 @@ def run(cfg: ExperimentConfig) -> McReport:
         mu = pointmodel.moments(cfg.distribution).mu
         true_centers = cfg.noise.center_scale * (cfg.distribution.locations - mu)
     want_normality = bool(cfg.checks.get("clt", True))
-    per_n = []
-    invalid = False
-    for n in cfg.n_list:
-        results = None  # free the last n's results before this n's replicates run
-        results, errors = clt.run_replicates(lambda r: _one_replicate(cfg, n, r),
-                                             cfg.replicates, cfg.threads)
+
+    def summarize(n, results, failures):
         ok = [r for r, res in enumerate(results) if res is not None]
-        failed = cfg.replicates - len(ok)
-        reasons = [(r, e) for r, e in enumerate(errors) if e is not None]
-        if failed > max(1, cfg.replicates // 100):
-            invalid = True
         # the labels depend on n alone: mixture class counts follow the weights
         labels = results[ok[0]][0] if ok else np.zeros(0, dtype=int)
         dev = np.array([results[r][2] for r in ok]).reshape(len(ok), len(labels), cfg.d)
-        block = {"n": n, "per_class": [], "failed": failed, "errors": reasons,
-                 "replicates": ok, "labels": labels, "deviations": dev}
+        block = {"n": n, "per_class": [], "failed": cfg.replicates - len(ok),
+                 "errors": failures, "replicates": ok, "labels": labels,
+                 "deviations": dev}
         if cfg.checks.get("decomposition"):
             block["diagnostics"] = {"decomposition": results[0][3] if results[0]
-                                    else {"error": errors[0]}}
-        per_n.append(block)
-        if not ok:
-            continue
-
+                                    else {"error": failures[0][2]}}
         for k in np.unique(labels):
             mask = labels == k
             rows = dev[:, mask]
@@ -227,6 +214,12 @@ def run(cfg: ExperimentConfig) -> McReport:
                 cov_entry_variances=cov_var,
                 theoretical_cov=sigma, normality=normality,
                 count=len(pooled)))
+        return block
+
+    # starmap drops each n's results before the grid runs the next n's cells
+    per_n = list(itertools.starmap(summarize, clt.run_grid(
+        lambda n, r: _one_replicate(cfg, n, r), cfg.n_list, cfg.replicates, cfg.threads)))
+    invalid = any(b["failed"] > max(1, cfg.replicates // 100) for b in per_n)
     return McReport(config=cfg.to_json(), per_n=per_n,
                     center_scale=cfg.noise.center_scale, invalid=invalid)
 
@@ -288,7 +281,7 @@ def hetero_bias_experiment(cfg: ExperimentConfig) -> dict:
 
     For each n reports ||empirical class mean - (z - mu)|| and the CLT-scale
     standard error of that mean over the replicates that succeeded, with
-    ``run``'s ``failed`` count and (replicate, reason) ``errors``. Under
+    ``run``'s ``failed`` counts and (n, replicate, reason) ``errors``. Under
     model2_hetero the limit is centred at sqrt(4/3) (z - mu)
     (``NoiseSpec.moment_rule``), so the bias does not vanish; under the
     constant-variance control it does.
@@ -296,20 +289,12 @@ def hetero_bias_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.distribution.variant != "point_mass_mixture":
         raise ValueError("bias experiment requires a point-mass mixture")
     centers = cfg.distribution.locations - pointmodel.moments(cfg.distribution).mu
-    report = run(cfg)
-    out = {"n": [], "bias": [], "std_error": [], "failed": [], "errors": []}
-    for block in report.per_n:
-        n = block["n"]
-        biases, ses = [], []
-        for c, center in zip(block["per_class"], centers):
-            bias = float(np.linalg.norm(c.empirical_mean - center))
+    blocks = run(cfg).per_n
+    return {"n": [b["n"] for b in blocks],
+            "bias": [[float(np.linalg.norm(c.empirical_mean - z))
+                      for c, z in zip(b["per_class"], centers)] for b in blocks],
             # mean position averages count pooled sqrt(n)-scaled deviations
-            se = float(np.sqrt(np.trace(c.pooled_cov) / (n * c.count)))
-            biases.append(bias)
-            ses.append(se)
-        out["n"].append(n)
-        out["bias"].append(biases)
-        out["std_error"].append(ses)
-        out["failed"].append(block["failed"])
-        out["errors"].append(block["errors"])
-    return out
+            "std_error": [[float(np.sqrt(np.trace(c.pooled_cov) / (b["n"] * c.count)))
+                           for c in b["per_class"]] for b in blocks],
+            "failed": [b["failed"] for b in blocks],
+            "errors": [e for b in blocks for e in b["errors"]]}

@@ -432,6 +432,19 @@ class TestTheoryCovAndDiagnose:
         assert "need at least 2 replicates" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_diagnose_rawstress_exit_1(self, tmp_path, capsys):
+        """The bound ratios split the classical-MDS embedding, so a config of
+        the rawstress estimator is rejected rather than run as cmds."""
+        cfg = write_config(tmp_path / "cfg.json", n_list=(60, 80, 100),
+                           replicates=2, estimator="rawstress")
+        out = tmp_path / "diag.json"
+        assert dispatch(["diagnose", "--config", str(cfg), "--threads", "1",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the bound diagnostics split the cmds embedding, which the "
+            "rawstress estimator does not compute\n")
+        assert not out.exists()
+
     def test_diagnose_bit_identical_above_dense_cutoff(self, tmp_path, blas_count):
         """n=300 takes the iterative solver for the spectral norm: a repeat in
         the same process, a run with one BLAS thread and runs with one and two
@@ -562,7 +575,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("kw, reason", [
         ({"n_list": (10001,)}, "n=10001 is outside the supported range"),
         ({"n_list": (3,)}, "n=3 is outside the supported range"),
-        ({"n_list": (4,), "d": 4}, "d=4 must satisfy"),
+        ({"n_list": (4,), "d": 4}, "d=4 must equal the dimension 2"),
         ({"estimator": "rawstress",
           "noise": {"model": "model1", "law": {"gaussian": {"sigma": 1.0}}}},
          "raw-stress estimation needs a dissimilarity matrix"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mdsclt import clt, cmds, harness, pointmodel
+from mdsclt import clt, cmds, harness, matrixcore, pointmodel
 from mdsclt.matrixcore import (ConvergenceError, SpectralPair, SymmetricMatrix,
                                centered, double_center, gram_top_eigs, top_eigs)
 from mdsclt.noise import NoiseLaw, NoiseSpec, perturb
@@ -310,6 +310,22 @@ class TestBoundChecks:
             assert meds[0] == float(np.median([c[i] for c in cells]))
             assert meds[1:] == whole["ratios"][name]["median_per_n"][1:]
 
+    def test_cell_builds_one_operator(self, triangle, uniform4, monkeypatch):
+        """A cell's B_hat - B operator and its norm reuse the B_hat operator
+        that the embedding's eigensolve applied: one per cell, dense at
+        n = 100 and ARPACK at n = 300."""
+        built = []
+        operator_init = matrixcore._CenteredSquares.__init__
+
+        def counted(self, sq):
+            built.append(sq.n)
+            operator_init(self, sq)
+
+        monkeypatch.setattr(matrixcore._CenteredSquares, "__init__", counted)
+        for n in (100, 300):
+            clt._bound_cell(triangle, uniform4, n, 3, 0)
+        assert built == [100, 300]
+
     def test_reports_all_ratios(self, triangle, uniform4):
         out = clt.bound_checks(grid_config(triangle, uniform4, [50, 100, 200], 3))
         assert set(out["ratios"]) == set(clt.RATIO_NAMES)
@@ -319,18 +335,21 @@ class TestBoundChecks:
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 8])
 def test_run_replicates_in_replicate_order(threads):
-    """Results and reasons come back indexed by replicate whatever order the
-    workers finish in; a numerical failure is recorded, not raised."""
-    def fn(r):
+    """``run_grid`` hands back each n's results indexed by replicate whatever
+    order the workers finish in; a numerical failure is recorded as its
+    (n, replicate, reason), not raised."""
+    def cell(n, r):
         time.sleep(0.002 * ((7 * r) % 5))
-        if r % 4 == 3:
+        if (n + r) % 4 == 3:
             raise ConvergenceError(f"replicate {r}")
-        return r * r
+        return n * r
 
-    results, errors = clt.run_replicates(fn, 12, threads)
-    assert results == [None if r % 4 == 3 else r * r for r in range(12)]
-    assert errors == [f"ConvergenceError: replicate {r}" if r % 4 == 3 else None
-                      for r in range(12)]
+    grid = list(clt.run_grid(cell, [10, 21], 12, threads))
+    assert [n for n, _, _ in grid] == [10, 21]
+    for n, results, failures in grid:
+        assert results == [None if (n + r) % 4 == 3 else n * r for r in range(12)]
+        assert failures == [(n, r, f"ConvergenceError: replicate {r}")
+                            for r in range(12) if (n + r) % 4 == 3]
 
 
 SIMULATE_NOISES = [
