@@ -1,8 +1,8 @@
 """The simulation pipeline (generate, distances, perturb, embed by classical
-MDS or raw stress, and align), limiting covariances for the three noise
-mechanisms, orthogonal alignment between configurations, the exact six-term
-perturbation decomposition, and empirical scaling diagnostics for the
-perturbation bounds."""
+MDS or raw stress, and align), the runner of its (n, replicate) grid,
+limiting covariances for the three noise mechanisms, orthogonal alignment
+between configurations, the exact six-term perturbation decomposition, and
+empirical scaling diagnostics for the perturbation bounds."""
 
 from __future__ import annotations
 
