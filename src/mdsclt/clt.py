@@ -75,20 +75,21 @@ def run_grid(cell, n_list, replicates: int, threads: int):
     on up to ``threads`` workers, all inside one ``one_blas_thread`` guard, so
     the results' bits do not depend on ``threads`` or on the caller's BLAS
     thread count; the cells' own eigensolves nest in that guard and leave the
-    count alone. Yields (n, results, failures) per n: ``results`` indexed by
-    r, None where a cell failed numerically, and ``failures`` the (n, r,
-    reason) record of each such cell. An n's cells run when its tuple is
-    asked for, so a caller that has dropped the last n's holds one n's. The
-    pool and the guard stay open until the generator is exhausted or closed.
+    count alone. Yields (n, results, failures) per n: ``results`` maps each r
+    whose cell returned (None too) to its result, in replicate order, and
+    ``failures`` holds the (n, r, reason) record of each other r, whose cell
+    failed numerically. An n's cells run when its tuple is asked for, so a
+    caller that has dropped the last n's holds one n's. The pool and the
+    guard stay open until the generator is exhausted or closed.
     """
     workers = max(1, min(threads, replicates))
     # the pool starts no thread until asked: one worker is the calling thread
     with one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
         run = pool.map if workers > 1 else map
         for n in n_list:
-            done = list(run(lambda r: attempt(cell, n, r), range(replicates)))
-            yield (n, [result for result, _ in done],
-                   [(n, r, error) for r, (_, error) in enumerate(done) if error is not None])
+            done = list(enumerate(run(lambda r: attempt(cell, n, r), range(replicates))))
+            yield (n, {r: result for r, (result, error) in done if error is None},
+                   [(n, r, error) for r, (_, error) in done if error is not None])
             del done  # before the next n's cells run
 
 
@@ -269,7 +270,7 @@ def bound_checks(cfg) -> dict:
             lambda n, r: _bound_cell(cfg.distribution, cfg.noise, n, cfg.seed, r),
             n_grid, cfg.replicates, cfg.threads):
         errors += failures
-        cells = [c for c in results if c is not None]
+        cells = list(results.values())
         medians.append(np.median(cells, axis=0) if cells else [np.nan] * len(RATIO_NAMES))
     ratios = {}
     for name, meds in zip(RATIO_NAMES, np.array(medians).T.tolist()):

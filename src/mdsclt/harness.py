@@ -115,10 +115,10 @@ class McReport:
     config: dict
     # [{"n", "per_class", "failed", "errors", "replicates", "labels",
     # "deviations", "diagnostics"}]. "errors" lists (n, replicate, reason) per
-    # failed replicate; "replicates" holds the indices of the successful ones,
-    # "labels" the class of each of the n rows and "deviations" their
-    # sqrt(n)-scaled deviations as one (len(replicates), n, d) array. These four
-    # stay out of the JSON.
+    # failed replicate and "failed" is its length; "replicates" holds the
+    # indices of the others, "labels" the class of each of the n rows and
+    # "deviations" their sqrt(n)-scaled deviations as one (len(replicates), n,
+    # d) array. These four stay out of the JSON.
     per_n: list
     center_scale: float
     invalid: bool = False
@@ -162,10 +162,10 @@ def run(cfg: ExperimentConfig) -> McReport:
     seeds are derived independently, aggregation is replicate-ordered, and
     ``clt.run_grid`` runs the replicates on ``cfg.threads`` workers with one
     BLAS thread each. The decomposition check of an n runs inside its
-    replicate 0. A replicate that fails numerically is counted in its n's
-    ``failed`` and its (n, replicate, reason) record is listed in
-    ``errors``. A failed check reports ``{"error": reason}``, replicate 0's
-    if that failed, and counts toward neither ``failed`` nor ``invalid``.
+    replicate 0. A replicate that fails numerically is left out of its n's
+    summaries and is its (n, replicate, reason) record in ``errors``, which
+    ``failed`` counts. A failed check reports ``{"error": reason}``, replicate
+    0's if that failed, and counts toward neither ``failed`` nor ``invalid``.
     """
     try:
         theory = clt.theory_cov(cfg.distribution, cfg.noise)
@@ -178,15 +178,15 @@ def run(cfg: ExperimentConfig) -> McReport:
     want_normality = bool(cfg.checks.get("clt", True))
 
     def summarize(n, results, failures):
-        ok = [r for r, res in enumerate(results) if res is not None]
+        ok = list(results)
         # the labels depend on n alone: mixture class counts follow the weights
         labels = results[ok[0]][0] if ok else np.zeros(0, dtype=int)
-        dev = np.array([results[r][2] for r in ok]).reshape(len(ok), len(labels), cfg.d)
-        block = {"n": n, "per_class": [], "failed": cfg.replicates - len(ok),
+        dev = np.array([res[2] for res in results.values()]).reshape(len(ok), len(labels), cfg.d)
+        block = {"n": n, "per_class": [], "failed": len(failures),
                  "errors": failures, "replicates": ok, "labels": labels,
                  "deviations": dev}
         if cfg.checks.get("decomposition"):
-            block["diagnostics"] = {"decomposition": results[0][3] if results[0]
+            block["diagnostics"] = {"decomposition": results[0][3] if 0 in results
                                     else {"error": failures[0][2]}}
         for k in np.unique(labels):
             mask = labels == k
@@ -204,11 +204,10 @@ def run(cfg: ExperimentConfig) -> McReport:
                 except ValueError:  # under 100 samples, or a singular covariance
                     pass
             block["per_class"].append(ClassSummary(
-                z=None if sigma is None or true_centers is None
-                else cfg.distribution.locations[k],
+                z=None if true_centers is None else cfg.distribution.locations[k],
                 true_center=None if true_centers is None else true_centers[k],
-                empirical_mean=np.mean([results[r][1][mask].mean(axis=0)
-                                        for r in ok], axis=0),
+                empirical_mean=np.mean([res[1][mask].mean(axis=0)
+                                        for res in results.values()], axis=0),
                 empirical_cov=mean_cov,
                 pooled_cov=np.cov(pooled, rowvar=False, ddof=1),
                 cov_entry_variances=cov_var,

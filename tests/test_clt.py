@@ -347,9 +347,29 @@ def test_run_replicates_in_replicate_order(threads):
     grid = list(clt.run_grid(cell, [10, 21], 12, threads))
     assert [n for n, _, _ in grid] == [10, 21]
     for n, results, failures in grid:
-        assert results == [None if (n + r) % 4 == 3 else n * r for r in range(12)]
+        assert list(results.items()) == [(r, n * r) for r in range(12) if (n + r) % 4 != 3]
         assert failures == [(n, r, f"ConvergenceError: replicate {r}")
                             for r in range(12) if (n + r) % 4 == 3]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("fail_at", [set(), {(10, 0)}, {(10, 1), (21, 3)},
+                                     {(21, r) for r in range(5)}])
+def test_run_grid_books_each_replicate_once(fail_at, threads):
+    """Each replicate of an n is either a key of its results or the r of one
+    failure record, never both and never neither, wherever the failures fall;
+    a cell that returns None has succeeded."""
+    def cell(n, r):
+        if (n, r) in fail_at:
+            raise ValueError(f"cell {n} {r}")
+        return None if r % 2 else r
+
+    for n, results, failures in clt.run_grid(cell, [10, 21], 5, threads):
+        assert sorted([*results, *(r for _, r, _ in failures)]) == list(range(5))
+        assert {r for _, r, _ in failures} == {r for m, r in fail_at if m == n}
+        assert all(m == n for m, _, _ in failures)
+        assert results == {r: None if r % 2 else r for r in range(5)
+                           if (n, r) not in fail_at}
 
 
 SIMULATE_NOISES = [

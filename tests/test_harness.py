@@ -432,7 +432,7 @@ class TestBlasThreads:
         [(_, results, _)] = harness.clt.run_grid(lambda n, r: blas_count(), [10],
                                                  replicates, threads)
         assert blas_count() == [3] * len(blas_count())
-        assert results == [[1] * len(blas_count())] * replicates
+        assert results == {r: [1] * len(blas_count()) for r in range(replicates)}
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_restored_when_a_replicate_raises(self, triangle, uniform4,
