@@ -132,8 +132,11 @@ class NoiseSpec:
     def __post_init__(self):
         if not isinstance(self.variant, str) or self.variant not in _MODEL_KEYS:
             raise ValueError(f"unknown noise variant {self.variant!r}")
-        if self.variant in ("model1", "model2") and self.law is None:
-            raise ValueError(f"{self.variant} requires a scalar noise law")
+        if (self.law is None) == ("law" in _MODEL_KEYS[self.variant]):
+            raise ValueError(f"{self.variant} requires a scalar noise law" if self.law is None
+                             else f"{self.variant} draws from no scalar noise law")
+        if self.variant != "model3" and self.q != 1.0:
+            raise ValueError(f"{self.variant} masks no entry, so q must be 1.0, got {self.q}")
         if self.variant == "model3" and not 0.0 <= self.q <= 1.0:
             raise ValueError("q must be a probability")
 
@@ -175,12 +178,11 @@ class NoiseSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseSpec":
         json_keys(obj, "noise", ("model",), ("law", "q"))
+        model = obj["model"]
+        if isinstance(model, str) and model in _MODEL_KEYS:  # else __post_init__ names it
+            json_keys(obj, f"noise model {model!r}", ("model",), _MODEL_KEYS[model])
         law = NoiseLaw.from_json(obj["law"]) if "law" in obj else None
-        spec = cls(variant=obj["model"], law=law,
-                   q=json_number(obj.get("q", 1.0), "noise 'q'"))
-        json_keys(obj, f"noise model {obj['model']!r}", ("model",),
-                  _MODEL_KEYS[spec.variant])
-        return spec
+        return cls(variant=model, law=law, q=json_number(obj.get("q", 1.0), "noise 'q'"))
 
 
 def keyed_rng(seed: int, n: int) -> np.random.Generator:

@@ -62,6 +62,21 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec("model3", q=1.5)
 
+    @pytest.mark.parametrize("variant, law, q, reason", [
+        ("model3", NoiseLaw("uniform", a=4.0), 0.49, "model3 draws from no scalar noise law"),
+        ("model2_hetero", NoiseLaw("uniform", a=4.0), 1.0,
+         "model2_hetero draws from no scalar noise law"),
+        ("model1", NoiseLaw("gaussian", sigma=1.0), 0.5, "model1 masks no entry"),
+        ("model2", NoiseLaw("uniform", a=4.0), float("nan"), "model2 masks no entry"),
+        ("model2_hetero", None, 0.0, "model2_hetero masks no entry"),
+    ], ids=["model3_law", "model2_hetero_law", "model1_q", "model2_q_nan", "model2_hetero_q"])
+    def test_rejects_what_its_model_does_not_read(self, variant, law, q, reason):
+        """A law outside models 1 and 2, or a q other than 1.0 outside model
+        3, is rejected as ``from_json`` rejects its key, so the ``to_json`` of
+        every spec that is built reloads."""
+        with pytest.raises(ValueError, match=reason):
+            NoiseSpec(variant, law=law, q=q)
+
     def test_center_scale(self):
         assert NoiseSpec("model3", q=0.49).center_scale == pytest.approx(0.7)
         spec = NoiseSpec("model2", law=NoiseLaw("uniform", a=4.0))
