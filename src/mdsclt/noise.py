@@ -87,6 +87,8 @@ class NoiseLaw:
     def __post_init__(self):
         if self.kind not in ("uniform", "gaussian", "two_point"):
             raise ValueError(f"unknown noise law {self.kind!r}")
+        if not np.isfinite([self.a, self.sigma, self.p]).all():
+            raise ValueError(f"noise law {self.kind!r} parameters must be finite")
         if self.kind == "uniform" and self.a < 0:
             raise ValueError("uniform law requires a >= 0")
         if self.kind == "gaussian" and self.sigma < 0:

@@ -90,6 +90,10 @@ class DistributionSpec:
     hi: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        for key in ("locations", "weights", "mean", "covariance", "lo", "hi"):
+            value = getattr(self, key)
+            if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise ValueError(f"distribution {self.variant!r} {key!r} must be finite")
         if self.variant == "point_mass_mixture":
             loc = np.atleast_2d(np.asarray(self.locations, dtype=float))
             w = np.asarray(self.weights, dtype=float)

@@ -44,6 +44,15 @@ class TestNoiseLaw:
             NoiseLaw("poisson")
 
 
+    @pytest.mark.parametrize("kind, params", [
+        ("uniform", {"a": np.inf}), ("gaussian", {"sigma": np.nan}),
+        ("two_point", {"a": -np.inf, "p": 0.5}), ("two_point", {"a": 1.0, "p": np.nan})])
+    def test_rejects_non_finite_parameters(self, kind, params):
+        """As ``from_json`` does, so that ``to_json`` writes JSON numbers only."""
+        with pytest.raises(ValueError, match=f"noise law '{kind}' parameters must be finite"):
+            NoiseLaw(kind, **params)
+
+
 class TestNoiseSpec:
     @pytest.mark.parametrize("name", ["model1_sq_additive", "model2_additive",
                                       "model3_mask", "model2_hetero_uniform_scaled"])

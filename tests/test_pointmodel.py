@@ -33,6 +33,23 @@ class TestDistributionSpec:
         with pytest.raises(ValueError):
             DistributionSpec("uniform_box", lo=[0.0, 0.0], hi=[1.0, -1.0])
 
+    @pytest.mark.parametrize("variant, params, key", [
+        ("gaussian", {"mean": [np.nan, 0.0], "covariance": np.eye(2)}, "mean"),
+        ("gaussian", {"mean": [0.0], "covariance": [[np.inf]]}, "covariance"),
+        ("point_mass_mixture", {"locations": [[0.0], [np.inf]], "weights": [0.5, 0.5]},
+         "locations"),
+        ("point_mass_mixture", {"locations": [[0.0], [1.0]], "weights": [np.nan, 0.5]},
+         "weights"),
+        ("uniform_box", {"lo": [-np.inf], "hi": [1.0]}, "lo"),
+        ("uniform_box", {"lo": [0.0], "hi": [np.nan]}, "hi"),
+    ], ids=["gaussian_mean", "gaussian_covariance", "mixture_locations",
+            "mixture_weights", "box_lo", "box_hi"])
+    def test_rejects_non_finite_parameters(self, variant, params, key):
+        """A NaN or infinite parameter is rejected, as ``from_json`` rejects it,
+        so ``to_json`` writes JSON numbers only."""
+        with pytest.raises(ValueError, match=f"distribution '{variant}' '{key}' must be finite"):
+            DistributionSpec(variant, **params)
+
     def test_json_roundtrip(self, triangle):
         for spec in (triangle,
                      DistributionSpec("gaussian", mean=[1.0, 2.0],
