@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -38,11 +39,18 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        n_list = tuple(self.n_list)
+        ints = {"d": self.d, "replicates": self.replicates, "seed": self.seed}
+        for key, value in [*ints.items(), *(("n_list entry", n) for n in n_list)]:
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        for key, value in ints.items():  # as ints, which the JSON echo can write
+            object.__setattr__(self, key, int(value))
+        n_list = tuple(map(int, n_list))
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
-        n_list = tuple(self.n_list)
         if not n_list or any(a >= b for a, b in zip(n_list, n_list[1:])):
             raise ValueError(f"n_list must be non-empty and strictly ascending, "
                              f"got {list(n_list)}")

@@ -52,6 +52,28 @@ class TestExperimentConfig:
             small_config(triangle, NoiseSpec("model1", law=NoiseLaw("gaussian", sigma=1.0)),
                          estimator="rawstress")
 
+    @pytest.mark.parametrize("kw, reason", [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"replicates": 4.0}, "replicates must be an integer, got 4.0"),
+        ({"d": 2.0}, "d must be an integer, got 2.0"),
+        ({"n_list": (100, 200.0)}, "n_list entry must be an integer, got 200.0"),
+        ({"n_list": (np.bool_(True),)}, "n_list entry must be an integer, got "),
+    ], ids=["seed_float", "seed_bool", "replicates_float", "d_float", "n_list_float",
+            "n_list_numpy_bool"])
+    def test_rejects_non_integers(self, triangle, uniform4, kw, reason):
+        """As ``from_json`` does, rather than failing later in the worker pool
+        (a float seed) or running a float n."""
+        with pytest.raises(ValueError, match=reason):
+            small_config(triangle, uniform4, **kw)
+
+    def test_accepts_numpy_integers(self, triangle, uniform4):
+        """They are kept as ints, so the config's JSON echo can be written."""
+        cfg = small_config(triangle, uniform4, n_list=(np.int64(100),), d=np.int32(2),
+                           replicates=np.int64(3), seed=np.uint8(5))
+        obj = json.loads(json.dumps(cfg.to_json()))
+        assert (obj["n_list"], obj["d"], obj["replicates"], obj["seed"]) == ([100], 2, 3, 5)
+
     def test_json_roundtrip(self, triangle, uniform4):
         cfg = small_config(triangle, uniform4)
         back = ExperimentConfig.from_json(cfg.to_json())
