@@ -43,7 +43,6 @@ class TestNoiseLaw:
         with pytest.raises(ValueError):
             NoiseLaw("poisson")
 
-
     @pytest.mark.parametrize("kind, params", [
         ("uniform", {"a": np.inf}), ("gaussian", {"sigma": np.nan}),
         ("two_point", {"a": -np.inf, "p": 0.5}), ("two_point", {"a": 1.0, "p": np.nan})])
